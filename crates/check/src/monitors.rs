@@ -174,7 +174,8 @@ impl InvariantMonitor<SimProbe> for MemDeviceInvariants {
 /// Memoised alloc-mask coherence: the HMC's per-set mask memo (invalidated
 /// only at epoch/faucet/reconfig boundaries) must agree with direct
 /// `policy.alloc_mask` calls at every probe point — the boundary contract
-/// the memoisation relies on.
+/// the memoisation relies on. Epoch and faucet probes check the memo just
+/// before their boundary invalidates it (see `SimProbe::mask_memo`).
 pub struct MaskMemoCoherence;
 
 impl InvariantMonitor<SimProbe> for MaskMemoCoherence {
@@ -183,7 +184,7 @@ impl InvariantMonitor<SimProbe> for MaskMemoCoherence {
     }
 
     fn check(&mut self, p: &SimProbe) -> Result<(), String> {
-        p.mask_memo.as_ref().map_err(String::clone).copied()
+        p.mask_memo.as_ref().map(|_| ()).map_err(String::clone)
     }
 }
 
@@ -224,7 +225,7 @@ mod tests {
             token_flows: None,
             policy_invariants: Ok(()),
             mem_invariants: Ok(()),
-            mask_memo: Ok(()),
+            mask_memo: Ok(0),
             fast: MemStats::default(),
             slow: MemStats::default(),
             spans_closed: 0,

@@ -13,14 +13,15 @@
 //! h2 run --jobs 4 fig8              # cap the simulation worker pool
 //! h2 fuzz --seeds 500               # deterministic simulation fuzzer (h2-check)
 //! h2 fuzz --replay repro.json       # replay a committed reproducer
-//! h2 bench [--gate|--baseline]      # per-kernel hot-path bench / regression gate
-//! h2 bench --kernel batched         # bench one dispatch kernel only
+//! h2 bench [--gate|--baseline]      # hot-path bench / regression gate
 //! h2 sweep spec.json [--jobs 4]     # run a sweep campaign (see DESIGN.md §16)
 //! h2 cache stats                    # inspect the persistent run store
 //! h2 cache gc --max-bytes 512M      # LRU-evict the store down to a budget
 //! ```
 //!
 //! Scale with `H2_PROFILE=quick|default|full`; `H2_VERBOSE=1` for progress.
+//! `h2 run` and `h2 all` exit with status 1 when any paper claim checked by
+//! an experiment (the `verify` table's `result` column) reads FAIL.
 //! CSVs are written to `results/`. Completed simulations persist in
 //! `results/.runcache/` and are replayed on re-runs; set `H2_RUNCACHE=off`
 //! to disable, or point it at an alternate directory.
@@ -41,7 +42,7 @@
 //! covers *executed* simulations only — cache replays spend no simulator
 //! time, so a fully warm run produces a near-empty profile.
 
-use h2_harness::{run_experiment, validate_run_ids, Profile, RunCache, ALL_EXPERIMENTS};
+use h2_harness::{run_experiment, validate_run_ids, Profile, RunCache, Table, ALL_EXPERIMENTS};
 use h2_sim_core::prof;
 use std::path::{Path, PathBuf};
 
@@ -166,12 +167,28 @@ fn main() {
         }
         _ => {
             eprintln!(
-                "usage: h2 list | h2 [--telemetry <dir>] [--trace <dir> [--trace-sample N]] [--profile <dir>] [--jobs N] run <experiment>.. | h2 all | h2 fuzz [--seeds N] [--time-budget SECS] [--jobs N] [--replay FILE] | h2 bench [--gate|--baseline] [--iters N] [--kernel scalar|batched|parallel] [--preset tiny|multichan] [--profile] [--profile-out DIR] [--profile-snapshot] [--adopt-parallel FILE] | h2 sweep <spec.json> [--out FILE] [--jobs N] | h2 cache stats|gc [--max-bytes N[K|M|G]] [--dir D]"
+                "usage: h2 list | h2 [--telemetry <dir>] [--trace <dir> [--trace-sample N]] [--profile <dir>] [--jobs N] run <experiment>.. | h2 all | h2 fuzz [--seeds N] [--time-budget SECS] [--jobs N] [--replay FILE] | h2 bench [--gate|--baseline] [--iters N] [--profile] [--profile-out DIR] [--profile-snapshot] | h2 sweep <spec.json> [--out FILE] [--jobs N] | h2 cache stats|gc [--max-bytes N[K|M|G]] [--dir D]"
             );
             eprintln!("experiments: {}", ALL_EXPERIMENTS.join(" "));
             std::process::exit(2);
         }
     }
+}
+
+/// The claims that read FAIL in an experiment's tables: the first cell of
+/// every row whose `result` column holds `FAIL`. Tables without a `result`
+/// column carry no claims.
+fn failed_claims(tables: &[Table]) -> Vec<String> {
+    let mut failed = Vec::new();
+    for t in tables {
+        let Some(col) = t.header.iter().position(|h| h == "result") else { continue };
+        for row in &t.rows {
+            if row[col] == "FAIL" {
+                failed.push(row[0].clone());
+            }
+        }
+    }
+    failed
 }
 
 fn run_ids(
@@ -205,9 +222,11 @@ fn run_ids(
     }
     let t0 = std::time::Instant::now();
     let results_dir = Path::new("results");
+    let mut failed = Vec::new();
     for id in ids {
         match run_experiment(id, profile, &mut cache) {
             Some(tables) => {
+                failed.extend(failed_claims(&tables));
                 for t in tables {
                     println!("{}", t.render());
                     match t.write_csv(results_dir) {
@@ -243,5 +262,35 @@ fn run_ids(
                 std::process::exit(2);
             }
         }
+    }
+    if !failed.is_empty() {
+        eprintln!("[h2] {} claim(s) FAIL: {}", failed.len(), failed.join("; "));
+        std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn claims(results: &[&str]) -> Table {
+        let mut t = Table::new("verify_claims", "claims", &["claim", "paper source", "result", "measured"]);
+        for (i, r) in results.iter().enumerate() {
+            t.row(vec![format!("claim {i}"), "§V".into(), r.to_string(), "1.0".into()]);
+        }
+        t
+    }
+
+    #[test]
+    fn failed_claims_reads_the_result_column() {
+        assert!(failed_claims(&[claims(&["PASS", "PASS"])]).is_empty());
+        assert_eq!(
+            failed_claims(&[claims(&["PASS", "FAIL", "FAIL"])]),
+            vec!["claim 1".to_string(), "claim 2".to_string()]
+        );
+        // A FAIL cell outside a `result` column is data, not a verdict.
+        let mut other = Table::new("fig5a", "speedups", &["mix", "note"]);
+        other.row(vec!["FAIL".into(), "FAIL".into()]);
+        assert!(failed_claims(&[other, claims(&["PASS"])]).is_empty());
     }
 }

@@ -11,10 +11,7 @@
 //! Deliberate omissions: [`SystemConfig::engine`] (the two event
 //! engines are proved bit-identical by the differential tests, so flipping
 //! the engine must *hit* the cache, not re-simulate),
-//! [`SystemConfig::kernel`] (the scalar, batched, and parallel dispatch
-//! kernels are likewise proved bit-identical — a run is the same run no
-//! matter which loop drove it), [`SystemConfig::telemetry`],
-//! [`SystemConfig::trace_sample`] (both
+//! [`SystemConfig::telemetry`], [`SystemConfig::trace_sample`] (both
 //! are pure observations that never perturb timing — runs differing only
 //! in them are the same run; a traced replay of an untraced cache entry is
 //! handled by the cache's upgrade-on-miss rule, not by the key), and
@@ -145,8 +142,8 @@ fn encode_config(e: &mut KeyEncoder, c: &SystemConfig) {
     e.u64(c.warmup_cycles);
     e.u64(c.measure_cycles);
     e.u64(c.seed);
-    // `c.engine`, `c.kernel`, `c.telemetry`, `c.trace_sample` and
-    // `c.string_metrics` intentionally excluded — see module docs.
+    // `c.engine`, `c.telemetry`, `c.trace_sample` and `c.string_metrics`
+    // intentionally excluded — see module docs.
 }
 
 /// The canonical key of one (config, mix, policy, participants, scenario)
@@ -223,17 +220,6 @@ mod tests {
         let k0 = job_key(&c, &mix, PolicyKind::NoPart, Participants::Both, None);
         c.engine = h2_sim_core::EngineKind::Heap;
         assert_eq!(job_key(&c, &mix, PolicyKind::NoPart, Participants::Both, None), k0);
-    }
-
-    #[test]
-    fn kernel_choice_does_not_change_the_key() {
-        let mix = Mix::by_name("C1").unwrap();
-        let mut c = SystemConfig::tiny();
-        let k0 = job_key(&c, &mix, PolicyKind::NoPart, Participants::Both, None);
-        for kernel in [h2_sim_core::SimKernel::Batched, h2_sim_core::SimKernel::Parallel] {
-            c.kernel = kernel;
-            assert_eq!(job_key(&c, &mix, PolicyKind::NoPart, Participants::Both, None), k0);
-        }
     }
 
     #[test]

@@ -235,9 +235,6 @@ pub struct Hmc {
     mask_memo: Vec<MaskMemoEntry>,
     /// Current memo generation; entries with an older stamp are stale.
     mask_memo_stamp: u64,
-    /// Memoisation toggle (observation-level: on and off are bit-identical,
-    /// pinned by the `mask-memo-off` fuzz relation).
-    mask_memo_on: bool,
 }
 
 impl Hmc {
@@ -261,18 +258,6 @@ impl Hmc {
             txns_retired: 0,
             mask_memo: Vec::new(),
             mask_memo_stamp: 1,
-            mask_memo_on: true,
-        }
-    }
-
-    /// Enable or disable alloc-mask memoisation. Observation-level: both
-    /// settings are bit-identical (the memo only caches a pure function
-    /// between its invalidation boundaries); the toggle exists for the
-    /// metamorphic fuzz relation and A/B profiling.
-    pub fn set_mask_memo(&mut self, on: bool) {
-        self.mask_memo_on = on;
-        if !on {
-            self.mask_memo = Vec::new();
         }
     }
 
@@ -291,9 +276,6 @@ impl Hmc {
     /// current stamp.
     #[inline]
     fn alloc_mask_memo(&mut self, set: u64, class: ReqClass) -> u16 {
-        if !self.mask_memo_on {
-            return self.policy.alloc_mask(set, class);
-        }
         let si = set as usize;
         if si >= self.mask_memo.len() {
             self.mask_memo.resize(si + 1, MaskMemoEntry::default());
@@ -314,12 +296,15 @@ impl Hmc {
     /// Verify every live memo entry against a direct policy call
     /// (invariant monitors): a mismatch means a policy changed its masks
     /// outside the epoch/faucet/reconfig boundaries the memo invalidates
-    /// on.
-    pub fn check_mask_memo(&self) -> Result<(), String> {
+    /// on. `Ok` carries the number of live entries checked — zero right
+    /// after a boundary, since every entry is stale then.
+    pub fn check_mask_memo(&self) -> Result<usize, String> {
+        let mut checked = 0;
         for (set, e) in self.mask_memo.iter().enumerate() {
             if e.stamp != self.mask_memo_stamp {
                 continue;
             }
+            checked += 1;
             for class in [ReqClass::Cpu, ReqClass::Gpu] {
                 let direct = self.policy.alloc_mask(set as u64, class);
                 let memo = e.masks[class.idx()];
@@ -331,7 +316,7 @@ impl Hmc {
                 }
             }
         }
-        Ok(())
+        Ok(checked)
     }
 
     /// The configuration.

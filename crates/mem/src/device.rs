@@ -29,8 +29,7 @@
 //! incrementally through per-bank slot bitmaps: the scan itself is a
 //! conditional-move max over packed `(priority, row_hit, age)` keys with no
 //! per-candidate address math. Selection is key-based — slot order never
-//! influences which command wins, so completion order is identical across
-//! scalar, batched, and parallel kernels.
+//! influences which command wins.
 
 use crate::energy::EnergyBreakdown;
 use crate::timing::DramTiming;
@@ -74,138 +73,6 @@ pub struct StartedCmd {
     pub token: u64,
     /// Channel that served it (for the caller's bookkeeping).
     pub channel: usize,
-}
-
-/// A deferred per-channel device operation, the parallel kernel's wire
-/// format: the sequential call sites log these instead of touching the
-/// device, and the owning channel worker applies them FIFO — producing
-/// state and results value-identical to immediate application, because
-/// every cross-channel input (device arrival sequence, pump cardinality)
-/// is pre-resolved by the controller's mirror.
-#[derive(Debug, Clone)]
-pub enum ChanOp {
-    /// [`MemDevice::enqueue_traced`] with the device arrival sequence the
-    /// sequential path would have assigned.
-    Enqueue {
-        /// The command.
-        cmd: MemCmd,
-        /// Enqueue time.
-        now: Cycles,
-        /// Requester class (tracing bookkeeping).
-        class: BlameClass,
-        /// Span tag for the demand command of a sampled transaction.
-        tag: Option<TraceTag>,
-        /// Pre-assigned device-wide arrival sequence.
-        seq: u64,
-    },
-    /// [`MemDevice::pump`]; starts exactly `expect` commands whose
-    /// completion events were pre-reserved at event-queue sequence
-    /// `seq_base` (consecutively, in start order).
-    Pump {
-        /// Pump time.
-        now: Cycles,
-        /// First reserved event-queue sequence number.
-        seq_base: u64,
-        /// Predicted start count (`min(queued, free pipeline slots)`);
-        /// the worker asserts the device agrees.
-        expect: u32,
-    },
-    /// [`MemDevice::on_complete_traced`] for `token`.
-    Complete {
-        /// The finished command's token.
-        token: u64,
-    },
-}
-
-/// A started command paired with the event-queue sequence number reserved
-/// for its completion event (parallel kernel flush results).
-#[derive(Debug, Clone, Copy)]
-pub struct SeqStarted {
-    /// Reserved event-queue sequence for the completion event.
-    pub seq: u64,
-    /// The started command.
-    pub cmd: StartedCmd,
-}
-
-/// One channel detached from a [`MemDevice`] into an independently
-/// executable unit (its state plus copies of the device's immutable
-/// parameters). The parallel kernel moves shards onto worker threads,
-/// streams [`ChanOp`]s at them, and re-attaches at barriers so aggregate
-/// device views work unchanged.
-#[derive(Debug)]
-pub struct ChannelShard {
-    ch_index: usize,
-    channel: Channel,
-    timing: DramTiming,
-    amap: AddrMap,
-    demand_first: bool,
-    tracing: bool,
-    iv_pool: Vec<Vec<SpanInterval>>,
-    /// Reusable pump output buffer; `apply` drains it into the caller's
-    /// `started` after every pump, so it holds no state between ops. Kept
-    /// on the shard so the hot Pump path allocates nothing in steady state.
-    pump_scratch: Vec<StartedCmd>,
-}
-
-impl ChannelShard {
-    /// The channel index this shard came from.
-    pub fn channel_index(&self) -> usize {
-        self.ch_index
-    }
-
-    /// Apply one deferred operation. Started commands (with their reserved
-    /// completion sequences) go to `started`; blame decompositions of
-    /// traced commands go to `traces`.
-    pub fn apply(
-        &mut self,
-        op: &ChanOp,
-        started: &mut Vec<SeqStarted>,
-        traces: &mut Vec<CmdTrace>,
-    ) {
-        match *op {
-            ChanOp::Enqueue { cmd, now, class, tag, seq } => {
-                self.channel.enqueue(
-                    &self.amap,
-                    self.demand_first,
-                    self.tracing,
-                    cmd,
-                    now,
-                    class,
-                    tag,
-                    seq,
-                );
-            }
-            ChanOp::Pump { now, seq_base, expect } => {
-                let mut out = std::mem::take(&mut self.pump_scratch);
-                out.clear();
-                self.channel.pump(
-                    &self.timing,
-                    self.tracing,
-                    &mut self.iv_pool,
-                    self.ch_index,
-                    now,
-                    &mut out,
-                );
-                assert_eq!(
-                    out.len(),
-                    expect as usize,
-                    "parallel mirror diverged from device on channel {}",
-                    self.ch_index
-                );
-                started.extend(out.drain(..).enumerate().map(|(i, cmd)| SeqStarted {
-                    seq: seq_base + i as u64,
-                    cmd,
-                }));
-                self.pump_scratch = out;
-            }
-            ChanOp::Complete { token } => {
-                self.channel.complete(self.tracing, token);
-            }
-        }
-        if self.tracing && !self.channel.records.is_empty() {
-            traces.append(&mut self.channel.records);
-        }
-    }
 }
 
 /// Address → (bank, row) decomposition, strength-reduced to shifts and
@@ -494,10 +361,8 @@ impl Channel {
         }
     }
 
-    /// Queue a command. `seq` is the device-wide arrival sequence number —
-    /// assigned by [`MemDevice::enqueue_traced`] sequentially, or mirrored
-    /// by the parallel kernel's controller so deferred application is
-    /// value-identical.
+    /// Queue a command. `seq` is the device-wide arrival sequence number
+    /// assigned by [`MemDevice::enqueue_traced`].
     #[allow(clippy::too_many_arguments)]
     fn enqueue(
         &mut self,
@@ -908,37 +773,6 @@ impl MemDevice {
         self.channels[ch].complete(tracing, token);
     }
 
-    /// The device-wide arrival sequence the next [`Self::enqueue_traced`]
-    /// will assign. The parallel kernel's controller snapshots this to
-    /// mirror sequence assignment for deferred [`ChanOp::Enqueue`] ops.
-    pub fn next_arrival_seq(&self) -> u64 {
-        self.seq
-    }
-
-    /// Detach channel `ch` as an independently executable [`ChannelShard`]
-    /// (parallel kernel). The device keeps a bankless placeholder so
-    /// channel indices stay stable; aggregate views ([`Self::stats`],
-    /// [`Self::collect_metrics`], [`Self::check_invariants`], ...) are
-    /// only meaningful again after [`Self::attach_shard`].
-    pub fn detach_shard(&mut self, ch: usize) -> ChannelShard {
-        let channel = std::mem::replace(&mut self.channels[ch], Channel::new(0));
-        ChannelShard {
-            ch_index: ch,
-            channel,
-            timing: self.timing.clone(),
-            amap: self.amap,
-            demand_first: self.demand_first,
-            tracing: self.tracing,
-            iv_pool: Vec::new(),
-            pump_scratch: Vec::new(),
-        }
-    }
-
-    /// Re-install a shard detached with [`Self::detach_shard`].
-    pub fn attach_shard(&mut self, shard: ChannelShard) {
-        self.channels[shard.ch_index] = shard.channel;
-    }
-
     /// Drain the blame decompositions of traced commands started on `ch`
     /// since the last drain.
     pub fn take_cmd_traces(&mut self, ch: usize) -> Vec<CmdTrace> {
@@ -1114,7 +948,6 @@ impl MemDevice {
 mod tests {
     use super::*;
     use crate::timing::TimingPreset;
-    use h2_sim_core::trace_span::SpanId;
 
     fn dev(preset: TimingPreset, ch: usize) -> MemDevice {
         MemDevice::new(preset.timing(), ch)
@@ -1517,152 +1350,5 @@ mod tests {
             }
         }
         d.check_invariants().unwrap();
-    }
-
-    /// The parallel kernel's deferred [`ChanOp`] application must be the
-    /// same computation as the immediate device calls: drive an immediate
-    /// device and a detached-shard twin through one randomized op stream
-    /// (with tracing on) and demand identical starts, completion times,
-    /// blame decompositions, and final state.
-    #[test]
-    fn shard_deferred_ops_match_immediate_calls() {
-        fn next(rng: &mut u64, m: u64) -> u64 {
-            *rng = rng
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (*rng >> 33) % m
-        }
-
-        let mut a = dev(TimingPreset::Ddr4, 2);
-        let mut b = dev(TimingPreset::Ddr4, 2);
-        a.set_tracing(true);
-        b.set_tracing(true);
-        let mut shards: Vec<ChannelShard> = (0..2).map(|ch| b.detach_shard(ch)).collect();
-        let mut dev_seq = b.next_arrival_seq();
-        // The controller-side occupancy mirror (pump-cardinality prediction).
-        let mut mirror_q = [0usize; 2];
-        let mut mirror_f = [0usize; 2];
-        // In-flight tokens per channel in start order, completed FIFO.
-        let mut live_a: [std::collections::VecDeque<u64>; 2] = Default::default();
-        let mut live_b: [std::collections::VecDeque<u64>; 2] = Default::default();
-
-        let mut started_a: Vec<(usize, Cycles, u64)> = Vec::new();
-        let mut started_b: Vec<(usize, Cycles, u64)> = Vec::new();
-        let mut seqs_b: Vec<u64> = Vec::new();
-        let mut traces_a: Vec<CmdTrace> = Vec::new();
-        let mut traces_b: Vec<CmdTrace> = Vec::new();
-
-        let mut rng = 0x243F_6A88_85A3_08D3u64;
-        let mut now: Cycles = 0;
-        let mut token = 0u64;
-        let mut out = Vec::new();
-        let mut sb: Vec<SeqStarted> = Vec::new();
-        let mut next_evq_seq = 0u64;
-
-        // One shard-side pump with the mirrored cardinality, if any.
-        macro_rules! pump_b {
-            ($ch:expr) => {{
-                let expect = mirror_q[$ch].min(PIPELINE_DEPTH - mirror_f[$ch]) as u32;
-                if expect > 0 {
-                    let seq_base = next_evq_seq;
-                    next_evq_seq += expect as u64;
-                    shards[$ch].apply(
-                        &ChanOp::Pump { now, seq_base, expect },
-                        &mut sb,
-                        &mut traces_b,
-                    );
-                    mirror_q[$ch] -= expect as usize;
-                    mirror_f[$ch] += expect as usize;
-                }
-                for s in sb.drain(..) {
-                    started_b.push(($ch, s.cmd.done_at, s.cmd.token));
-                    seqs_b.push(s.seq);
-                    live_b[$ch].push_back(s.cmd.token);
-                }
-            }};
-        }
-
-        for _ in 0..3000 {
-            now += next(&mut rng, 9);
-            let ch = next(&mut rng, 2) as usize;
-            if next(&mut rng, 4) < 2 {
-                // Mirror of `issue_mem`: enqueue, then pump.
-                let tag = if next(&mut rng, 4) == 0 {
-                    Some(TraceTag {
-                        span: SpanId(token),
-                        token_stalled: next(&mut rng, 2) == 0,
-                    })
-                } else {
-                    None
-                };
-                let class = match next(&mut rng, 3) {
-                    0 => BlameClass::CpuDemand,
-                    1 => BlameClass::GpuDemand,
-                    _ => BlameClass::Background,
-                };
-                let cmd = MemCmd {
-                    addr: next(&mut rng, 1 << 22) << 6,
-                    bytes: 64,
-                    is_write: next(&mut rng, 2) == 0,
-                    priority: next(&mut rng, 3) as u8,
-                    token,
-                };
-                token += 1;
-                a.enqueue_traced(ch, cmd, now, class, tag);
-                out.clear();
-                a.pump(ch, now, &mut out);
-                for s in &out {
-                    started_a.push((ch, s.done_at, s.token));
-                    live_a[ch].push_back(s.token);
-                }
-                traces_a.extend(a.take_cmd_traces(ch));
-
-                let seq = dev_seq;
-                dev_seq += 1;
-                shards[ch].apply(
-                    &ChanOp::Enqueue { cmd, now, class, tag, seq },
-                    &mut sb,
-                    &mut traces_b,
-                );
-                mirror_q[ch] += 1;
-                pump_b!(ch);
-            } else {
-                // Mirror of the `MemDone` arm: complete oldest, then pump.
-                let Some(tok) = live_a[ch].pop_front() else { continue };
-                a.on_complete_traced(ch, tok);
-                out.clear();
-                a.pump(ch, now, &mut out);
-                for s in &out {
-                    started_a.push((ch, s.done_at, s.token));
-                    live_a[ch].push_back(s.token);
-                }
-                traces_a.extend(a.take_cmd_traces(ch));
-
-                let tok_b = live_b[ch].pop_front().unwrap();
-                assert_eq!(tok, tok_b, "start order diverged");
-                shards[ch].apply(&ChanOp::Complete { token: tok_b }, &mut sb, &mut traces_b);
-                mirror_f[ch] -= 1;
-                pump_b!(ch);
-            }
-        }
-
-        assert!(started_a.len() > 500, "too little traffic to be meaningful");
-        assert_eq!(started_a, started_b, "started commands diverged");
-        // Reserved completion sequences are handed out densely in op order.
-        assert_eq!(seqs_b, (0..started_b.len() as u64).collect::<Vec<_>>());
-        assert_eq!(traces_a.len(), traces_b.len());
-        for (ta, tb) in traces_a.iter().zip(&traces_b) {
-            assert_eq!(ta.span.0, tb.span.0);
-            assert_eq!(ta.intervals, tb.intervals);
-        }
-        for shard in shards {
-            b.attach_shard(shard);
-        }
-        assert_eq!(a.stats(), b.stats());
-        for ch in 0..2 {
-            assert_eq!(a.queue_len(ch), b.queue_len(ch));
-        }
-        a.check_invariants().unwrap();
-        b.check_invariants().unwrap();
     }
 }

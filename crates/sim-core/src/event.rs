@@ -69,30 +69,6 @@ pub enum EngineKind {
     Heap,
 }
 
-/// How a simulator's main loop dispatches events. All kernels are
-/// bit-identical by construction (the dispatch order over `(time, seq)` is
-/// the same total order); they differ only in how the loop is driven:
-///
-/// * `Scalar` — one `pop` per event, the reference loop.
-/// * `Batched` — [`EventQueue::pop_batch`] drains each same-timestamp
-///   frontier in one engine call, amortising find-min and dispatch
-///   overhead across the frontier.
-/// * `Parallel` — conservative-lookahead parallel DES: per-channel memory
-///   device work runs on worker threads inside a lookahead window bounded
-///   by the minimum command-completion latency, with sequence numbers
-///   reserved eagerly ([`EventQueue::reserve_seqs`]) so the merged event
-///   order is identical to the sequential kernels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SimKernel {
-    /// One pop per event (the reference loop).
-    #[default]
-    Scalar,
-    /// Same-timestamp frontiers popped as one batch.
-    Batched,
-    /// Channel-parallel conservative-lookahead execution.
-    Parallel,
-}
-
 pub mod legacy {
     //! The original binary-heap engine, kept as a differential oracle.
 
@@ -190,8 +166,8 @@ pub mod legacy {
         /// Pop *every* event scheduled for the earliest pending cycle,
         /// appending them to `out` in `(time, seq)` order, and return how
         /// many were popped. Equivalent to repeated [`Self::pop`] while the
-        /// head time is unchanged — the batched kernel's way of taking a
-        /// whole same-timestamp frontier in one call.
+        /// head time is unchanged — the event loop's way of taking a whole
+        /// same-timestamp frontier in one call.
         pub fn pop_batch(&mut self, out: &mut Vec<Scheduled<E>>) -> usize {
             let Some(first) = self.heap.pop() else { return 0 };
             debug_assert!(first.time >= self.now, "time went backwards");
@@ -208,34 +184,6 @@ pub mod legacy {
             self.now = t;
             self.popped += k as u64;
             k
-        }
-
-        /// Reserve `k` consecutive sequence numbers and return the first.
-        /// Later [`Self::schedule_at_seq`] calls burn them in any order;
-        /// regular [`Self::schedule_at`] calls continue after the block.
-        pub fn reserve_seqs(&mut self, k: u64) -> u64 {
-            let first = self.next_seq;
-            self.next_seq += k;
-            first
-        }
-
-        /// Schedule with an explicitly reserved sequence number (from
-        /// [`Self::reserve_seqs`]). This is how the parallel kernel keeps
-        /// the global `(time, seq)` order bit-identical while events are
-        /// produced out of order by worker threads.
-        pub fn schedule_at_seq(&mut self, time: Cycles, seq: u64, payload: E) {
-            debug_assert!(seq < self.next_seq, "seq {seq} was never reserved");
-            debug_assert!(
-                time >= self.now,
-                "event scheduled in the past: {} < {}",
-                time,
-                self.now
-            );
-            if time < self.now {
-                self.clamped += 1;
-            }
-            let time = time.max(self.now);
-            self.heap.push(Scheduled { time, seq, payload });
         }
 
         /// Fire time of the earliest pending event, if any.
@@ -524,39 +472,6 @@ pub mod calendar {
             k
         }
 
-        /// Reserve `k` consecutive sequence numbers and return the first.
-        /// Later [`Self::schedule_at_seq`] calls burn them in any order;
-        /// regular [`Self::schedule_at`] calls continue after the block.
-        pub fn reserve_seqs(&mut self, k: u64) -> u64 {
-            let first = self.next_seq;
-            self.next_seq += k;
-            first
-        }
-
-        /// Schedule with an explicitly reserved sequence number (from
-        /// [`Self::reserve_seqs`]). This is how the parallel kernel keeps
-        /// the global `(time, seq)` order bit-identical while events are
-        /// produced out of order by worker threads.
-        pub fn schedule_at_seq(&mut self, time: Cycles, seq: u64, payload: E) {
-            debug_assert!(seq < self.next_seq, "seq {seq} was never reserved");
-            debug_assert!(
-                time >= self.now,
-                "event scheduled in the past: {} < {}",
-                time,
-                self.now
-            );
-            if time < self.now {
-                self.clamped += 1;
-            }
-            let time = time.max(self.now);
-            let ev = Scheduled { time, seq, payload };
-            if time - self.now < WHEEL_SLOTS as u64 {
-                self.wheel_insert(ev);
-            } else {
-                self.overflow.push(ev);
-            }
-        }
-
         /// Fire time of the earliest pending event, if any.
         pub fn peek_time(&self) -> Option<Cycles> {
             // Unlike `pop` this must not mutate, so compare the wheel front
@@ -687,21 +602,6 @@ impl<E> EventQueue<E> {
     /// frontier's time; the popped count increases by the batch size.
     pub fn pop_batch(&mut self, out: &mut Vec<Scheduled<E>>) -> usize {
         delegate!(mut self, q => q.pop_batch(out))
-    }
-
-    /// Reserve `k` consecutive sequence numbers, returning the first.
-    /// Consume them with [`Self::schedule_at_seq`]; interleaved
-    /// [`Self::schedule_at`] calls are unaffected (they continue after the
-    /// reserved block).
-    pub fn reserve_seqs(&mut self, k: u64) -> u64 {
-        delegate!(mut self, q => q.reserve_seqs(k))
-    }
-
-    /// Schedule `payload` at `time` with an explicitly reserved sequence
-    /// number. The caller owns the determinism argument: reserved seqs must
-    /// reproduce the exact seqs the sequential kernel would have assigned.
-    pub fn schedule_at_seq(&mut self, time: Cycles, seq: u64, payload: E) {
-        delegate!(mut self, q => q.schedule_at_seq(time, seq, payload))
     }
 
     /// Fire time of the earliest pending event, if any.
@@ -942,34 +842,6 @@ mod tests {
             out.iter().map(|e| (e.seq, e.payload)).collect::<Vec<_>>(),
             vec![(0, 1), (2, 2)]
         );
-    }
-
-    #[test]
-    fn reserved_seqs_interleave_with_regular_scheduling() {
-        for mut q in both_engines() {
-            q.schedule_at(5, 100); // seq 0
-            let first = q.reserve_seqs(3); // seqs 1..4
-            assert_eq!(first, 1);
-            q.schedule_at(5, 200); // seq 4
-            // Burn the reserved block out of order.
-            q.schedule_at_seq(5, first + 2, 303);
-            q.schedule_at_seq(5, first, 301);
-            q.schedule_at_seq(5, first + 1, 302);
-            let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
-            assert_eq!(order, vec![100, 301, 302, 303, 200]);
-        }
-    }
-
-    #[test]
-    fn reserved_seqs_cross_the_overflow_horizon() {
-        let horizon = calendar::WHEEL_SLOTS as u64;
-        let mut q = EventQueue::with_engine(EngineKind::Calendar);
-        let first = q.reserve_seqs(2);
-        q.schedule_at_seq(3 * horizon, first + 1, 2u64); // overflow
-        q.schedule_at_seq(4, first, 1); // wheel
-        q.schedule_at(3 * horizon, 3); // same far cycle, later seq
-        let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| (e.time, e.payload))).collect();
-        assert_eq!(order, vec![(4, 1), (3 * horizon, 2), (3 * horizon, 3)]);
     }
 
     /// Differential check on a deliberately nasty interleaving: bursts of

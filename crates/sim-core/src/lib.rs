@@ -15,7 +15,7 @@ pub mod stats;
 pub mod trace_span;
 pub mod units;
 
-pub use event::{EngineKind, EventQueue, Scheduled, SimKernel};
+pub use event::{EngineKind, EventQueue, Scheduled};
 pub use json::Json;
 pub use metrics::{CounterId, GaugeId, HistId, LogHistogram, MetricsRegistry, ScopedMetrics};
 pub use monitor::{InvariantMonitor, MonitorSet, Violation};

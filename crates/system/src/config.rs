@@ -13,7 +13,7 @@ use h2_cache::{CacheConfig, HierarchyConfig};
 use h2_hybrid::types::Mode;
 use h2_mem::TimingPreset;
 use h2_sim_core::units::{Cycles, KIB, MIB};
-use h2_sim_core::{EngineKind, Json, SimKernel};
+use h2_sim_core::{EngineKind, Json};
 use h2_trace::Mix;
 
 /// Which sides of the processor run (solo runs feed Fig 2a / Fig 10a).
@@ -79,11 +79,6 @@ pub struct SystemConfig {
     /// differential tests), so this is not part of the run-cache key; the
     /// `Heap` oracle exists for differential testing and benchmarking.
     pub engine: EngineKind,
-    /// Main-loop dispatch kernel (scalar / batched / channel-parallel).
-    /// Every kernel produces the same `(time, seq)` event order, so — like
-    /// `engine` — this is proved bit-identical by the differential tests
-    /// and is not part of the run-cache key.
-    pub kernel: SimKernel,
     /// Collect epoch-resolved telemetry (metrics registry snapshots and
     /// per-class latency histograms) into [`crate::report::RunTelemetry`].
     /// Telemetry is an *observation* of the simulation — it never perturbs
@@ -104,13 +99,6 @@ pub struct SystemConfig {
     /// differential testing. Pure observation, so — like `engine` and
     /// `telemetry` — it is not part of the run-cache key.
     pub string_metrics: bool,
-    /// Memoise `alloc_mask` lookups in the HMC (a per-set × per-class
-    /// cache invalidated at epoch/faucet/reconfig boundaries, the only
-    /// points masks can change). The memo is bit-identical to direct
-    /// policy calls (proved by the `mask-memo` fuzz relation and a
-    /// monitor-probed invariant); this switch exists only for that
-    /// differential testing. Not part of the run-cache key.
-    pub mask_memo: bool,
 }
 
 impl Default for SystemConfig {
@@ -147,11 +135,9 @@ impl SystemConfig {
             measure_cycles: 500_000_000,
             seed: 42,
             engine: EngineKind::default(),
-            kernel: SimKernel::default(),
             telemetry: true,
             trace_sample: None,
             string_metrics: false,
-            mask_memo: true,
         }
     }
 
@@ -331,10 +317,10 @@ impl SystemConfig {
     }
 
     /// Decode a configuration from [`SystemConfig::to_json`] output.
-    /// Observation-only knobs (`engine`, `kernel`, `telemetry`,
-    /// `trace_sample`, `string_metrics`, `mask_memo`) are deliberately
-    /// *not* part of the encoding — they never change simulation results, so a replayed run
-    /// starts from their defaults and the caller sets whatever it wants.
+    /// Observation-only knobs (`engine`, `telemetry`, `trace_sample`,
+    /// `string_metrics`) are deliberately *not* part of the encoding — they
+    /// never change simulation results, so a replayed run starts from
+    /// their defaults and the caller sets whatever it wants.
     pub fn from_json(j: &Json) -> Result<Self, String> {
         fn u64f(j: &Json, name: &str) -> Result<u64, String> {
             j.get(name)
@@ -407,11 +393,9 @@ impl SystemConfig {
             measure_cycles: u64f(j, "measure_cycles")?,
             seed: u64f(j, "seed")?,
             engine: EngineKind::default(),
-            kernel: SimKernel::default(),
             telemetry: true,
             trace_sample: None,
             string_metrics: false,
-            mask_memo: true,
         };
         cfg.validate()?;
         Ok(cfg)

@@ -17,12 +17,11 @@ use h2_hybrid::HmcStats;
 use h2_mem::device::{MemMetricHandles, MemStats, StartedCmd};
 use h2_mem::{EnergyBreakdown, MemDevice, TimingPreset};
 use h2_hybrid::TokenFlows;
-use crate::parallel::ParallelMem;
 use h2_sim_core::prof;
-use h2_sim_core::trace_span::{BlameCause, BlameClass, CmdTrace, SpanCollector, SpanId};
+use h2_sim_core::trace_span::{BlameCause, CmdTrace, SpanCollector, SpanId};
 use h2_sim_core::units::{Cycles, MIB};
 use h2_sim_core::{
-    CounterId, EventQueue, GaugeId, HistId, LogHistogram, MetricsRegistry, MonitorSet, SimKernel,
+    CounterId, EventQueue, GaugeId, HistId, LogHistogram, MetricsRegistry, MonitorSet,
 };
 use h2_trace::{Mix, RefSource, TenantInfo, TraceCapture, TraceRecord, WorkloadSpec};
 
@@ -105,7 +104,10 @@ pub struct SimProbe {
     /// Memoised alloc-mask coherence: every live memo entry matches a
     /// direct `policy.alloc_mask` call — the "masks change only at
     /// epoch/faucet/reconfig boundaries" contract the memo relies on.
-    pub mask_memo: Result<(), String>,
+    /// `Ok` carries the number of live entries checked. Epoch and faucet
+    /// probes take this verdict just *before* their boundary invalidates
+    /// the memo, so it covers the whole interval since the last one.
+    pub mask_memo: Result<usize, String>,
     /// Cumulative fast-device statistics.
     pub fast: MemStats,
     /// Cumulative slow-device statistics.
@@ -228,9 +230,6 @@ struct Sim {
     out_buf: Vec<HmcOutput>,
     started_buf: Vec<StartedCmd>,
     trace_scratch: Vec<CmdTrace>,
-    /// Channel-worker controller — `Some` only while the `Parallel` kernel
-    /// drives the loop. Device calls divert to deferred ops when set.
-    par: Option<ParallelMem>,
     /// Trace capture (`h2 run --capture`): every fresh front-end pull is
     /// recorded at its generation point. Pure observation — recording
     /// never touches event timing, so captured runs are bit-identical to
@@ -464,9 +463,6 @@ impl Sim {
     /// snapshots) and traced demands their span tag; decomposition records
     /// produced by started commands are drained into the tracer.
     fn issue_mem(&mut self, tier: Tier, channel: usize, cmd: h2_mem::MemCmd) {
-        if self.par.is_some() {
-            return self.issue_mem_par(tier, channel, cmd);
-        }
         let _prof = prof::scope("mem.schedule");
         let now = self.q.now();
         let traced = self.tracer.enabled();
@@ -493,70 +489,6 @@ impl Sim {
             );
         }
         self.started_buf = started;
-    }
-
-    /// Parallel-kernel twin of [`Self::issue_mem`]: log the enqueue and
-    /// pump as deferred ops, reserving completion-event sequence numbers at
-    /// this exact program point so the eventual `MemDone`s land where the
-    /// sequential kernels would have scheduled them.
-    fn issue_mem_par(&mut self, tier: Tier, channel: usize, cmd: h2_mem::MemCmd) {
-        let _prof = prof::scope("mem.schedule");
-        let now = self.q.now();
-        let (class, tag) = if self.tracer.enabled() {
-            self.hmc.cmd_trace_ctx(cmd.token)
-        } else {
-            (BlameClass::Background, None)
-        };
-        let par = self.par.as_mut().expect("parallel kernel active");
-        par.enqueue(tier, channel, cmd, now, class, tag);
-        let k = par.pump_count(tier, channel);
-        if k > 0 {
-            let seq_base = self.q.reserve_seqs(k as u64);
-            self.par
-                .as_mut()
-                .expect("parallel kernel active")
-                .send_pump(tier, channel, now, seq_base, k);
-        }
-    }
-
-    /// Parallel-kernel twin of the `MemDone` dispatch arm. The completion,
-    /// the controller's reaction, and the follow-up pump happen in the same
-    /// relative order as sequentially; only the device math is deferred.
-    fn mem_done_par(&mut self, tier: Tier, channel: usize, token: u64) {
-        // The span (if any) owning this demand completion must be read
-        // *before* `handle` retires the transaction — as sequentially.
-        let done_span = if self.tracer.enabled() {
-            self.hmc.demand_trace(token).map(|t| t.span)
-        } else {
-            None
-        };
-        {
-            let _prof = prof::scope("mem.schedule");
-            self.par
-                .as_mut()
-                .expect("parallel kernel active")
-                .complete(tier, channel, token);
-        }
-        let mut out = std::mem::take(&mut self.out_buf);
-        self.hmc.handle(HmcEvent::MemDone(token), &mut out);
-        self.process_outputs(&mut out);
-        self.out_buf = out;
-        let now = self.q.now();
-        {
-            let _prof = prof::scope("mem.schedule");
-            let par = self.par.as_mut().expect("parallel kernel active");
-            let k = par.pump_count(tier, channel);
-            if k > 0 {
-                let seq_base = self.q.reserve_seqs(k as u64);
-                self.par
-                    .as_mut()
-                    .expect("parallel kernel active")
-                    .send_pump(tier, channel, now, seq_base, k);
-            }
-        }
-        if let Some(sid) = done_span {
-            self.tracer.close(sid, now);
-        }
     }
 
     /// Move a channel's pending trace decompositions into the tracer using
@@ -1007,8 +939,9 @@ impl Sim {
         self.in_measurement = true;
     }
 
-    /// Snapshot the state invariant monitors inspect.
-    fn probe(&self) -> SimProbe {
+    /// Snapshot the state invariant monitors inspect. The memo verdict is
+    /// the caller's: see [`SimProbe::mask_memo`] for when it is taken.
+    fn probe(&self, mask_memo: Result<usize, String>) -> SimProbe {
         let (occ_cpu, occ_gpu) = self.hmc.occupancy_by_class();
         let hc = self.hmc.config();
         let mem_invariants = self
@@ -1032,200 +965,71 @@ impl Sim {
             token_flows: self.hmc.policy().token_flows(),
             policy_invariants: self.hmc.policy().check_invariants(),
             mem_invariants,
-            mask_memo: self.hmc.check_mask_memo(),
+            mask_memo,
             fast: self.fast.stats(),
             slow: self.slow.stats(),
             spans_closed: self.tracer.spans_closed(),
         }
     }
 
-    /// Drive the event loop with the configured dispatch kernel. All
-    /// kernels pop the same `(time, seq)` order, so the choice never
-    /// changes the simulation — only how the loop is driven (see
-    /// [`SimKernel`]).
-    fn run(&mut self, mut monitors: Option<&mut MonitorSet<SimProbe>>) {
-        let _prof = prof::scope(match self.cfg.kernel {
-            SimKernel::Scalar => "run.scalar",
-            SimKernel::Batched => "run.batched",
-            SimKernel::Parallel => "run.parallel",
-        });
-        match self.cfg.kernel {
-            SimKernel::Scalar => self.run_scalar(&mut monitors),
-            SimKernel::Batched => self.run_batched(&mut monitors),
-            SimKernel::Parallel => self.run_parallel(&mut monitors),
-        }
-        // Final check once the queue drains (or the horizon passes): the
-        // end-of-run state must satisfy every invariant too.
-        if let Some(m) = monitors {
-            m.check_all(self.q.now(), &self.probe());
-        }
-    }
-
-    /// The reference loop: one pop per event.
-    ///
-    /// The `queue.pop` scope covers the whole next-event machinery — the
-    /// pop itself plus the drained/horizon checks — and the loop *hands
-    /// off* between it and the `dispatch.*` arm scopes on a single clock
-    /// reading per boundary, so the `run.*` root's exclusive bucket stays
-    /// empty: every instant of the loop belongs to some child.
-    fn run_scalar(&mut self, monitors: &mut Option<&mut MonitorSet<SimProbe>>) {
-        let mut cur = prof::scope("queue.pop");
-        while let Some(ev) = self.q.pop() {
-            if ev.time > self.end {
-                break;
-            }
-            cur = prof::handoff(cur, arm_name(&ev.payload));
-            self.dispatch(ev.time, ev.payload, monitors);
-            cur = prof::handoff(cur, "queue.pop");
-        }
-        drop(cur);
-    }
-
-    /// Batched loop: each same-timestamp frontier is drained from the
+    /// The event loop. Each same-timestamp frontier is drained from the
     /// engine in one [`EventQueue::pop_batch`] call, amortising find-min
     /// and bucket bookkeeping across the frontier. Events an in-flight
-    /// frontier *schedules* at the same timestamp land in the next batch —
-    /// exactly where the scalar loop would pop them, since their sequence
-    /// numbers are larger than the whole current frontier's.
-    fn run_batched(&mut self, monitors: &mut Option<&mut MonitorSet<SimProbe>>) {
+    /// frontier *schedules* at the same timestamp land in the next batch,
+    /// since their sequence numbers are larger than the whole current
+    /// frontier's — so the dispatch order is exactly `(time, seq)`.
+    ///
+    /// The `queue.pop` scope covers the whole next-event machinery — the
+    /// pops plus the drained/horizon checks — and the loop *hands off*
+    /// between it and the `dispatch.*` arm scopes on a single clock
+    /// reading per boundary, so the `run.loop` root's exclusive bucket
+    /// stays empty: every instant of the loop belongs to some child.
+    fn run(&mut self, mut monitors: Option<&mut MonitorSet<SimProbe>>) {
+        let _prof = prof::scope("run.loop");
         // One frontier buffer for the whole run, recycled across batches.
         let mut frontier: Vec<h2_sim_core::Scheduled<Ev>> = Vec::with_capacity(64);
         let mut cur = prof::scope("queue.pop");
         while let Some(t) = self.q.peek_time() {
             if t > self.end {
-                // Mirror the scalar loop byte-for-byte: it pops the first
-                // beyond-horizon event (counting it as processed) and stops.
+                // Pop the first beyond-horizon event and stop; it counts
+                // in `events_processed`.
                 self.q.pop();
                 break;
             }
             self.q.pop_batch(&mut frontier);
             for ev in frontier.drain(..) {
                 cur = prof::handoff(cur, arm_name(&ev.payload));
-                self.dispatch(ev.time, ev.payload, monitors);
+                self.dispatch(ev.time, ev.payload, &mut monitors);
                 cur = prof::handoff(cur, "queue.pop");
             }
         }
         drop(cur);
-    }
-
-    /// Channel-parallel conservative-lookahead loop (see `parallel.rs`).
-    ///
-    /// DRAM channels run on worker threads; the main loop logs deferred
-    /// device ops and flushes their results (completion events, trace
-    /// records) back whenever simulated time is about to reach the
-    /// lookahead window of the oldest outstanding op. Epoch, faucet, and
-    /// warm-up events are hard barriers: every shard is re-attached so the
-    /// probes and telemetry read whole devices, exactly as the sequential
-    /// kernels would.
-    fn run_parallel(&mut self, monitors: &mut Option<&mut MonitorSet<SimProbe>>) {
-        self.par = Some(ParallelMem::new(&mut self.fast, &mut self.slow));
-        // The `queue.pop` scope also covers the lookahead-deadline peek
-        // (it is part of deciding what the next event is); the loop hands
-        // off between it and the dispatch arms on shared clock readings.
-        let mut cur = prof::scope("queue.pop");
-        loop {
-            if let Some(deadline) = self.par.as_ref().expect("parallel kernel active").deadline() {
-                // Results are outstanding. If the next event is at or past
-                // the oldest op's lookahead horizon — or the queue ran dry,
-                // meaning the only future events ARE those results — flush
-                // and re-peek: a flushed completion may now be earliest.
-                let must_flush = match self.q.peek_time() {
-                    Some(t) => t >= deadline,
-                    None => true,
-                };
-                if must_flush {
-                    drop(cur);
-                    self.flush_par();
-                    cur = prof::scope("queue.pop");
-                    continue;
-                }
-            }
-            let Some(ev) = self.q.pop() else { break };
-            if ev.time > self.end {
-                break;
-            }
-            if matches!(ev.payload, Ev::Epoch | Ev::Faucet | Ev::WarmupEnd) {
-                // Barrier events re-attach every shard; `parallel.barrier`
-                // and `parallel.resume` are root-level siblings, so close
-                // the loop scope around them instead of handing off.
-                drop(cur);
-                self.barrier_par();
-                {
-                    let _prof = prof::scope(arm_name(&ev.payload));
-                    self.dispatch(ev.time, ev.payload, monitors);
-                }
-                self.resume_par();
-                cur = prof::scope("queue.pop");
-            } else {
-                cur = prof::handoff(cur, arm_name(&ev.payload));
-                self.dispatch(ev.time, ev.payload, monitors);
-                cur = prof::handoff(cur, "queue.pop");
-            }
-        }
-        drop(cur);
-        // Teardown: collect stragglers, re-attach every shard permanently,
-        // and join the workers. `run`'s final monitor check and the report
-        // builder read the whole devices afterwards.
-        self.barrier_par();
-        self.par.take().expect("parallel kernel active").shutdown();
-    }
-
-    /// Collect all outstanding worker results: absorb trace decompositions
-    /// and schedule completion events at their reserved sequence numbers.
-    fn flush_par(&mut self) {
-        let _prof = prof::scope("parallel.flush");
-        let mut par = self.par.take().expect("parallel kernel active");
-        self.sink_batches(&mut par, false);
-        self.par = Some(par);
-    }
-
-    /// Flush, then re-attach every shard (hard barrier).
-    fn barrier_par(&mut self) {
-        let _prof = prof::scope("parallel.barrier");
-        let mut par = self.par.take().expect("parallel kernel active");
-        self.sink_batches(&mut par, true);
-        self.par = Some(par);
-    }
-
-    /// Detach every shard again after [`Self::barrier_par`].
-    fn resume_par(&mut self) {
-        let _prof = prof::scope("parallel.resume");
-        let mut par = self.par.take().expect("parallel kernel active");
-        par.resume(&mut self.fast, &mut self.slow);
-        self.par = Some(par);
-    }
-
-    fn sink_batches(&mut self, par: &mut ParallelMem, barrier: bool) {
-        let q = &mut self.q;
-        let tracer = &mut self.tracer;
-        let sink = |tier: Tier, started: &mut Vec<h2_mem::SeqStarted>, traces: &mut Vec<CmdTrace>| {
-            for rec in traces.iter() {
-                tracer.absorb_intervals(rec.span, &rec.intervals);
-            }
-            for s in started.drain(..) {
-                q.schedule_at_seq(
-                    s.cmd.done_at,
-                    s.seq,
-                    Ev::MemDone {
-                        tier,
-                        channel: s.cmd.channel,
-                        token: s.cmd.token,
-                    },
-                );
-            }
-        };
-        if barrier {
-            par.barrier(&mut self.fast, &mut self.slow, sink);
-        } else {
-            par.flush(sink);
+        // Final check once the queue drains (or the horizon passes): the
+        // end-of-run state must satisfy every invariant too.
+        if let Some(m) = monitors {
+            m.check_all(self.q.now(), &self.probe(self.hmc.check_mask_memo()));
         }
     }
 
-    /// Process one event. Shared by every dispatch kernel. Host-time
-    /// attribution (one `dispatch.*` node per arm, see [`arm_name`]) is
-    /// the *caller's* job: the kernel loops hand off from their
-    /// `queue.pop` scope into the arm scope with a single clock reading
-    /// so no instant between phases goes unattributed.
+    /// Run an epoch or faucet boundary `hook`, then check the monitors.
+    /// The memo verdict is taken *before* the hook: the hook invalidates
+    /// every memo entry, so a verdict taken afterwards would check nothing.
+    fn at_boundary(
+        &mut self,
+        monitors: &mut Option<&mut MonitorSet<SimProbe>>,
+        hook: impl FnOnce(&mut Self),
+    ) {
+        let memo = monitors.is_some().then(|| self.hmc.check_mask_memo());
+        hook(self);
+        if let (Some(m), Some(memo)) = (monitors.as_deref_mut(), memo) {
+            m.check_all(self.q.now(), &self.probe(memo));
+        }
+    }
+
+    /// Process one event. Host-time attribution (one `dispatch.*` node per
+    /// arm, see [`arm_name`]) is the *caller's* job: [`Self::run`] hands
+    /// off from its `queue.pop` scope into the arm scope with a single
+    /// clock reading so no instant between phases goes unattributed.
     fn dispatch(
         &mut self,
         time: Cycles,
@@ -1273,10 +1077,6 @@ impl Sim {
                     channel,
                     token,
                 } => {
-                    if self.par.is_some() {
-                        self.mem_done_par(tier, channel, token);
-                        return;
-                    }
                     let traced = self.tracer.enabled();
                     // The span (if any) owning this demand completion must
                     // be read *before* `handle` retires the transaction.
@@ -1314,20 +1114,14 @@ impl Sim {
                     }
                     self.started_buf = started;
                 }
-                Ev::Epoch => {
-                    self.on_epoch();
-                    self.q.schedule_in(self.cfg.epoch_cycles, Ev::Epoch);
-                    if let Some(m) = monitors.as_deref_mut() {
-                        m.check_all(self.q.now(), &self.probe());
-                    }
-                }
-                Ev::Faucet => {
-                    self.hmc.on_faucet();
-                    self.q.schedule_in(self.cfg.faucet_cycles, Ev::Faucet);
-                    if let Some(m) = monitors.as_deref_mut() {
-                        m.check_all(self.q.now(), &self.probe());
-                    }
-                }
+                Ev::Epoch => self.at_boundary(monitors, |s| {
+                    s.on_epoch();
+                    s.q.schedule_in(s.cfg.epoch_cycles, Ev::Epoch);
+                }),
+                Ev::Faucet => self.at_boundary(monitors, |s| {
+                    s.hmc.on_faucet();
+                    s.q.schedule_in(s.cfg.faucet_cycles, Ev::Faucet);
+                }),
                 Ev::WarmupEnd => self.snapshot_warm(),
             }
         }
@@ -1335,8 +1129,7 @@ impl Sim {
 }
 
 /// Profiler label for the dispatch arm that will handle `payload` — one
-/// `dispatch.*` node per event variant, nested under the kernel's
-/// `run.*` root.
+/// `dispatch.*` node per event variant, nested under the `run.loop` root.
 fn arm_name(payload: &Ev) -> &'static str {
     match payload {
         Ev::CoreWake(_) => "dispatch.core_wake",
@@ -1527,8 +1320,7 @@ pub fn run_plan_monitored(
         migration_buffers: 96,
     };
     let policy = kind.build(cfg, &mut hybrid);
-    let mut hmc = Hmc::new(hybrid, policy, cfg.seed);
-    hmc.set_mask_memo(cfg.mask_memo);
+    let hmc = Hmc::new(hybrid, policy, cfg.seed);
 
     let mut cores = Vec::new();
     let mut l1s = Vec::new();
@@ -1600,7 +1392,6 @@ pub fn run_plan_monitored(
         out_buf: Vec::new(),
         started_buf: Vec::new(),
         trace_scratch: Vec::new(),
-        par: None,
         capture: if capture.is_some() {
             Some(TraceCapture::new(n_core, n_ctx))
         } else {
@@ -1802,40 +1593,52 @@ mod tests {
         assert_eq!(a.slow_channel_bytes, b.slow_channel_bytes);
     }
 
-    /// Every dispatch kernel must reproduce the scalar reference run
-    /// byte-for-byte, on both event engines, with full observation on
-    /// (telemetry + tracing) so the comparison covers the observational
-    /// state too.
+    /// End-to-end guard for the alloc-mask memo: epoch and faucet probes
+    /// take the memo verdict before their boundary invalidates the memo,
+    /// so the mid-run probes of a monitored run must check live entries.
+    /// A verdict taken after the boundary finds every entry stale and
+    /// checks nothing, which would leave the `mask-memo` monitor vacuous.
     #[test]
-    fn dispatch_kernels_are_bit_identical() {
-        let mut cfg = tiny();
-        cfg.telemetry = true;
-        cfg.trace_sample = Some(64);
-        let mix = Mix::by_name("C1").unwrap();
-        for engine in [h2_sim_core::EngineKind::Calendar, h2_sim_core::EngineKind::Heap] {
-            cfg.engine = engine;
-            cfg.kernel = h2_sim_core::SimKernel::Scalar;
-            let a = run_sim(&cfg, &mix, PolicyKind::HydrogenFull);
-            for kernel in [h2_sim_core::SimKernel::Batched, h2_sim_core::SimKernel::Parallel] {
-                cfg.kernel = kernel;
-                let b = run_sim(&cfg, &mix, PolicyKind::HydrogenFull);
-                assert_eq!(a.cpu_instr, b.cpu_instr, "{engine:?}/{kernel:?}");
-                assert_eq!(a.gpu_instr, b.gpu_instr, "{engine:?}/{kernel:?}");
-                assert_eq!(a.hmc, b.hmc, "{engine:?}/{kernel:?}");
-                assert_eq!(a.fast, b.fast, "{engine:?}/{kernel:?}");
-                assert_eq!(a.slow, b.slow, "{engine:?}/{kernel:?}");
-                assert_eq!(a.epoch_trace, b.epoch_trace, "{engine:?}/{kernel:?}");
-                assert_eq!(a.events_processed, b.events_processed, "{engine:?}/{kernel:?}");
-                assert_eq!(a.clamped_events, b.clamped_events, "{engine:?}/{kernel:?}");
-                assert_eq!(a.fast_channel_bytes, b.fast_channel_bytes, "{engine:?}/{kernel:?}");
-                assert_eq!(a.slow_channel_bytes, b.slow_channel_bytes, "{engine:?}/{kernel:?}");
-                let ta = a.telemetry_json_string().unwrap();
-                let tb = b.telemetry_json_string().unwrap();
-                assert!(!ta.is_empty());
-                assert_eq!(ta, tb, "telemetry must match: {engine:?}/{kernel:?}");
-                assert_eq!(a.trace, b.trace, "trace must match: {engine:?}/{kernel:?}");
+    fn boundary_probes_check_live_mask_memo_entries() {
+        use h2_sim_core::InvariantMonitor;
+        use std::cell::RefCell;
+        use std::rc::Rc;
+
+        /// Records how many live memo entries each probe checked.
+        struct MemoCounts(Rc<RefCell<Vec<usize>>>);
+        impl InvariantMonitor<SimProbe> for MemoCounts {
+            fn name(&self) -> &'static str {
+                "memo-counts"
+            }
+            fn check(&mut self, p: &SimProbe) -> Result<(), String> {
+                self.0.borrow_mut().push(p.mask_memo.clone()?);
+                Ok(())
             }
         }
+
+        let cfg = tiny();
+        let mix = Mix::by_name("C1").unwrap();
+        let counts = Rc::new(RefCell::new(Vec::new()));
+        let mut monitors = MonitorSet::new();
+        monitors.register(Box::new(MemoCounts(Rc::clone(&counts))));
+        run_workloads_monitored(
+            &cfg,
+            mix.name,
+            &mix.cpu_specs(),
+            Some(&mix.gpu_spec()),
+            PolicyKind::HydrogenFull,
+            cfg.fast_capacity_for(&mix),
+            Some(&mut monitors),
+        );
+        assert!(monitors.ok(), "violations: {:?}", monitors.violations());
+        let counts = counts.borrow();
+        // The last probe is the end-of-run check; the rest are mid-run.
+        let (_, mid) = counts.split_last().expect("probes ran");
+        assert!(!mid.is_empty(), "no mid-run probes");
+        assert!(
+            mid.iter().sum::<usize>() > 0,
+            "mid-run probes checked no live memo entries: {mid:?}"
+        );
     }
 
     #[test]

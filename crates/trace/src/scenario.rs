@@ -21,7 +21,7 @@
 //! the unit through its workload list, modelling applications that change
 //! behaviour mid-run. Everything is derived from `cfg.seed ^ scenario.seed`
 //! via labelled [`SeededRng`] streams, so scenario runs are exactly as
-//! deterministic and engine/kernel-independent as preset runs.
+//! deterministic and engine-independent as preset runs.
 //!
 //! Scenario specs have a strict canonical JSON codec
 //! ([`TenantScenario::to_json`] / [`TenantScenario::from_json`]): every

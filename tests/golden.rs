@@ -16,7 +16,7 @@
 //! and commit the updated files alongside the change that caused them.
 
 use hydrogen_repro::prelude::*;
-use hydrogen_repro::sim::{EngineKind, Json, SimKernel};
+use hydrogen_repro::sim::{EngineKind, Json};
 use hydrogen_repro::system::run_scenario;
 use hydrogen_repro::trace::TenantScenario;
 use std::fs;
@@ -44,21 +44,6 @@ fn check(name: &str, cfg: &SystemConfig, mix_name: &str, kind: PolicyKind) {
         .expect("telemetry must be enabled for golden runs");
     assert_eq!(got, via_heap, "{name}: engines must produce identical telemetry");
 
-    // The dispatch kernels must also reproduce the snapshot byte-for-byte:
-    // batching is a pure loop transformation and the channel-parallel
-    // kernel lands every completion at its sequential `(time, seq)` slot.
-    for kernel in [SimKernel::Batched, SimKernel::Parallel] {
-        let mut kcfg = cal.clone();
-        kcfg.kernel = kernel;
-        let via_kernel = run_sim(&kcfg, &mix, kind)
-            .telemetry_json_string()
-            .expect("telemetry must be enabled for golden runs");
-        assert_eq!(
-            got, via_kernel,
-            "{name}: {kernel:?} kernel must produce identical telemetry"
-        );
-    }
-
     let path = golden_path(name);
     if std::env::var_os("H2_BLESS").is_some() {
         fs::create_dir_all(path.parent().unwrap()).unwrap();
@@ -80,8 +65,8 @@ fn check(name: &str, cfg: &SystemConfig, mix_name: &str, kind: PolicyKind) {
     );
 }
 
-/// Run a multi-tenant scenario under both engines and the Batched/Parallel
-/// kernels; check the telemetry timeline (which carries the `tenant.*`
+/// Run a multi-tenant scenario under both engines; check the telemetry
+/// timeline (which carries the `tenant.*`
 /// metric schema) against a checked-in snapshot, exactly like [`check`].
 fn check_scenario(name: &str, cfg: &SystemConfig, sc: &TenantScenario, kind: PolicyKind) {
     let mut cal = cfg.clone();
@@ -95,17 +80,6 @@ fn check_scenario(name: &str, cfg: &SystemConfig, sc: &TenantScenario, kind: Pol
         .telemetry_json_string()
         .expect("telemetry must be enabled for golden runs");
     assert_eq!(got, via_heap, "{name}: engines must produce identical telemetry");
-    for kernel in [SimKernel::Batched, SimKernel::Parallel] {
-        let mut kcfg = cal.clone();
-        kcfg.kernel = kernel;
-        let via_kernel = run_scenario(&kcfg, sc, kind)
-            .telemetry_json_string()
-            .expect("telemetry must be enabled for golden runs");
-        assert_eq!(
-            got, via_kernel,
-            "{name}: {kernel:?} kernel must produce identical telemetry"
-        );
-    }
 
     let path = golden_path(name);
     if std::env::var_os("H2_BLESS").is_some() {
@@ -171,12 +145,10 @@ fn golden_fig2_with_profiler_armed_is_byte_identical() {
     prof::arm();
     check("fig2_nopart_c1", &SystemConfig::tiny(), "C1", PolicyKind::NoPart);
     prof::disarm();
-    // `check` ran all three dispatch kernels; the profile must have seen
-    // each of them, proving the probes were really live during the runs.
+    // The profile must have seen the event loop, proving the probes were
+    // really live during the runs.
     let report = prof::take_report();
-    for root in ["run.scalar", "run.batched", "run.parallel"] {
-        assert!(report.root(root).is_some(), "armed profile lacks {root}");
-    }
+    assert!(report.root("run.loop").is_some(), "armed profile lacks run.loop");
 }
 
 /// The datacenter scenario setting: the committed 3-tenant example

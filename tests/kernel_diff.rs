@@ -1,15 +1,13 @@
-//! Differential test of the dispatch kernels at full-system scale.
+//! Differential test of the event loop's engines at full-system scale.
 //!
-//! For every policy in the fuzzer's catalogue, one oracle run (scalar
-//! loop on the legacy heap engine — the simplest possible configuration)
-//! is compared against the batched and channel-parallel kernels on the
-//! production calendar engine. Crossing kernel and engine in one diff
-//! pins both axes at once: every counter, the telemetry JSON, and the
-//! sampled request trace must be bit-identical. The oracle runs alone
-//! process more than one million events.
+//! For every policy in the fuzzer's catalogue, one oracle run on the
+//! legacy heap engine is compared against a run on the production
+//! calendar engine. Every counter, the telemetry JSON, and the sampled
+//! request trace must be bit-identical. The oracle runs alone process
+//! more than one million events.
 
 use hydrogen_repro::prelude::*;
-use hydrogen_repro::sim::{EngineKind, SimKernel};
+use hydrogen_repro::sim::EngineKind;
 
 #[test]
 fn kernels_match_heap_oracle_across_all_policies() {
@@ -20,36 +18,27 @@ fn kernels_match_heap_oracle_across_all_policies() {
 
     let mut oracle_events = 0u64;
     for &(name, kind) in h2_check::POLICIES {
-        let mut oracle_cfg = cfg.clone();
-        oracle_cfg.engine = EngineKind::Heap;
-        oracle_cfg.kernel = SimKernel::Scalar;
-        let want = run_sim(&oracle_cfg, &mix, kind);
+        cfg.engine = EngineKind::Heap;
+        let want = run_sim(&cfg, &mix, kind);
         oracle_events += want.events_processed;
-        let want_telemetry = want.telemetry_json_string().unwrap();
-
-        for kernel in [SimKernel::Batched, SimKernel::Parallel] {
-            let mut kcfg = cfg.clone();
-            kcfg.engine = EngineKind::Calendar;
-            kcfg.kernel = kernel;
-            let got = run_sim(&kcfg, &mix, kind);
-            let tag = format!("{name}/{kernel:?}");
-            assert_eq!(want.cpu_instr, got.cpu_instr, "{tag}");
-            assert_eq!(want.gpu_instr, got.gpu_instr, "{tag}");
-            assert_eq!(want.hmc, got.hmc, "{tag}");
-            assert_eq!(want.fast, got.fast, "{tag}");
-            assert_eq!(want.slow, got.slow, "{tag}");
-            assert_eq!(want.epoch_trace, got.epoch_trace, "{tag}");
-            assert_eq!(want.events_processed, got.events_processed, "{tag}");
-            assert_eq!(want.clamped_events, got.clamped_events, "{tag}");
-            assert_eq!(want.fast_channel_bytes, got.fast_channel_bytes, "{tag}");
-            assert_eq!(want.slow_channel_bytes, got.slow_channel_bytes, "{tag}");
-            assert_eq!(
-                want_telemetry,
-                got.telemetry_json_string().unwrap(),
-                "telemetry must match: {tag}"
-            );
-            assert_eq!(want.trace, got.trace, "trace must match: {tag}");
-        }
+        cfg.engine = EngineKind::Calendar;
+        let got = run_sim(&cfg, &mix, kind);
+        assert_eq!(want.cpu_instr, got.cpu_instr, "{name}");
+        assert_eq!(want.gpu_instr, got.gpu_instr, "{name}");
+        assert_eq!(want.hmc, got.hmc, "{name}");
+        assert_eq!(want.fast, got.fast, "{name}");
+        assert_eq!(want.slow, got.slow, "{name}");
+        assert_eq!(want.epoch_trace, got.epoch_trace, "{name}");
+        assert_eq!(want.events_processed, got.events_processed, "{name}");
+        assert_eq!(want.clamped_events, got.clamped_events, "{name}");
+        assert_eq!(want.fast_channel_bytes, got.fast_channel_bytes, "{name}");
+        assert_eq!(want.slow_channel_bytes, got.slow_channel_bytes, "{name}");
+        assert_eq!(
+            want.telemetry_json_string().unwrap(),
+            got.telemetry_json_string().unwrap(),
+            "telemetry must match: {name}"
+        );
+        assert_eq!(want.trace, got.trace, "trace must match: {name}");
     }
     assert!(
         oracle_events > 1_000_000,

@@ -1,31 +1,27 @@
 //! End-to-end tests for the host-side self-profiler (DESIGN.md §17) on
-//! real simulations: tree shape per dispatch kernel, per-shard wall-time
-//! tiling in the parallel kernel, and artifact export.
+//! real simulations: the event loop's tree shape and artifact export.
 //!
 //! The profiler is process-global, so every test holds `prof::test_lock()`
 //! for its whole body.
 
 use hydrogen_repro::prelude::*;
 use hydrogen_repro::sim::prof;
-use hydrogen_repro::sim::SimKernel;
 
-fn profiled_run(kernel: SimKernel, mix: &str, kind: PolicyKind) -> prof::ProfReport {
+fn profiled_run(mix: &str, kind: PolicyKind) -> prof::ProfReport {
     prof::reset();
     prof::arm();
-    let mut cfg = SystemConfig::tiny();
-    cfg.kernel = kernel;
-    let _ = run_sim(&cfg, &Mix::by_name(mix).unwrap(), kind);
+    let _ = run_sim(&SystemConfig::tiny(), &Mix::by_name(mix).unwrap(), kind);
     prof::disarm();
     prof::take_report()
 }
 
-/// The scalar kernel's profile exposes the dispatch/HMC/cache/scheduling
+/// The event loop's profile exposes the dispatch/HMC/cache/scheduling
 /// split the acceptance criteria name, with bounded unattributed time.
 #[test]
-fn scalar_profile_has_the_full_phase_split() {
+fn loop_profile_has_the_full_phase_split() {
     let _lock = prof::test_lock();
-    let report = profiled_run(SimKernel::Scalar, "C1", PolicyKind::HydrogenFull);
-    let root = report.root("run.scalar").expect("scalar run root");
+    let report = profiled_run("C1", PolicyKind::HydrogenFull);
+    let root = report.root("run.loop").expect("event loop root");
     for phase in ["dispatch.core_wake", "dispatch.mem_done", "dispatch.epoch"] {
         assert!(root.child(phase).is_some(), "missing {phase}");
     }
@@ -40,9 +36,9 @@ fn scalar_profile_has_the_full_phase_split() {
     assert!(hmc.child("hmc.access").is_some(), "hmc.access under hmc_start");
 
     // Attribution quality: time not claimed by any child of the run root
-    // ("other") stays a small slice of the whole run. The kernel loops
-    // hand off between `queue.pop` and the dispatch arms on shared clock
-    // readings, so in practice this is ~0% — 5% is the acceptance bound.
+    // ("other") stays a small slice of the whole run. The loop hands off
+    // between `queue.pop` and the dispatch arms on shared clock readings,
+    // so in practice this is ~0% — 5% is the acceptance bound.
     let children: u64 = root.children.iter().map(|c| c.incl_ns).sum();
     assert!(children <= root.incl_ns, "children must tile under the root");
     let other = root.incl_ns - children;
@@ -53,58 +49,13 @@ fn scalar_profile_has_the_full_phase_split() {
     );
 }
 
-/// Parallel kernel: each channel shard's wall time is tiled by exactly
-/// busy + barrier_wait + lookahead_stall (plus bounded loop overhead),
-/// which is the accounting the acceptance criteria require.
-#[test]
-fn parallel_shard_time_tiles_into_busy_wait_and_stall() {
-    let _lock = prof::test_lock();
-    let report = profiled_run(SimKernel::Parallel, "C1", PolicyKind::HydrogenFull);
-    assert!(report.root("run.parallel").is_some(), "main-thread run root");
-
-    let shards: Vec<_> = report
-        .roots
-        .iter()
-        .filter(|r| r.name == "shard")
-        .collect();
-    assert!(!shards.is_empty(), "no shard roots in the parallel profile");
-    for shard in shards {
-        let wall = shard.incl_ns;
-        let part = |name: &str| shard.child(name).map_or(0, |c| c.incl_ns);
-        let busy = part("busy");
-        let wait = part("barrier_wait");
-        let stall = part("lookahead_stall");
-        assert!(busy > 0, "{}: shard never did work", shard.label());
-        let sum = busy + wait + stall;
-        assert!(
-            sum <= wall,
-            "{}: busy {busy} + wait {wait} + stall {stall} exceeds wall {wall}",
-            shard.label()
-        );
-        assert!(
-            sum * 2 >= wall,
-            "{}: busy {busy} + wait {wait} + stall {stall} accounts for under \
-             half of wall {wall} — the recv loop leaked unclassified time",
-            shard.label()
-        );
-    }
-
-    // The deferred-ChanOp queue-depth counter is per shard.
-    assert!(
-        report.counters.iter().any(|c| c.name.starts_with("shard.queue_depth[")),
-        "missing shard.queue_depth counter"
-    );
-}
-
 /// Disarmed runs leave no trace at all: the report is empty, so the probes
 /// compiled into the hot paths are pure branches when profiling is off.
 #[test]
 fn disarmed_simulation_records_nothing() {
     let _lock = prof::test_lock();
     prof::reset();
-    let mut cfg = SystemConfig::tiny();
-    cfg.kernel = SimKernel::Batched;
-    let _ = run_sim(&cfg, &Mix::by_name("C1").unwrap(), PolicyKind::NoPart);
+    let _ = run_sim(&SystemConfig::tiny(), &Mix::by_name("C1").unwrap(), PolicyKind::NoPart);
     let report = prof::take_report();
     assert!(report.is_empty(), "disarmed run produced {} roots", report.roots.len());
 }
@@ -115,7 +66,7 @@ fn disarmed_simulation_records_nothing() {
 #[test]
 fn folded_export_of_a_real_run_is_well_formed() {
     let _lock = prof::test_lock();
-    let report = profiled_run(SimKernel::Scalar, "C1", PolicyKind::NoPart);
+    let report = profiled_run("C1", PolicyKind::NoPart);
     let folded = report.to_folded();
     assert!(!folded.is_empty());
     for line in folded.lines() {
@@ -123,7 +74,7 @@ fn folded_export_of_a_real_run_is_well_formed() {
         assert!(weight.parse::<u64>().is_ok(), "non-integer weight in {line:?}");
         let first = path.split(';').next().unwrap();
         assert!(
-            report.roots.iter().any(|r| r.label() == first),
+            report.roots.iter().any(|r| r.name == first),
             "folded frame {first:?} is not a root"
         );
     }

@@ -2,7 +2,7 @@
 //!
 //! The `.h2trace` contract (DESIGN.md §18): a captured run, replayed from
 //! its own file, must be **bit-identical** to the original — report and
-//! telemetry — under every dispatch kernel and both event-queue engines,
+//! telemetry — under both event-queue engines,
 //! and a replayed run re-captured must produce the identical byte stream
 //! (capture→replay→capture is a fixpoint). A small fixture trace is
 //! committed under `tests/golden/` and pinned the same way the telemetry
@@ -12,13 +12,13 @@
 
 use h2_check::{diff_reports, sample_scenario};
 use h2_harness::trace_cli::{replay_trace, run_mix_capture, run_scenario_capture};
-use h2_sim_core::{EngineKind, Json, SimKernel};
+use h2_sim_core::{EngineKind, Json};
 use h2_system::{replay_config, replay_plan, run_plan_monitored, PolicyKind, SystemConfig};
 use h2_trace::{Arrival, Mix, TenantScenario, TenantSpec, TraceFile};
 use std::fs;
 use std::path::PathBuf;
 
-/// Short-window config so the full engine×kernel matrix stays fast.
+/// Short-window config so the replay matrix stays fast.
 fn short_cfg(seed: u64) -> SystemConfig {
     let mut cfg = SystemConfig::tiny();
     cfg.seed = seed;
@@ -30,9 +30,9 @@ fn short_cfg(seed: u64) -> SystemConfig {
     cfg
 }
 
-/// Replay `file` purely from its embedded header under the given engine
-/// and kernel, with telemetry armed so the comparison covers the timeline.
-fn replay_with(file: &TraceFile, engine: EngineKind, kernel: SimKernel) -> h2_system::RunReport {
+/// Replay `file` purely from its embedded header under the given engine,
+/// with telemetry armed so the comparison covers the timeline.
+fn replay_with(file: &TraceFile, engine: EngineKind) -> h2_system::RunReport {
     let meta_cfg = SystemConfig::from_json(file.meta.get("config").expect("capture embeds config"))
         .expect("embedded config must decode");
     let policy = file.meta.get("policy").and_then(Json::as_str).expect("capture embeds policy");
@@ -45,29 +45,25 @@ fn replay_with(file: &TraceFile, engine: EngineKind, kernel: SimKernel) -> h2_sy
     let mut rcfg = replay_config(&meta_cfg, file);
     rcfg.telemetry = true;
     rcfg.engine = engine;
-    rcfg.kernel = kernel;
     run_plan_monitored(&rcfg, &file.label, kind, fast, replay_plan(file), None, None)
 }
 
-/// Capture → decode from bytes → replay across the whole engine×kernel
-/// matrix; every replayed report (telemetry included) must be
-/// bit-identical to the original.
+/// Capture → decode from bytes → replay on both engines; every replayed
+/// report (telemetry included) must be bit-identical to the original.
 fn assert_replay_matrix(orig: &h2_system::RunReport, bytes: &[u8], what: &str) {
     let decoded = TraceFile::decode(bytes).expect("capture must decode");
     for engine in [EngineKind::Calendar, EngineKind::Heap] {
-        for kernel in [SimKernel::Scalar, SimKernel::Batched, SimKernel::Parallel] {
-            let rep = replay_with(&decoded, engine, kernel);
-            assert_eq!(
-                diff_reports(orig, &rep),
-                None,
-                "{what}: {engine:?}/{kernel:?} replay diverged from the original"
-            );
-        }
+        let rep = replay_with(&decoded, engine);
+        assert_eq!(
+            diff_reports(orig, &rep),
+            None,
+            "{what}: {engine:?} replay diverged from the original"
+        );
     }
 }
 
 #[test]
-fn scenario_capture_replays_bit_identically_across_kernels_and_engines() {
+fn scenario_capture_replays_bit_identically_across_engines() {
     let sc = sample_scenario(3);
     let cfg = short_cfg(11);
     let (orig, file) =
@@ -78,7 +74,7 @@ fn scenario_capture_replays_bit_identically_across_kernels_and_engines() {
 }
 
 #[test]
-fn mix_capture_replays_bit_identically_across_kernels_and_engines() {
+fn mix_capture_replays_bit_identically_across_engines() {
     let mix = Mix::by_name("C1").unwrap();
     let cfg = short_cfg(7);
     let (orig, file) =
