@@ -1,7 +1,8 @@
 //! Microbenchmarks of the simulator's hot paths: the event queue (calendar
 //! vs legacy heap engine, several depths and horizons), run-cache job-key
-//! hashing, the DRAM device scheduler, the remap table, rendezvous hashing,
-//! trace generation, and a short whole-system run.
+//! hashing, the DRAM device scheduler (shallow and deep queues), the remap
+//! table, rendezvous hashing, trace generation, and a short whole-system
+//! run.
 //!
 //! `cargo bench --bench micro` times everything; `-- --test` smoke-runs
 //! each once; a plain argument filters by substring (e.g. `-- queue`).
@@ -11,6 +12,7 @@ use h2_harness::cache::Job;
 use h2_hybrid::remap::RemapTable;
 use h2_hybrid::types::{HybridConfig, ReqClass};
 use h2_hydrogen::partition::PartitionMap;
+use h2_mem::device::PIPELINE_DEPTH;
 use h2_mem::{MemCmd, MemDevice, TimingPreset};
 use h2_sim_core::{EngineKind, EventQueue};
 use h2_system::{run_sim, PolicyKind, SystemConfig};
@@ -102,6 +104,49 @@ fn bench_dram_device(b: &mut Bench) {
         }
         black_box(d.stats().bytes)
     });
+}
+
+/// FR-FCFS pick against a deep queue: one HBM channel held at `depth`
+/// queued commands behind a full pipeline. Each iteration retires one
+/// in-flight command, enqueues one and pumps, so exactly one command is
+/// picked from `depth` candidates. Priorities cycle 0-2, addresses reuse
+/// 8 rows in each of 16 banks so some candidates are row hits, and the
+/// clock advances 2 cycles per iteration.
+fn bench_dram_pick_depth(b: &mut Bench) {
+    let t = TimingPreset::Hbm2eSuper.timing();
+    let (banks, row_bytes) = (t.banks_per_channel as u64, t.row_bytes);
+    for depth in [64u64, 512] {
+        let mut d = MemDevice::new(t.clone(), 1);
+        let cmd = move |i: u64| {
+            let h = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
+            let (bank, row, col) = (h % 16, (h >> 4) % 8, (h >> 7) % 32);
+            MemCmd {
+                addr: (row * banks + bank) * row_bytes + col * 64,
+                bytes: 64,
+                is_write: i.is_multiple_of(4),
+                priority: (i % 3) as u8,
+                token: i,
+            }
+        };
+        let mut i = 0u64;
+        let mut now = 0;
+        let mut out = Vec::new();
+        while i < depth + PIPELINE_DEPTH as u64 {
+            d.enqueue(0, cmd(i), now);
+            i += 1;
+        }
+        d.pump(0, now, &mut out);
+        assert_eq!(d.queue_len(0) as u64, depth);
+        b.bench(&format!("dram_pick_depth_{depth}"), move || {
+            now += 2;
+            d.on_complete(0);
+            d.enqueue(0, cmd(i), now);
+            i += 1;
+            out.clear();
+            d.pump(0, now, &mut out);
+            black_box(out.len())
+        });
+    }
 }
 
 fn bench_remap_table(b: &mut Bench) {
@@ -197,6 +242,7 @@ fn main() {
     bench_event_queue(&mut b);
     bench_job_key(&mut b);
     bench_dram_device(&mut b);
+    bench_dram_pick_depth(&mut b);
     bench_remap_table(&mut b);
     bench_partition_map(&mut b);
     bench_trace_gen(&mut b);

@@ -157,8 +157,9 @@ impl InvariantMonitor<SimProbe> for MonotoneCounters {
     }
 }
 
-/// Device-level consistency: per-channel in-flight command counts stay
-/// within the DRAM pipeline depth on both tiers.
+/// Device-level consistency on both tiers: per-channel in-flight command
+/// counts stay within the DRAM pipeline depth, and each channel's
+/// pending-command ring is consistent (`MemDevice::check_invariants`).
 pub struct MemDeviceInvariants;
 
 impl InvariantMonitor<SimProbe> for MemDeviceInvariants {

@@ -70,7 +70,7 @@ pub const GATE_TOLERANCE: f64 = 0.10;
 /// one span per sampled request, so their amortized `Vec` doublings
 /// scale with the measure window, not with warm-up. That residual is
 /// ~0.017 allocations/event on the traced bench; the per-event simulation
-/// path itself (transaction slabs, pending-command SoA, trace scratch
+/// path itself (transaction slabs, pending-command rings, trace scratch
 /// buffers) allocates nothing in steady state.
 pub const ALLOC_GATE: f64 = 0.02;
 

@@ -17,19 +17,28 @@
 //!
 //! # Pending-command layout
 //!
-//! Queued commands live in a per-channel structure-of-arrays slab
-//! ([`CmdSlab`]): the fields the FR-FCFS scan reads every [`MemDevice::pump`]
-//! (priority, arrival time, arrival sequence) sit in their own dense arrays,
-//! while decode-only fields (bank/row — precomputed once at enqueue — bytes,
-//! token, tracing context) are touched only when a command actually starts.
-//! Slot occupancy is a two-level bitmap (per-slot words plus a summary word
-//! per 64 slot-words, the calendar queue's template), and freed slots are
-//! reused lowest-index-first, so steady state never allocates and never
-//! moves a pending command. A per-slot row-hit bitmap is maintained
-//! incrementally through per-bank slot bitmaps: the scan itself is a
-//! conditional-move max over packed `(priority, row_hit, age)` keys with no
-//! per-candidate address math. Selection is key-based — slot order never
-//! influences which command wins.
+//! Queued commands live in a per-channel arrival-ordered ring
+//! ([`CmdRing`]): a command's slot is its per-channel arrival position
+//! modulo a power-of-two capacity, so bit order starting from `head` (the
+//! oldest queued position) is age order. The fields the scheduler reads
+//! (priority, arrival time) sit in their own dense arrays, while
+//! decode-only fields (bank/row — precomputed once at enqueue — bytes,
+//! token, tracing context) are touched only when a command starts. Slot
+//! bitmaps record occupancy, the current row-hit status (refreshed
+//! incrementally through per-bank slot bitmaps whenever a bank's open row
+//! changes) and membership of each distinct priority level.
+//!
+//! Enqueue times never decrease along a channel, so the commands older
+//! than [`AGE_CAP`] form a prefix of the ring; its end is cached as a
+//! frontier that only moves forward while the clock does. Every question
+//! FR-FCFS asks then becomes a first-set-bit search over 64-slot words
+//! that stops at the first hit, not a compare per queued command. The
+//! winner is exactly the maximal `(priority, row_hit, oldest first)` key,
+//! with aged commands escalated to `u8::MAX`; debug builds check every
+//! pick against a linear scan of that key. The ring doubles (laying
+//! `[head, tail)` out again, holes included) only when the span from the
+//! oldest to the newest queued command fills it, so steady state never
+//! allocates and never moves a pending command.
 
 use crate::energy::EnergyBreakdown;
 use crate::timing::DramTiming;
@@ -139,20 +148,31 @@ struct TracedInfo {
     ahead: [u64; 3],
 }
 
-/// Structure-of-arrays slab of one channel's pending commands.
+/// The queued commands of one priority level: a slot bitmap over the ring
+/// and its population count.
+#[derive(Debug)]
+struct PrioLevel {
+    prio: u8,
+    bits: Vec<u64>,
+    len: usize,
+}
+
+/// Arrival-ordered ring of one channel's pending commands.
 ///
-/// Capacity is always a multiple of 64; a slot is queued iff its `occ` bit
-/// is set. `summary` has one bit per `occ` word (so the scan skips runs of
-/// empty slots the way the calendar queue skips empty wheel slots), `hit`
-/// mirrors `occ` with the slot's current row-hit status, and `bank_slots`
-/// holds one slot-bitmap per bank so `hit` can be refreshed incrementally
-/// whenever a bank's open row changes.
+/// Positions count a channel's enqueues; position `p` lives in slot
+/// `p & (capacity - 1)`, and capacity is a power of two of at least 64.
+/// `[head, tail)` spans every queued command (with holes where a command
+/// started ahead of an older one): `head` is the oldest queued position and
+/// `tail` the next one to assign. A slot is queued iff its `occ` bit is
+/// set; `hit` mirrors `occ` with the slot's current row-hit status,
+/// `bank_slots` holds one slot bitmap per bank so `hit` can be refreshed
+/// incrementally whenever a bank's open row changes, and `levels` holds
+/// one slot bitmap per priority present, highest priority first.
 #[derive(Debug, Default)]
-struct CmdSlab {
-    // Hot scan arrays (read for every queued candidate every pick).
+struct CmdRing {
+    // Scheduler arrays.
     prio: Vec<u8>,
     arrival_time: Vec<Cycles>,
-    arrival_seq: Vec<u64>,
     // Decode arrays (read once, when a command starts).
     bank: Vec<u32>,
     row: Vec<u64>,
@@ -163,83 +183,163 @@ struct CmdSlab {
     trace: Vec<Option<TracedInfo>>,
     /// Slot occupancy, one bit per slot.
     occ: Vec<u64>,
-    /// One bit per `occ` word: word has at least one queued slot.
-    summary: Vec<u64>,
     /// Row-hit status per slot (`hit ⊆ occ`).
     hit: Vec<u64>,
     /// Per-bank slot bitmaps (`bank_slots[b] ⊆ occ`).
     bank_slots: Vec<Vec<u64>>,
+    /// Per-priority slot bitmaps, in descending priority; they partition
+    /// `occ`.
+    levels: Vec<PrioLevel>,
+    /// Oldest queued position (`== tail` when empty).
+    head: u64,
+    /// Next position to assign.
+    tail: u64,
+    /// End of the aged prefix as of `frontier_at`: every queued position
+    /// before it is older than [`AGE_CAP`].
+    frontier: u64,
+    frontier_at: Cycles,
     /// Queued commands (population count of `occ`).
     len: usize,
 }
 
-impl CmdSlab {
+impl CmdRing {
     fn new(banks: usize) -> Self {
-        let mut s = Self {
-            bank_slots: vec![Vec::new(); banks],
+        let words = 1;
+        let slots = words * 64;
+        Self {
+            prio: vec![0; slots],
+            arrival_time: vec![0; slots],
+            bank: vec![0; slots],
+            row: vec![0; slots],
+            bytes: vec![0; slots],
+            write: vec![false; slots],
+            token: vec![0; slots],
+            class: vec![BlameClass::Background; slots],
+            trace: vec![None; slots],
+            occ: vec![0; words],
+            hit: vec![0; words],
+            bank_slots: vec![vec![0; words]; banks],
             ..Self::default()
-        };
-        s.grow();
-        s
+        }
     }
 
-    /// Add one 64-slot word to every array. Called at construction and on
-    /// overflow; steady state never grows.
+    #[inline]
+    fn capacity(&self) -> u64 {
+        self.prio.len() as u64
+    }
+
+    #[inline]
+    fn slot(&self, pos: u64) -> usize {
+        (pos & (self.capacity() - 1)) as usize
+    }
+
+    /// First position in `[from, to)` whose bit is set in the bitmap whose
+    /// 64-slot words `word` returns, searched in ring (= age) order a word
+    /// at a time. `[from, to)` must lie within one capacity.
+    #[inline]
+    fn first_set(&self, from: u64, to: u64, word: impl Fn(usize) -> u64) -> Option<u64> {
+        let mut pos = from;
+        while pos < to {
+            let s = self.slot(pos);
+            let bits = word(s / 64) >> (s % 64);
+            if bits != 0 {
+                let p = pos + bits.trailing_zeros() as u64;
+                return (p < to).then_some(p);
+            }
+            pos += 64 - (s % 64) as u64;
+        }
+        None
+    }
+
+    /// Double the capacity, laying `[head, tail)` out again at the new
+    /// slot positions (holes included). Called only when the span fills
+    /// the ring; steady state never grows.
     fn grow(&mut self) {
-        let add = 64;
-        self.prio.resize(self.prio.len() + add, 0);
-        self.arrival_time.resize(self.arrival_time.len() + add, 0);
-        self.arrival_seq.resize(self.arrival_seq.len() + add, 0);
-        self.bank.resize(self.bank.len() + add, 0);
-        self.row.resize(self.row.len() + add, 0);
-        self.bytes.resize(self.bytes.len() + add, 0);
-        self.write.resize(self.write.len() + add, false);
-        self.token.resize(self.token.len() + add, 0);
-        self.class.resize(self.class.len() + add, BlameClass::Background);
-        self.trace.resize(self.trace.len() + add, None);
-        self.occ.push(0);
-        self.hit.push(0);
+        let (head, tail) = (self.head, self.tail);
+        spread(&mut self.prio, 0, head, tail);
+        spread(&mut self.arrival_time, 0, head, tail);
+        spread(&mut self.bank, 0, head, tail);
+        spread(&mut self.row, 0, head, tail);
+        spread(&mut self.bytes, 0, head, tail);
+        spread(&mut self.write, false, head, tail);
+        spread(&mut self.token, 0, head, tail);
+        spread(&mut self.class, BlameClass::Background, head, tail);
+        spread(&mut self.trace, None, head, tail);
+        spread_bits(&mut self.occ, head, tail);
+        spread_bits(&mut self.hit, head, tail);
         for b in &mut self.bank_slots {
-            b.push(0);
+            spread_bits(b, head, tail);
         }
-        if self.occ.len().div_ceil(64) > self.summary.len() {
-            self.summary.push(0);
+        for l in &mut self.levels {
+            spread_bits(&mut l.bits, head, tail);
         }
     }
 
-    /// Lowest free slot index, growing the slab when full.
-    fn alloc_slot(&mut self) -> usize {
-        for (w, &word) in self.occ.iter().enumerate() {
-            if word != u64::MAX {
-                return w * 64 + (!word).trailing_zeros() as usize;
+    /// Assign the next arrival position, growing the ring when full, and
+    /// return its slot; the caller fills the slot's arrays, then marks it
+    /// with [`Self::set_occupied`].
+    #[inline]
+    fn push(&mut self) -> usize {
+        if self.tail - self.head == self.capacity() {
+            self.grow();
+        }
+        let pos = self.tail;
+        self.tail += 1;
+        self.slot(pos)
+    }
+
+    /// Index into `levels` of priority `prio`, adding an empty level in
+    /// descending order when it is new.
+    fn level_of(&mut self, prio: u8) -> usize {
+        match self.levels.iter().position(|l| l.prio <= prio) {
+            Some(i) if self.levels[i].prio == prio => i,
+            at => {
+                let i = at.unwrap_or(self.levels.len());
+                let words = self.occ.len();
+                self.levels.insert(
+                    i,
+                    PrioLevel {
+                        prio,
+                        bits: vec![0; words],
+                        len: 0,
+                    },
+                );
+                i
             }
         }
-        let slot = self.occ.len() * 64;
-        self.grow();
-        slot
     }
 
     #[inline]
     fn set_occupied(&mut self, slot: usize, hit: bool) {
         let (w, b) = (slot / 64, slot % 64);
         self.occ[w] |= 1 << b;
-        self.summary[w / 64] |= 1 << (w % 64);
         self.hit[w] = (self.hit[w] & !(1 << b)) | ((hit as u64) << b);
         self.bank_slots[self.bank[slot] as usize][w] |= 1 << b;
+        let l = self.level_of(self.prio[slot]);
+        self.levels[l].bits[w] |= 1 << b;
+        self.levels[l].len += 1;
         self.len += 1;
     }
 
+    /// Dequeue the command at `pos`; when it was the oldest, `head` moves
+    /// on to the next queued position.
     #[inline]
-    fn clear_slot(&mut self, slot: usize) {
+    fn clear(&mut self, pos: u64) {
+        let slot = self.slot(pos);
         let (w, b) = (slot / 64, slot % 64);
         self.occ[w] &= !(1 << b);
-        if self.occ[w] == 0 {
-            self.summary[w / 64] &= !(1 << (w % 64));
-        }
         self.hit[w] &= !(1 << b);
         self.bank_slots[self.bank[slot] as usize][w] &= !(1 << b);
+        let l = self.level_of(self.prio[slot]);
+        self.levels[l].bits[w] &= !(1 << b);
+        self.levels[l].len -= 1;
         self.trace[slot] = None;
         self.len -= 1;
+        if pos == self.head {
+            self.head = self
+                .first_set(pos + 1, self.tail, |w| self.occ[w])
+                .unwrap_or(self.tail);
+        }
     }
 
     /// Refresh the row-hit bits of every slot queued on `bank` after its
@@ -258,49 +358,221 @@ impl CmdSlab {
         }
     }
 
-    /// FR-FCFS-lite candidate scan: the queued slot with the maximal
-    /// `(priority, row_hit, u64::MAX - arrival_seq)` key, commands older
-    /// than [`AGE_CAP`] escalated to the top priority. Keys are packed into
-    /// one integer so the inner loop is a single compare-and-select per
-    /// candidate; keys are unique (arrival sequence numbers are), so scan
-    /// order cannot influence the winner.
+    /// End of the aged prefix at `now`: the first queued position not
+    /// older than [`AGE_CAP`] (or `tail`). Arrival times never decrease
+    /// along the ring, so the prefix only grows while `now` does; the
+    /// cached frontier resumes from where it stopped, and restarts from
+    /// `head` if `now` ever goes backwards.
     #[inline]
-    fn pick(&self, now: Cycles) -> Option<usize> {
-        let mut best_key: u128 = 0;
-        let mut best_slot = 0usize;
-        for (sw, &sword) in self.summary.iter().enumerate() {
-            let mut swbits = sword;
-            while swbits != 0 {
-                let w = sw * 64 + swbits.trailing_zeros() as usize;
-                swbits &= swbits - 1;
-                let mut bits = self.occ[w];
-                let hits = self.hit[w];
-                while bits != 0 {
-                    let b = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let slot = w * 64 + b;
-                    let aged = now.saturating_sub(self.arrival_time[slot]) > AGE_CAP;
-                    let prio = if aged { u8::MAX } else { self.prio[slot] };
-                    let key = (((prio as u128) << 65)
-                        | (((hits >> b) & 1) as u128) << 64
-                        | (u64::MAX - self.arrival_seq[slot]) as u128)
-                        + 1;
-                    if key > best_key {
-                        best_key = key;
-                        best_slot = slot;
-                    }
+    fn aged_frontier(&mut self, now: Cycles) -> u64 {
+        if now < self.frontier_at {
+            self.frontier = self.head;
+        }
+        self.frontier_at = now;
+        let mut f = self.frontier.max(self.head);
+        loop {
+            match self.first_set(f, self.tail, |w| self.occ[w]) {
+                Some(p) if now.saturating_sub(self.arrival_time[self.slot(p)]) > AGE_CAP => {
+                    f = p + 1
+                }
+                Some(p) => {
+                    f = p;
+                    break;
+                }
+                None => {
+                    f = self.tail;
+                    break;
                 }
             }
         }
-        (best_key != 0).then_some(best_slot)
+        self.frontier = f;
+        f
     }
+
+    /// FR-FCFS-lite pick: the queued position with the maximal
+    /// `(priority, row_hit, oldest first)` key, commands older than
+    /// [`AGE_CAP`] escalated to `u8::MAX`. Each step is a first-set-bit
+    /// search in age order, so the first hit found is the oldest one.
+    #[inline]
+    fn pick(&mut self, now: Cycles) -> Option<u64> {
+        if self.len == 0 {
+            return None;
+        }
+        let aged_end = self.aged_frontier(now);
+        if aged_end > self.head {
+            // Aged commands tie at `u8::MAX` with the native `u8::MAX`
+            // commands after the prefix, which are all younger: an aged hit
+            // wins, then such a native hit, then the oldest command.
+            let p = self
+                .first_set(self.head, aged_end, |w| self.hit[w])
+                .or_else(|| {
+                    let top = self
+                        .levels
+                        .first()
+                        .filter(|l| l.prio == u8::MAX && l.len > 0)?;
+                    self.first_set(aged_end, self.tail, |w| top.bits[w] & self.hit[w])
+                });
+            return Some(p.unwrap_or(self.head));
+        }
+        let l = self.levels.iter().find(|l| l.len > 0)?;
+        self.first_set(self.head, self.tail, |w| l.bits[w] & self.hit[w])
+            .or_else(|| self.first_set(self.head, self.tail, |w| l.bits[w]))
+    }
+
+    /// The definition [`Self::pick`] must reproduce: a linear scan over
+    /// every queued slot for the maximal packed `(priority, row_hit,
+    /// u64::MAX - position)` key, aged commands escalated to `u8::MAX`.
+    /// Debug builds check every pick against it; the unit tests use it as
+    /// their oracle.
+    #[cfg(any(test, debug_assertions))]
+    fn pick_reference(&self, now: Cycles) -> Option<u64> {
+        let mask = self.capacity() - 1;
+        let mut best_key: u128 = 0;
+        let mut best_pos = 0u64;
+        for (w, &word) in self.occ.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let b = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let slot = w * 64 + b;
+                let pos = self.head + ((slot as u64).wrapping_sub(self.head) & mask);
+                let aged = now.saturating_sub(self.arrival_time[slot]) > AGE_CAP;
+                let prio = if aged { u8::MAX } else { self.prio[slot] };
+                let key = (((prio as u128) << 65)
+                    | (((self.hit[w] >> b) & 1) as u128) << 64
+                    | (u64::MAX - pos) as u128)
+                    + 1;
+                if key > best_key {
+                    best_key = key;
+                    best_pos = pos;
+                }
+            }
+        }
+        (best_key != 0).then_some(best_pos)
+    }
+
+    /// The ring's bookkeeping invariants: the bitmaps agree with each
+    /// other and with `len`; `[head, tail)` fits the capacity, starts at a
+    /// queued command and holds every queued command; the priority levels
+    /// partition the queue in descending order with exact counts; and
+    /// arrival times never decrease in ring order (the aged prefix relies
+    /// on it).
+    fn check(&self) -> Result<(), String> {
+        let pop: usize = self.occ.iter().map(|w| w.count_ones() as usize).sum();
+        if pop != self.len {
+            return Err(format!(
+                "ring occupancy {pop} disagrees with len {}",
+                self.len
+            ));
+        }
+        for (w, &word) in self.occ.iter().enumerate() {
+            if self.hit[w] & !word != 0 {
+                return Err(format!("hit bit set on free slot (word {w})"));
+            }
+            if self.bank_slots.iter().fold(0, |u, b| u | b[w]) != word {
+                return Err(format!(
+                    "bank slot bitmaps disagree with occupancy (word {w})"
+                ));
+            }
+        }
+        let (head, tail, cap) = (self.head, self.tail, self.capacity());
+        if tail.checked_sub(head).is_none_or(|span| span > cap) {
+            return Err(format!(
+                "ring span [{head}, {tail}) does not fit capacity {cap}"
+            ));
+        }
+        let queued = |pos: u64| {
+            let slot = self.slot(pos);
+            self.occ[slot / 64] >> (slot % 64) & 1 == 1
+        };
+        if self.len > 0 && !queued(head) {
+            return Err(format!("ring head {head} is not occupied"));
+        }
+        for (w, &word) in self.occ.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let slot = (w * 64) as u64 + bits.trailing_zeros() as u64;
+                bits &= bits - 1;
+                let pos = head + (slot.wrapping_sub(head) & (cap - 1));
+                if pos >= tail {
+                    return Err(format!(
+                        "occupied position {pos} lies outside [{head}, {tail})"
+                    ));
+                }
+            }
+        }
+        if self.levels.windows(2).any(|p| p[0].prio <= p[1].prio) {
+            return Err("priority levels are not in descending order".to_string());
+        }
+        for (w, &word) in self.occ.iter().enumerate() {
+            let mut union = 0u64;
+            for l in &self.levels {
+                if union & l.bits[w] != 0 {
+                    return Err(format!("priority levels overlap (word {w})"));
+                }
+                union |= l.bits[w];
+            }
+            if union != word {
+                return Err(format!(
+                    "priority levels disagree with occupancy (word {w})"
+                ));
+            }
+        }
+        for l in &self.levels {
+            let pop: usize = l.bits.iter().map(|w| w.count_ones() as usize).sum();
+            if pop != l.len {
+                return Err(format!(
+                    "priority {} counts {} commands but holds {pop}",
+                    l.prio, l.len
+                ));
+            }
+        }
+        let mut prev: Option<Cycles> = None;
+        for pos in (head..tail).filter(|&p| queued(p)) {
+            let t = self.arrival_time[self.slot(pos)];
+            if let Some(before) = prev.filter(|&b| t < b) {
+                return Err(format!(
+                    "arrival time decreases at position {pos} ({t} after {before})"
+                ));
+            }
+            prev = Some(t);
+        }
+        Ok(())
+    }
+}
+
+/// Lay the ring positions `[head, tail)` of `v` out again in an array of
+/// twice the length (see [`CmdRing::grow`]).
+fn spread<T: Copy>(v: &mut Vec<T>, fill: T, head: u64, tail: u64) {
+    let old_mask = v.len() as u64 - 1;
+    let mut out = vec![fill; v.len() * 2];
+    let new_mask = out.len() as u64 - 1;
+    for pos in head..tail {
+        out[(pos & new_mask) as usize] = v[(pos & old_mask) as usize];
+    }
+    *v = out;
+}
+
+/// [`spread`] for a slot bitmap.
+fn spread_bits(words: &mut Vec<u64>, head: u64, tail: u64) {
+    let old_mask = words.len() as u64 * 64 - 1;
+    let mut out = vec![0u64; words.len() * 2];
+    let new_mask = out.len() as u64 * 64 - 1;
+    for pos in head..tail {
+        let o = (pos & old_mask) as usize;
+        if words[o / 64] >> (o % 64) & 1 == 1 {
+            let n = (pos & new_mask) as usize;
+            out[n / 64] |= 1 << (n % 64);
+        }
+    }
+    *words = out;
 }
 
 #[derive(Debug)]
 struct Channel {
     banks: Vec<Bank>,
     bus_free_at: Cycles,
-    slab: CmdSlab,
+    ring: CmdRing,
     in_flight: usize,
     // Stats.
     reads: u64,
@@ -314,7 +586,7 @@ struct Channel {
     max_queue: u64,
     /// Sum of queue depths sampled at each enqueue (for average depth).
     depth_sum: u64,
-    /// Queued commands per [`BlameClass`] (kept in lockstep with the slab
+    /// Queued commands per [`BlameClass`] (kept in lockstep with the ring
     /// so traced enqueues snapshot queue composition in O(1)).
     queued_by_class: [u64; 3],
     // Tracing-only state (empty when tracing is off).
@@ -342,7 +614,7 @@ impl Channel {
                 banks
             ],
             bus_free_at: 0,
-            slab: CmdSlab::new(banks),
+            ring: CmdRing::new(banks),
             in_flight: 0,
             reads: 0,
             writes: 0,
@@ -361,8 +633,8 @@ impl Channel {
         }
     }
 
-    /// Queue a command. `seq` is the device-wide arrival sequence number
-    /// assigned by [`MemDevice::enqueue_traced`].
+    /// Queue a command at the ring's tail. `now` must not precede the
+    /// channel's previous enqueue: the aged prefix relies on it.
     #[allow(clippy::too_many_arguments)]
     fn enqueue(
         &mut self,
@@ -373,8 +645,12 @@ impl Channel {
         now: Cycles,
         class: BlameClass,
         tag: Option<TraceTag>,
-        seq: u64,
     ) {
+        let r = &self.ring;
+        debug_assert!(
+            r.tail == 0 || now >= r.arrival_time[r.slot(r.tail - 1)],
+            "channel enqueue times must never decrease (enqueue at {now})"
+        );
         let (bank, row) = amap.map(cmd.addr);
         let trace = if tracing {
             tag.map(|tag| {
@@ -387,11 +663,10 @@ impl Channel {
         } else {
             None
         };
-        let slot = self.slab.alloc_slot();
-        let s = &mut self.slab;
+        let slot = self.ring.push();
+        let s = &mut self.ring;
         s.prio[slot] = if demand_first { cmd.priority } else { 0 };
         s.arrival_time[slot] = now;
-        s.arrival_seq[slot] = seq;
         s.bank[slot] = bank;
         s.row[slot] = row;
         s.bytes[slot] = cmd.bytes;
@@ -403,8 +678,8 @@ impl Channel {
         s.set_occupied(slot, hit);
         self.queued_by_class[class.idx()] += 1;
         self.queued_total += 1;
-        self.max_queue = self.max_queue.max(self.slab.len as u64);
-        self.depth_sum += self.slab.len as u64;
+        self.max_queue = self.max_queue.max(self.ring.len as u64);
+        self.depth_sum += self.ring.len as u64;
     }
 
     /// Start as many queued commands as pipelining allows, appending each
@@ -420,8 +695,16 @@ impl Channel {
         out: &mut Vec<StartedCmd>,
     ) {
         while self.in_flight < PIPELINE_DEPTH {
-            let Some(slot) = self.slab.pick(now) else { break };
-            let (done_at, token) = self.start_slot(timing, tracing, iv_pool, now, slot);
+            let picked = self.ring.pick(now);
+            // The reference scan is compiled only where it is checked.
+            #[cfg(debug_assertions)]
+            debug_assert_eq!(
+                picked,
+                self.ring.pick_reference(now),
+                "ring pick diverged from the reference scan at cycle {now}"
+            );
+            let Some(pos) = picked else { break };
+            let (done_at, token) = self.start(timing, tracing, iv_pool, now, pos);
             self.in_flight += 1;
             out.push(StartedCmd {
                 done_at,
@@ -444,21 +727,22 @@ impl Channel {
         }
     }
 
-    /// Compute timing for the picked slot, free it, mutate bank/bus state,
-    /// return `(completion, token)`. When tracing, also records the
+    /// Compute timing for the picked ring position, dequeue it, mutate
+    /// bank/bus state, return `(completion, token)`. When tracing, also records the
     /// command's blame decomposition: queue wait split across the classes
     /// ahead of it, bank-busy wait charged to the bank's previous occupant,
     /// row-conflict penalty, bus wait, and intrinsic service time — tiling
     /// `[arrival, data_end)` exactly.
-    fn start_slot(
+    fn start(
         &mut self,
         timing: &DramTiming,
         tracing: bool,
         iv_pool: &mut Vec<Vec<SpanInterval>>,
         now: Cycles,
-        slot: usize,
+        pos: u64,
     ) -> (Cycles, u64) {
-        let s = &self.slab;
+        let s = &self.ring;
+        let slot = s.slot(pos);
         let bank_idx = s.bank[slot] as usize;
         let row = s.row[slot];
         let cmd_bytes = s.bytes[slot];
@@ -537,14 +821,14 @@ impl Channel {
             self.live_by_class[class.idx()] += 1;
         }
 
-        self.slab.clear_slot(slot);
+        self.ring.clear(pos);
         self.queued_by_class[class.idx()] -= 1;
         self.banks[bank_idx].open_row = Some(row);
         self.banks[bank_idx].ready_at = col_time + burst;
         self.bus_free_at = data_end;
         // The open row changed (or was confirmed): refresh row-hit bits of
         // everything still queued on this bank.
-        self.slab.rehit_bank(bank_idx, row);
+        self.ring.rehit_bank(bank_idx, row);
 
         if is_write {
             self.writes += 1;
@@ -622,7 +906,6 @@ pub struct MemDevice {
     timing: DramTiming,
     amap: AddrMap,
     channels: Vec<Channel>,
-    seq: u64,
     /// Latency-optimised scheduling: honour command priorities (demand
     /// first). Bandwidth-optimised devices (the slow tier behind the cache)
     /// ignore priorities and run FR-FCFS.
@@ -632,7 +915,7 @@ pub struct MemDevice {
     /// byte-identical to a device that never heard of tracing.
     tracing: bool,
     /// Recycled interval buffers for traced-command blame decompositions:
-    /// [`Self::start_slot`] pops one per traced command instead of
+    /// [`Channel::start`] pops one per traced command instead of
     /// allocating, and [`Self::reclaim_traces`] returns drained buffers
     /// here. Steady state allocates nothing.
     iv_pool: Vec<Vec<SpanInterval>>,
@@ -653,7 +936,6 @@ impl MemDevice {
             timing,
             amap,
             channels: (0..channels).map(|_| Channel::new(banks)).collect(),
-            seq: 0,
             demand_first,
             tracing: false,
             iv_pool: Vec::new(),
@@ -678,13 +960,14 @@ impl MemDevice {
 
     /// Total pending (queued, unstarted) commands on `ch`.
     pub fn queue_len(&self, ch: usize) -> usize {
-        self.channels[ch].slab.len
+        self.channels[ch].ring.len
     }
 
     /// Device-level consistency check for invariant monitors: per-channel
     /// in-flight occupancy must respect the pipeline depth (release-build
-    /// counterpart of the `debug_assert` in [`Self::on_complete`]), and the
-    /// pending-slab bitmaps must agree with each other.
+    /// counterpart of the `debug_assert` in [`Self::on_complete`]), and each
+    /// channel's pending-command ring must be consistent (see
+    /// [`CmdRing::check`]).
     pub fn check_invariants(&self) -> Result<(), String> {
         for (ch, c) in self.channels.iter().enumerate() {
             if c.in_flight > PIPELINE_DEPTH {
@@ -693,32 +976,7 @@ impl MemDevice {
                     c.in_flight
                 ));
             }
-            let s = &c.slab;
-            let pop: usize = s.occ.iter().map(|w| w.count_ones() as usize).sum();
-            if pop != s.len {
-                return Err(format!(
-                    "channel {ch}: slab occupancy {pop} disagrees with len {}",
-                    s.len
-                ));
-            }
-            for (w, &word) in s.occ.iter().enumerate() {
-                if s.hit[w] & !word != 0 {
-                    return Err(format!("channel {ch}: hit bit set on free slot (word {w})"));
-                }
-                let sbit = s.summary[w / 64] >> (w % 64) & 1;
-                if (word != 0) != (sbit == 1) {
-                    return Err(format!("channel {ch}: summary bit stale for word {w}"));
-                }
-                let mut union = 0u64;
-                for b in &s.bank_slots {
-                    union |= b[w];
-                }
-                if union != word {
-                    return Err(format!(
-                        "channel {ch}: bank slot bitmaps disagree with occupancy (word {w})"
-                    ));
-                }
-            }
+            c.ring.check().map_err(|e| format!("channel {ch}: {e}"))?;
         }
         Ok(())
     }
@@ -740,8 +998,6 @@ impl MemDevice {
         class: BlameClass,
         tag: Option<TraceTag>,
     ) {
-        let seq = self.seq;
-        self.seq += 1;
         self.channels[ch].enqueue(
             &self.amap,
             self.demand_first,
@@ -750,7 +1006,6 @@ impl MemDevice {
             now,
             class,
             tag,
-            seq,
         );
     }
 
@@ -1234,10 +1489,11 @@ mod tests {
         assert_eq!(m.map(123_456_789), ((rg % 12) as u32, rg / 12));
     }
 
-    /// Slab slots are reused lowest-index-first and never shift queued
-    /// commands around; draining and refilling must not grow the slab.
+    /// Ring slots are reused as the arrival position wraps and never move
+    /// a queued command; draining and refilling a shallow queue must not
+    /// grow the ring.
     #[test]
-    fn slab_reuses_slots_without_growth() {
+    fn ring_reuses_slots_without_growth() {
         let mut d = dev(TimingPreset::Ddr4, 1);
         let mut out = Vec::new();
         for round in 0..100u64 {
@@ -1250,21 +1506,29 @@ mod tests {
             }
             out.clear();
         }
-        assert_eq!(d.channels[0].slab.occ.len(), 1, "slab must stay at one word");
+        let ring = &d.channels[0].ring;
+        assert_eq!(ring.occ.len(), 1, "ring must stay at one word");
+        assert_eq!(ring.tail, 800, "arrival positions wrapped the ring");
         d.check_invariants().unwrap();
     }
 
-    /// The bitmap scan must agree with a straight reference scan of the
-    /// original `(prio, row_hit, oldest)` key on randomised deep queues.
+    /// Deterministic LCG for the randomised tests.
+    fn lcg(state: &mut u64) -> u64 {
+        *state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        *state >> 11
+    }
+
+    /// The ring pick must agree with a straight reference scan of the
+    /// original `(prio, row_hit, oldest)` key — oldest by ring position —
+    /// on a randomised deep queue, including a probe that steps the clock
+    /// back behind the cached aged frontier.
     #[test]
     fn pick_matches_reference_scan() {
         let t = TimingPreset::Ddr4.timing();
         let mut d = dev(TimingPreset::Ddr4, 1);
-        let mut state = 0x243F_6A88_85A3_08D3u64; // deterministic LCG
-        let mut rng = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            state >> 11
-        };
+        let mut state = 0x243F_6A88_85A3_08D3u64;
         // Fill the pipeline so everything stays queued; then check pick
         // against the reference at several probe times.
         for i in 0..PIPELINE_DEPTH as u64 {
@@ -1273,7 +1537,7 @@ mod tests {
         let mut out = Vec::new();
         d.pump(0, 0, &mut out);
         for i in 0..200u64 {
-            let r = rng();
+            let r = lcg(&mut state);
             d.enqueue(
                 0,
                 MemCmd {
@@ -1286,41 +1550,115 @@ mod tests {
                 i / 4,
             );
         }
-        for now in [0u64, 50, 100, 260, 400] {
-            let c = &d.channels[0];
-            let s = &c.slab;
-            // Reference: linear scan over occupied slots with tuple keys.
-            let mut best: Option<(u8, bool, u64, usize)> = None;
-            for (w, &word) in s.occ.iter().enumerate() {
-                let mut bits = word;
-                while bits != 0 {
-                    let b = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let slot = w * 64 + b;
-                    let hit = c.banks[s.bank[slot] as usize].open_row == Some(s.row[slot]);
-                    let prio = if now.saturating_sub(s.arrival_time[slot]) > AGE_CAP {
-                        u8::MAX
-                    } else {
-                        s.prio[slot]
-                    };
-                    let key = (prio, hit, u64::MAX - s.arrival_seq[slot]);
-                    if best.is_none()
-                        || (key.0, key.1, key.2)
-                            > (best.unwrap().0, best.unwrap().1, best.unwrap().2)
-                    {
-                        best = Some((key.0, key.1, key.2, slot));
-                    }
+        for now in [0u64, 50, 100, 260, 400, 120] {
+            let c = &mut d.channels[0];
+            let s = &c.ring;
+            // Reference: linear scan over queued positions with tuple keys.
+            let mut best: Option<((u8, bool, u64), u64)> = None;
+            for pos in s.head..s.tail {
+                let slot = s.slot(pos);
+                if s.occ[slot / 64] >> (slot % 64) & 1 == 0 {
+                    continue;
+                }
+                let hit = c.banks[s.bank[slot] as usize].open_row == Some(s.row[slot]);
+                let prio = if now.saturating_sub(s.arrival_time[slot]) > AGE_CAP {
+                    u8::MAX
+                } else {
+                    s.prio[slot]
+                };
+                let key = (prio, hit, u64::MAX - pos);
+                if best.is_none_or(|(b, _)| key > b) {
+                    best = Some((key, pos));
                 }
             }
-            assert_eq!(s.pick(now), best.map(|(.., slot)| slot), "now={now}");
+            assert_eq!(c.ring.pick(now), best.map(|(_, pos)| pos), "now={now}");
         }
         d.check_invariants().unwrap();
     }
 
-    /// Deep alternating enqueue/drain traffic across banks keeps every
-    /// bitmap invariant intact.
+    /// Seeded differential churn: bursts that push the queue past 200
+    /// commands, random completions, priorities {0, 1, 2, 255}, frequent
+    /// row hits and a clock that outruns [`AGE_CAP`]. Every pick must equal
+    /// the reference scan across ring wrap-around and growth, under both
+    /// scheduling flavours.
     #[test]
-    fn slab_invariants_under_churn() {
+    fn pick_matches_reference_under_churn() {
+        let t = TimingPreset::Hbm2eSuper.timing();
+        let banks = t.banks_per_channel as u64;
+        let mut pool = Vec::new();
+        for demand_first in [true, false] {
+            for seed in 0..12u64 {
+                let mut d = MemDevice::with_scheduling(t.clone(), 1, demand_first);
+                let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ demand_first as u64;
+                let (mut now, mut token, mut deepest) = (0u64, 0u64, 0usize);
+                for step in 0..4000u64 {
+                    let r = lcg(&mut state);
+                    let burst = if r.is_multiple_of(128) {
+                        100 + (r >> 8) % 200
+                    } else {
+                        (r >> 8) % 3
+                    };
+                    for _ in 0..burst {
+                        let r = lcg(&mut state);
+                        let (bank, row, col) = ((r >> 2) % 8, (r >> 5) % 4, (r >> 7) % 16);
+                        let cmd = MemCmd {
+                            addr: (row * banks + bank) * t.row_bytes + col * 64,
+                            bytes: 64,
+                            is_write: r >> 11 & 1 == 1,
+                            priority: [0, 1, 2, u8::MAX][(r % 4) as usize],
+                            token,
+                        };
+                        d.enqueue(0, cmd, now);
+                        token += 1;
+                    }
+                    deepest = deepest.max(d.queue_len(0));
+                    let c = &mut d.channels[0];
+                    for _ in 0..(lcg(&mut state) % 8).min(c.in_flight as u64) {
+                        c.complete(false, 0);
+                    }
+                    while c.in_flight < PIPELINE_DEPTH {
+                        let picked = c.ring.pick(now);
+                        assert_eq!(
+                            picked,
+                            c.ring.pick_reference(now),
+                            "seed {seed}, demand_first {demand_first}, step {step}, cycle {now}"
+                        );
+                        let Some(pos) = picked else { break };
+                        c.start(&t, false, &mut pool, now, pos);
+                        c.in_flight += 1;
+                    }
+                    now += lcg(&mut state) % 24;
+                    if step % 1000 == 999 {
+                        d.check_invariants().unwrap();
+                    }
+                }
+                let ring = &d.channels[0].ring;
+                assert!(deepest > 200, "seed {seed}: queue peaked at {deepest}");
+                assert!(
+                    ring.capacity() >= 256 && ring.tail > 2 * ring.capacity(),
+                    "seed {seed}: ring must grow and wrap (capacity {}, tail {})",
+                    ring.capacity(),
+                    ring.tail
+                );
+            }
+        }
+    }
+
+    /// The aged prefix needs per-channel enqueue times that never
+    /// decrease; debug builds reject a clock that goes backwards.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "channel enqueue times must never decrease")]
+    fn enqueue_rejects_a_clock_going_backwards() {
+        let mut d = dev(TimingPreset::Ddr4, 1);
+        d.enqueue(0, rd(0, 64), 10);
+        d.enqueue(0, rd(64, 64), 9);
+    }
+
+    /// Deep alternating enqueue/drain traffic across banks keeps every
+    /// ring invariant intact.
+    #[test]
+    fn ring_invariants_under_churn() {
         let t = TimingPreset::Hbm2eSuper.timing();
         let mut d = dev(TimingPreset::Hbm2eSuper, 2);
         let mut out = Vec::new();
@@ -1350,5 +1688,84 @@ mod tests {
             }
         }
         d.check_invariants().unwrap();
+    }
+
+    /// `check_invariants` after `corrupt` mutates the ring of a channel
+    /// whose pipeline holds 48 started commands (positions 0..48, now
+    /// holes) and whose queue holds four: positions 48..52, priorities
+    /// 0, 1, 2, 0, enqueued at cycles 10..14.
+    fn corrupted(corrupt: impl FnOnce(&mut CmdRing)) -> String {
+        let mut d = dev(TimingPreset::Ddr4, 1);
+        for i in 0..PIPELINE_DEPTH as u64 {
+            d.enqueue(0, MemCmd { token: i, ..rd(i << 20, 64) }, 0);
+        }
+        d.pump(0, 0, &mut Vec::new());
+        for i in 0..4u64 {
+            let cmd = MemCmd {
+                priority: (i % 3) as u8,
+                token: 100 + i,
+                ..rd(i * 64, 64)
+            };
+            d.enqueue(0, cmd, 10 + i);
+        }
+        d.check_invariants().unwrap();
+        corrupt(&mut d.channels[0].ring);
+        d.check_invariants().unwrap_err()
+    }
+
+    #[test]
+    fn check_flags_ring_head_and_stray_positions() {
+        assert_eq!(
+            corrupted(|r| r.head -= 1),
+            "channel 0: ring head 47 is not occupied"
+        );
+        assert_eq!(
+            corrupted(|r| r.tail -= 1),
+            "channel 0: occupied position 51 lies outside [48, 51)"
+        );
+    }
+
+    #[test]
+    fn check_flags_ring_span_over_capacity() {
+        assert_eq!(
+            corrupted(|r| r.tail = r.head + 65),
+            "channel 0: ring span [48, 113) does not fit capacity 64"
+        );
+        assert_eq!(
+            corrupted(|r| r.head = r.tail + 1),
+            "channel 0: ring span [53, 52) does not fit capacity 64"
+        );
+    }
+
+    #[test]
+    fn check_flags_priority_levels() {
+        // Levels in descending order: 2 = {50}, 1 = {49}, 0 = {48, 51}.
+        assert_eq!(
+            corrupted(|r| r.levels[0].bits[0] |= 1 << 49),
+            "channel 0: priority levels overlap (word 0)"
+        );
+        assert_eq!(
+            corrupted(|r| r.levels[2].bits[0] &= !(1 << 51)),
+            "channel 0: priority levels disagree with occupancy (word 0)"
+        );
+        assert_eq!(
+            corrupted(|r| r.levels[1].len += 1),
+            "channel 0: priority 1 counts 2 commands but holds 1"
+        );
+        assert_eq!(
+            corrupted(|r| r.levels.swap(0, 1)),
+            "channel 0: priority levels are not in descending order"
+        );
+    }
+
+    #[test]
+    fn check_flags_decreasing_arrival_times() {
+        assert_eq!(
+            corrupted(|r| {
+                let slot = r.slot(50);
+                r.arrival_time[slot] = 5;
+            }),
+            "channel 0: arrival time decreases at position 50 (5 after 11)"
+        );
     }
 }
