@@ -324,13 +324,22 @@ pub struct ScopeGuard {
 }
 
 impl Drop for ScopeGuard {
+    /// Inlined so a disarmed guard's drop is one branch on `active`; the
+    /// armed path lives out of line in [`exit_armed`].
+    #[inline]
     fn drop(&mut self) {
         if self.active {
-            // try_with: a guard may drop during thread teardown after the
-            // thread-local has been destroyed.
-            let _ = PROF.try_with(|p| p.borrow_mut().exit());
+            exit_armed();
         }
     }
+}
+
+#[cold]
+#[inline(never)]
+fn exit_armed() {
+    // try_with: a guard may drop during thread teardown after the
+    // thread-local has been destroyed.
+    let _ = PROF.try_with(|p| p.borrow_mut().exit());
 }
 
 /// Open a named scope on the calling thread. Nanoseconds, entry counts,
