@@ -6,8 +6,9 @@
 //!
 //! * [`calendar`] — the default: a calendar queue (timing wheel). Events
 //!   within [`calendar::WHEEL_SLOTS`] cycles of now go into per-cycle ring
-//!   buckets with O(1) schedule and pop (bucket `Vec`s are reused, never
-//!   freed, so the steady state allocates nothing); the rare far-future
+//!   buckets with O(1) schedule and pop (each bucket is a list through one
+//!   node slab whose freed nodes are reused, so the steady state allocates
+//!   nothing and memory follows the pending events); the rare far-future
 //!   events (epoch boundaries, faucet refills, warm-up end) spill to a
 //!   small overflow binary heap and migrate into the wheel as the window
 //!   advances. This is the classic DES optimisation for memory-system
@@ -196,15 +197,30 @@ pub mod legacy {
 pub mod calendar {
     //! The calendar-queue (timing-wheel) engine.
     //!
+    //! Every event pending in the wheel lives in a node of one slab. Each
+    //! wheel slot (one per cycle residue) keeps the `(head, tail)` node
+    //! indices of an intrusive singly linked list threaded through that
+    //! slab. Freed nodes go onto a LIFO free list, so a schedule reuses the
+    //! node the last pop released, which is still in cache, and the slab
+    //! holds no more nodes than the peak number of events pending in the
+    //! wheel at once — queue memory follows the pending events, not the
+    //! wheel size.
+    //!
     //! Invariants, maintained by every operation:
     //!
     //! 1. Every wheel event has `time` in `[now, now + WHEEL_SLOTS)`, so a
-    //!    bucket (one per cycle residue) only ever holds events of a single
-    //!    absolute time. Pop therefore only has to select the minimum `seq`
-    //!    within one bucket — a scan over the handful of same-cycle events.
-    //! 2. Before each pop the overflow heap is drained of events that
-    //!    entered the wheel's horizon, so whenever the wheel is non-empty
-    //!    its earliest bucket holds the global `(time, seq)` minimum.
+    //!    slot's list only ever holds events of a single absolute time.
+    //! 2. Every overflow event has `time >= now + WHEEL_SLOTS`: each time
+    //!    `now` advances, the overflow events that entered the horizon move
+    //!    into the wheel before anything else can be scheduled. Whenever
+    //!    the wheel is non-empty its earliest slot therefore holds the
+    //!    global `(time, seq)` minimum.
+    //! 3. Each list is in append order, which is seq order. Direct inserts
+    //!    arrive in seq order. The overflow events of one time all migrate
+    //!    in one drain, in seq order, and by invariant 2 before any event
+    //!    of that time can be inserted directly; having been scheduled
+    //!    earlier, they also have the lower seqs. So `pop` takes a list
+    //!    head and `pop_batch` takes a whole list, with no sort.
 
     use super::{Cycles, Scheduled};
     use std::collections::BinaryHeap;
@@ -217,13 +233,40 @@ pub mod calendar {
     const WHEEL_MASK: u64 = WHEEL_SLOTS as u64 - 1;
     const WORDS: usize = WHEEL_SLOTS / 64;
     const SUMMARY_WORDS: usize = WORDS / 64;
+    /// Null node index: end of a list, empty bucket, empty free list.
+    const NIL: u32 = u32::MAX;
+
+    /// A slab entry: the pending event (`None` while the node is free) and
+    /// the next node of its bucket list or of the free list.
+    #[derive(Debug)]
+    struct Node<E> {
+        ev: Option<Scheduled<E>>,
+        next: u32,
+    }
+
+    /// One wheel slot's list: its first and last node, `head == NIL` when
+    /// empty.
+    #[derive(Debug, Clone, Copy)]
+    struct Bucket {
+        head: u32,
+        tail: u32,
+    }
+
+    const EMPTY: Bucket = Bucket {
+        head: NIL,
+        tail: NIL,
+    };
 
     /// Calendar-queue event engine (O(1) schedule/pop in the common case).
     #[derive(Debug)]
     pub struct CalendarQueue<E> {
-        /// One bucket per cycle in the horizon; `Vec`s are cleared by
-        /// popping but never deallocated, so steady state reuses storage.
-        buckets: Box<[Vec<Scheduled<E>>]>,
+        /// One event list per cycle in the horizon.
+        buckets: Box<[Bucket]>,
+        /// Node storage for every wheel event. Grows only when the free
+        /// list is empty, so its length is the peak wheel occupancy.
+        nodes: Vec<Node<E>>,
+        /// Most recently freed node (LIFO free list through `next`).
+        free: u32,
         /// One bit per bucket: set iff the bucket is non-empty.
         occupancy: Box<[u64; WORDS]>,
         /// Idle fast-forward index: one bit per *occupancy word*, set iff
@@ -250,10 +293,10 @@ pub mod calendar {
     impl<E> CalendarQueue<E> {
         /// Create an empty queue at time zero.
         pub fn new() -> Self {
-            let mut buckets = Vec::with_capacity(WHEEL_SLOTS);
-            buckets.resize_with(WHEEL_SLOTS, Vec::new);
             Self {
-                buckets: buckets.into_boxed_slice(),
+                buckets: vec![EMPTY; WHEEL_SLOTS].into_boxed_slice(),
+                nodes: Vec::new(),
+                free: NIL,
                 occupancy: Box::new([0u64; WORDS]),
                 summary: [0u64; SUMMARY_WORDS],
                 wheel_len: 0,
@@ -290,36 +333,112 @@ pub mod calendar {
             self.len() == 0
         }
 
+        /// Slab nodes allocated so far, live and free.
+        #[cfg(test)]
+        pub(super) fn slab_nodes(&self) -> usize {
+            self.nodes.len()
+        }
+
         #[inline]
         fn slot_of(time: Cycles) -> usize {
             (time & WHEEL_MASK) as usize
         }
 
+        /// The event in live node `i`.
+        fn event(&self, i: u32) -> &Scheduled<E> {
+            self.nodes[i as usize].ev.as_ref().expect("live node")
+        }
+
+        /// Store `ev` in the most recently freed node, or in a new one when
+        /// every node is live; returns the node's index.
+        #[inline]
+        fn alloc_node(&mut self, ev: Scheduled<E>) -> u32 {
+            let i = self.free;
+            if i != NIL {
+                let node = &mut self.nodes[i as usize];
+                self.free = node.next;
+                node.next = NIL;
+                node.ev = Some(ev);
+                return i;
+            }
+            let i = self.nodes.len();
+            assert!(i < NIL as usize, "event slab exceeds u32 node indices");
+            self.nodes.push(Node {
+                ev: Some(ev),
+                next: NIL,
+            });
+            i as u32
+        }
+
+        /// Append `ev` to its slot's list.
         #[inline]
         fn wheel_insert(&mut self, ev: Scheduled<E>) {
             let s = Self::slot_of(ev.time);
+            let b = self.buckets[s];
             debug_assert!(
-                self.buckets[s].is_empty() || self.buckets[s][0].time == ev.time,
-                "bucket holds two distinct times"
+                b.head == NIL || {
+                    let last = self.event(b.tail);
+                    last.time == ev.time && last.seq < ev.seq
+                },
+                "bucket list holds two times or is out of seq order"
             );
-            self.buckets[s].push(ev);
-            let w = s / 64;
-            self.occupancy[w] |= 1u64 << (s % 64);
-            self.summary[w / 64] |= 1u64 << (w % 64);
+            let i = self.alloc_node(ev);
+            if b.head == NIL {
+                self.buckets[s] = Bucket { head: i, tail: i };
+                let w = s / 64;
+                self.occupancy[w] |= 1u64 << (s % 64);
+                self.summary[w / 64] |= 1u64 << (w % 64);
+            } else {
+                self.nodes[b.tail as usize].next = i;
+                self.buckets[s].tail = i;
+            }
             self.wheel_len += 1;
         }
 
-        /// Move overflow events whose time entered `[base, base + horizon)`
-        /// into the wheel.
+        /// Mark slot `s` empty: reset its list, clear its occupancy bits.
         #[inline]
-        fn drain_overflow(&mut self, base: Cycles) {
-            let limit = base.saturating_add(WHEEL_SLOTS as u64);
+        fn mark_empty(&mut self, s: usize) {
+            self.buckets[s] = EMPTY;
+            let w = s / 64;
+            self.occupancy[w] &= !(1u64 << (s % 64));
+            if self.occupancy[w] == 0 {
+                self.summary[w / 64] &= !(1u64 << (w % 64));
+            }
+        }
+
+        /// Move overflow events whose time entered `[now, now + horizon)`
+        /// into the wheel (invariant 2). Called whenever `now` advances.
+        #[inline]
+        fn drain_overflow(&mut self) {
+            let limit = self.now.saturating_add(WHEEL_SLOTS as u64);
             while let Some(top) = self.overflow.peek() {
                 if top.time >= limit {
                     break;
                 }
-                let ev = self.overflow.pop().unwrap();
+                let ev = self.overflow.pop().expect("peeked");
                 self.wheel_insert(ev);
+            }
+        }
+
+        /// Slot holding the earliest pending event. An empty wheel first
+        /// jumps `now` to the overflow minimum and drains it in.
+        #[inline]
+        fn front_slot(&mut self) -> Option<usize> {
+            if self.wheel_len == 0 {
+                self.now = self.overflow.peek()?.time;
+                self.drain_overflow();
+            }
+            let s = self.next_occupied_slot(Self::slot_of(self.now));
+            Some(s.expect("wheel non-empty after drain"))
+        }
+
+        /// Advance `now` to the fire time `t` of the events just popped.
+        #[inline]
+        fn advance(&mut self, t: Cycles) {
+            debug_assert!(t >= self.now, "time went backwards");
+            if t != self.now {
+                self.now = t;
+                self.drain_overflow();
             }
         }
 
@@ -394,39 +513,21 @@ pub mod calendar {
 
         /// Pop the earliest event, advancing `now` to its fire time.
         pub fn pop(&mut self) -> Option<Scheduled<E>> {
-            // Establish invariant 2: the wheel front is the global minimum.
-            let base = if self.wheel_len == 0 {
-                let jump = self.overflow.peek()?.time;
-                self.drain_overflow(jump);
-                jump
+            let s = self.front_slot()?;
+            let i = self.buckets[s].head;
+            let node = &mut self.nodes[i as usize];
+            let ev = node.ev.take().expect("live node");
+            let next = node.next;
+            node.next = self.free;
+            self.free = i;
+            if next == NIL {
+                self.mark_empty(s);
             } else {
-                self.drain_overflow(self.now);
-                self.now
-            };
-
-            let s = self
-                .next_occupied_slot(Self::slot_of(base))
-                .expect("wheel non-empty after drain");
-            let bucket = &mut self.buckets[s];
-            // All entries share one time (invariant 1); pick the lowest seq.
-            let mut best = 0;
-            for i in 1..bucket.len() {
-                if bucket[i].seq < bucket[best].seq {
-                    best = i;
-                }
-            }
-            let ev = bucket.swap_remove(best);
-            if bucket.is_empty() {
-                let w = s / 64;
-                self.occupancy[w] &= !(1u64 << (s % 64));
-                if self.occupancy[w] == 0 {
-                    self.summary[w / 64] &= !(1u64 << (w % 64));
-                }
+                self.buckets[s].head = next;
             }
             self.wheel_len -= 1;
-            debug_assert!(ev.time >= self.now, "time went backwards");
-            self.now = ev.time;
             self.popped += 1;
+            self.advance(ev.time);
             Some(ev)
         }
 
@@ -434,55 +535,36 @@ pub mod calendar {
         /// appending them to `out` in `(time, seq)` order, and return how
         /// many were popped.
         ///
-        /// By invariant 1 a bucket only ever holds one absolute time, and
-        /// after the overflow drain the earliest bucket holds *all* events
-        /// of the minimum time (invariant 2) — so the whole frontier is one
-        /// `drain` of one bucket plus a seq sort (bucket order is insertion
-        /// order except for overflow migrants, which can arrive out of seq).
-        /// Reuses the caller's buffer; steady state allocates nothing.
+        /// The frontier is exactly the earliest slot's list (invariants 1
+        /// and 2), already in seq order (invariant 3): one walk unlinks it
+        /// and returns its nodes to the free list. Reuses the caller's
+        /// buffer; steady state allocates nothing.
         pub fn pop_batch(&mut self, out: &mut Vec<Scheduled<E>>) -> usize {
-            // Establish invariant 2, as in `pop`.
-            let base = if self.wheel_len == 0 {
-                let Some(top) = self.overflow.peek() else { return 0 };
-                let jump = top.time;
-                self.drain_overflow(jump);
-                jump
-            } else {
-                self.drain_overflow(self.now);
-                self.now
-            };
-            let s = self
-                .next_occupied_slot(Self::slot_of(base))
-                .expect("wheel non-empty after drain");
-            let bucket = &mut self.buckets[s];
-            let t = bucket[0].time;
+            let Some(s) = self.front_slot() else { return 0 };
+            let mut i = self.buckets[s].head;
+            self.mark_empty(s);
             let start = out.len();
-            out.append(bucket);
-            out[start..].sort_unstable_by_key(|e| e.seq);
-            let k = out.len() - start;
-            let w = s / 64;
-            self.occupancy[w] &= !(1u64 << (s % 64));
-            if self.occupancy[w] == 0 {
-                self.summary[w / 64] &= !(1u64 << (w % 64));
+            while i != NIL {
+                let node = &mut self.nodes[i as usize];
+                out.push(node.ev.take().expect("live node"));
+                let next = node.next;
+                node.next = self.free;
+                self.free = i;
+                i = next;
             }
+            let k = out.len() - start;
             self.wheel_len -= k;
-            debug_assert!(t >= self.now, "time went backwards");
-            self.now = t;
             self.popped += k as u64;
+            self.advance(out[start].time);
             k
         }
 
         /// Fire time of the earliest pending event, if any.
         pub fn peek_time(&self) -> Option<Cycles> {
-            // Unlike `pop` this must not mutate, so compare the wheel front
-            // with the overflow top instead of draining.
-            let wheel = self
-                .next_occupied_slot(Self::slot_of(self.now))
-                .map(|s| self.buckets[s][0].time);
-            let over = self.overflow.peek().map(|e| e.time);
-            match (wheel, over) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
+            // By invariant 2 a non-empty wheel holds the minimum.
+            match self.next_occupied_slot(Self::slot_of(self.now)) {
+                Some(s) => Some(self.event(self.buckets[s].head).time),
+                None => self.overflow.peek().map(|e| e.time),
             }
         }
     }
@@ -698,20 +780,59 @@ mod tests {
         }
     }
 
-    #[test]
-    fn same_time_split_across_wheel_and_overflow_preserves_seq() {
-        // Event A goes to overflow (far at schedule time); later B for the
-        // same cycle goes into the wheel. A has the lower seq and must pop
-        // first even though it migrates in via the overflow heap.
+    /// Schedules five events for one cycle `t`, returned: three while `t`
+    /// is beyond the wheel horizon (overflow, over two rounds), then two
+    /// direct wheel inserts once `step` has popped the stepping stones —
+    /// the first reached by jumping to the overflow minimum, the second
+    /// from the wheel — and brought `t` into the horizon. Neighbours at
+    /// `t - 1` and `t + 1` come one from each tier.
+    fn schedule_split_frontier(
+        q: &mut EventQueue<u64>,
+        step: impl Fn(&mut EventQueue<u64>),
+    ) -> u64 {
         let horizon = calendar::WHEEL_SLOTS as u64;
         let t = 2 * horizon + 3;
-        let mut q = EventQueue::with_engine(EngineKind::Calendar);
-        q.schedule_at(t, 1u64); // far: overflow, seq 0
-        q.schedule_at(horizon + 10, 0); // stepping stone, seq 1
-        q.pop(); // now = horizon + 10; t is now near
-        q.schedule_at(t, 2); // wheel, seq 2
-        let rest: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| (e.time, e.payload))).collect();
-        assert_eq!(rest, vec![(t, 1), (t, 2)]);
+        q.schedule_at(t, 1); // overflow, seq 0
+        q.schedule_at(t + 1, 90); // overflow, seq 1
+        q.schedule_at(horizon, 0); // stepping stone (overflow), seq 2
+        q.schedule_at(t, 2); // overflow, seq 3
+        step(q); // now = horizon: t is still far
+        q.schedule_at(t, 3); // overflow, seq 4
+        q.schedule_at(horizon + 10, 0); // stepping stone (wheel), seq 5
+        step(q); // now = horizon + 10: t is near
+        q.schedule_at(t, 4); // wheel, seq 6
+        q.schedule_at(t - 1, 80); // wheel, seq 7
+        q.schedule_at(t, 5); // wheel, seq 8
+        t
+    }
+
+    #[test]
+    fn same_time_split_across_wheel_and_overflow_preserves_seq() {
+        // The events that reach cycle t via the overflow heap have the
+        // lower seqs and must pop before the ones inserted directly.
+        let [cal, heap] = both_engines().map(|mut q| {
+            let t = schedule_split_frontier(&mut q, |q| {
+                q.pop();
+            });
+            let rest: Vec<_> =
+                std::iter::from_fn(|| q.pop().map(|e| (e.time, e.seq, e.payload))).collect();
+            (t, rest)
+        });
+        assert_eq!(cal, heap);
+        let (t, rest) = cal;
+        let order: Vec<_> = rest.iter().map(|&(time, _, p)| (time, p)).collect();
+        assert_eq!(
+            order,
+            vec![
+                (t - 1, 80),
+                (t, 1),
+                (t, 2),
+                (t, 3),
+                (t, 4),
+                (t, 5),
+                (t + 1, 90)
+            ]
+        );
     }
 
     #[test]
@@ -826,22 +947,78 @@ mod tests {
 
     #[test]
     fn pop_batch_sorts_overflow_migrants_into_seq_order() {
-        // Same cycle reached via overflow (low seq) and direct wheel
-        // insertion (high seq): the bucket's insertion order is wheel-first,
-        // but the batch must come out in seq order.
-        let horizon = calendar::WHEEL_SLOTS as u64;
-        let t = 2 * horizon + 3;
-        let mut q = EventQueue::with_engine(EngineKind::Calendar);
-        q.schedule_at(t, 1u64); // overflow, seq 0
-        q.schedule_at(horizon + 10, 0); // stepping stone, seq 1
-        q.pop();
-        q.schedule_at(t, 2); // wheel, seq 2
-        let mut out = Vec::new();
-        assert_eq!(q.pop_batch(&mut out), 2);
+        // The same split frontier, stepped and drained with pop_batch: the
+        // batch at t holds all five events, overflow migrants first.
+        let [cal, heap] = both_engines().map(|mut q| {
+            let t = schedule_split_frontier(&mut q, |q| {
+                q.pop_batch(&mut Vec::new());
+            });
+            let mut batches = Vec::new();
+            let mut out = Vec::new();
+            while q.pop_batch(&mut out) > 0 {
+                batches.push(
+                    out.drain(..)
+                        .map(|e| (e.time, e.seq, e.payload))
+                        .collect::<Vec<_>>(),
+                );
+            }
+            (t, batches)
+        });
+        assert_eq!(cal, heap);
+        let (t, batches) = cal;
+        assert_eq!(batches.len(), 3);
         assert_eq!(
-            out.iter().map(|e| (e.seq, e.payload)).collect::<Vec<_>>(),
-            vec![(0, 1), (2, 2)]
+            batches[1],
+            vec![(t, 0, 1), (t, 3, 2), (t, 4, 3), (t, 6, 4), (t, 8, 5)]
         );
+    }
+
+    /// The property the calendar's node slab rests on: queue memory tracks
+    /// the pending events. A hold-model stream of a million events at a
+    /// steady depth of a few hundred — pop a frontier, schedule one or two
+    /// successors per popped event at simulator-like deltas (bus and cache
+    /// latencies, DRAM service, now and then past the wheel horizon) —
+    /// never grows the slab past the peak number of pending events.
+    #[test]
+    fn calendar_slab_never_outgrows_peak_pending() {
+        const DEPTH: usize = 300;
+        let mut q = calendar::CalendarQueue::new();
+        let mut x = 0x2545f4914f6cdd1du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for i in 0..DEPTH as u64 {
+            q.schedule_in(40 + next() % 1_561, i);
+        }
+        let mut peak = q.len();
+        let mut out = Vec::new();
+        let mut popped = 0;
+        while popped < 1_000_000 {
+            out.clear();
+            popped += q.pop_batch(&mut out);
+            for ev in &out {
+                let successors = if q.len() < DEPTH { 2 } else { 1 };
+                for _ in 0..successors {
+                    let r = next();
+                    let delta = match r % 64 {
+                        0..=35 => 2 + r % 5,
+                        36..=62 => 40 + r % 1_561,
+                        _ => 16_385 + r % 20_000,
+                    };
+                    q.schedule_in(delta, ev.payload);
+                    peak = peak.max(q.len());
+                }
+            }
+            assert!(
+                q.slab_nodes() <= peak,
+                "slab holds {} nodes, peak pending {peak}",
+                q.slab_nodes()
+            );
+        }
+        assert!(peak < 2 * DEPTH, "depth not steady: peak {peak}");
     }
 
     /// Differential check on a deliberately nasty interleaving: bursts of
