@@ -244,10 +244,10 @@ impl RunCache {
     /// Write one run's telemetry JSON (no-op when no dir is set or the run
     /// was executed with telemetry off).
     fn dump_telemetry(&self, key: u128, report: &RunReport) {
-        let (Some(dir), Some(json)) = (&self.telemetry_dir, report.telemetry_json_string())
-        else {
-            return;
-        };
+        // Check the dir before rendering: a hit with no dump dir set must
+        // not pay for JSON nobody writes.
+        let Some(dir) = &self.telemetry_dir else { return };
+        let Some(json) = report.telemetry_json_string() else { return };
         let path = dir.join(dump_name(report, key, "json"));
         if let Err(e) = fs::write(&path, json) {
             eprintln!("[h2] telemetry write failed ({}): {e}", path.display());
@@ -257,10 +257,8 @@ impl RunCache {
     /// Write one run's Perfetto trace (no-op when no dir is set or the run
     /// carries no spans).
     fn dump_trace(&self, key: u128, report: &RunReport) {
-        let (Some(dir), Some(json)) = (&self.trace_dir, report.chrome_trace_json_string())
-        else {
-            return;
-        };
+        let Some(dir) = &self.trace_dir else { return };
+        let Some(json) = report.chrome_trace_json_string() else { return };
         let path = dir.join(dump_name(report, key, "trace.json"));
         if let Err(e) = fs::write(&path, json) {
             eprintln!("[h2] trace write failed ({}): {e}", path.display());
@@ -585,14 +583,18 @@ mod tests {
         assert!(r.trace.as_ref().is_some_and(|t| !t.spans.is_empty()));
         assert_eq!(std::fs::read_dir(&trace_dir).unwrap().count(), 1);
         // The traced entry now serves both traced requests (replaying the
-        // trace dump from disk)...
+        // trace and telemetry dumps from disk)...
         let _ = std::fs::remove_dir_all(&trace_dir);
+        let telemetry_dir = tmp_dir("trace-upgrade-telemetry");
         let mut c3 = RunCache::with_disk_dir(&dir).unwrap();
         c3.set_trace_dir(&trace_dir, 4).unwrap();
+        c3.set_telemetry_dir(&telemetry_dir).unwrap();
         c3.run(&j);
         assert_eq!(c3.executed, 0);
         assert_eq!(c3.disk_hits, 1);
         assert_eq!(std::fs::read_dir(&trace_dir).unwrap().count(), 1);
+        assert_eq!(std::fs::read_dir(&telemetry_dir).unwrap().count(), 1);
+        let _ = std::fs::remove_dir_all(&telemetry_dir);
         // ...and plain untraced requests.
         let mut c4 = RunCache::with_disk_dir(&dir).unwrap();
         let r = c4.run(&j);
