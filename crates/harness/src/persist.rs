@@ -16,11 +16,13 @@
 //! simulator behaviour or this encoding changes.
 
 use crate::sweep::store::ShardedStore;
+use h2_sim_core::metrics::HIST_BUCKETS;
 use h2_sim_core::trace_span::{BlameCause, Span, SpanInterval, MAX_SPANS};
-use h2_sim_core::{LogHistogram, MetricsRegistry};
+use h2_sim_core::{LogHistogram, MetricLayout, MetricsRegistry};
 use h2_system::report::{EpochFrame, EpochRecord, RunReport, RunTelemetry, RunTrace, TenantSlo};
 use std::io;
 use std::path::Path;
+use std::sync::Arc;
 
 /// Entry-file magic.
 const MAGIC: [u8; 4] = *b"H2RC";
@@ -101,12 +103,19 @@ impl<'a> Dec<'a> {
     fn f64(&mut self) -> Option<f64> {
         Some(f64::from_bits(self.u64()?))
     }
-    fn str(&mut self) -> Option<String> {
+    /// A length-prefixed UTF-8 string, borrowed from the entry bytes.
+    fn str_ref(&mut self) -> Option<&'a str> {
         let n = self.u64()? as usize;
-        if n > self.b.len() {
-            return None;
-        }
-        String::from_utf8(self.take(n)?.to_vec()).ok()
+        std::str::from_utf8(self.take(n)?).ok()
+    }
+    fn str(&mut self) -> Option<String> {
+        self.str_ref().map(str::to_owned)
+    }
+    /// An element count, rejected when that many elements of at least
+    /// `min_bytes` each cannot fit in the bytes left.
+    fn count(&mut self, min_bytes: usize) -> Option<usize> {
+        let n = self.u64()? as usize;
+        (n <= (self.b.len() - self.pos) / min_bytes).then_some(n)
     }
     fn arr2(&mut self) -> Option<[u64; 2]> {
         Some([self.u64()?, self.u64()?])
@@ -171,46 +180,61 @@ fn encode_registry(e: &mut Enc, reg: &MetricsRegistry) {
     }
 }
 
-fn decode_registry(d: &mut Dec, limit: usize) -> Option<MetricsRegistry> {
-    let mut reg = MetricsRegistry::new(true);
-    let nc = d.u64()? as usize;
-    if nc > limit {
-        return None;
-    }
+/// Decode one registry. Names are read in place into `names` (scratch
+/// shared by a run's registries). When they equal `prev`'s names the
+/// registry shares `prev`, so only a run's totals and its first frame build
+/// a layout and every later frame with the same names reuses the last one.
+/// A name repeated within a kind is damage (the encoder never writes one):
+/// the entry is rejected.
+fn decode_registry<'a>(
+    d: &mut Dec<'a>,
+    names: &mut Vec<&'a str>,
+    prev: Option<&Arc<MetricLayout>>,
+) -> Option<MetricsRegistry> {
+    names.clear();
+    // Smallest encodings: a name length and a value (counters, gauges);
+    // a name length, count, sum and bucket count (histograms).
+    let nc = d.count(16)?;
+    let mut counters = Vec::with_capacity(nc);
     for _ in 0..nc {
-        let n = d.str()?;
-        let v = d.u64()?;
-        reg.inc(&n, v);
+        names.push(d.str_ref()?);
+        counters.push(d.u64()?);
     }
-    let ng = d.u64()? as usize;
-    if ng > limit {
-        return None;
-    }
+    let ng = d.count(16)?;
+    let mut gauges = Vec::with_capacity(ng);
     for _ in 0..ng {
-        let n = d.str()?;
-        let v = d.f64()?;
-        reg.set_gauge(&n, v);
+        names.push(d.str_ref()?);
+        gauges.push(d.f64()?);
     }
-    let nh = d.u64()? as usize;
-    if nh > limit {
-        return None;
-    }
+    let nh = d.count(32)?;
+    let mut hists = Vec::with_capacity(nh);
     for _ in 0..nh {
-        let n = d.str()?;
+        names.push(d.str_ref()?);
         let count = d.u64()?;
         let sum = d.u64()?;
         let nb = d.u64()? as usize;
-        if nb > h2_sim_core::metrics::HIST_BUCKETS {
-            return None;
-        }
-        let mut buckets = Vec::with_capacity(nb);
-        for _ in 0..nb {
-            let b = d.u8()? as usize;
-            buckets.push((b, d.u64()?));
-        }
-        reg.merge_hist(&n, &LogHistogram::from_parts(count, sum, &buckets));
+        hists.push(decode_buckets(d, count, sum, nb)?);
     }
-    Some(reg)
+    let (c, rest) = names.split_at(nc);
+    let (g, h) = rest.split_at(ng);
+    let layout = match prev {
+        Some(l) if l.has_names(c, g, h) => Arc::clone(l),
+        _ => Arc::new(MetricLayout::from_names(c, g, h)?),
+    };
+    Some(MetricsRegistry::from_parts(layout, counters, gauges, hists))
+}
+
+/// A histogram's `nb` encoded `(bucket, count)` pairs, read through a
+/// stack buffer.
+fn decode_buckets(d: &mut Dec, count: u64, sum: u64, nb: usize) -> Option<LogHistogram> {
+    if nb > HIST_BUCKETS {
+        return None;
+    }
+    let mut buckets = [(0, 0); HIST_BUCKETS];
+    for b in &mut buckets[..nb] {
+        *b = (d.u8()? as usize, d.u64()?);
+    }
+    Some(LogHistogram::from_parts(count, sum, &buckets[..nb]))
 }
 
 /// Encode `report` with the persistence codec and decode it straight back.
@@ -350,15 +374,7 @@ fn decode_hist(d: &mut Dec) -> Option<LogHistogram> {
     let count = d.u64()?;
     let sum = d.u64()?;
     let nb = d.u32()? as usize;
-    if nb > h2_sim_core::metrics::HIST_BUCKETS {
-        return None;
-    }
-    let mut buckets = Vec::with_capacity(nb);
-    for _ in 0..nb {
-        let b = d.u8()? as usize;
-        buckets.push((b, d.u64()?));
-    }
-    Some(LogHistogram::from_parts(count, sum, &buckets))
+    decode_buckets(d, count, sum, nb)
 }
 
 fn decode_trace(d: &mut Dec) -> Option<RunTrace> {
@@ -474,17 +490,18 @@ pub(crate) fn decode_report(bytes: &[u8], tag: &str) -> Option<RunReport> {
     let telemetry = match d.u8()? {
         0 => None,
         1 => {
-            // Sanity bound against corrupt length prefixes.
-            let limit = bytes.len();
-            let totals = decode_registry(&mut d, limit)?;
+            let mut names = Vec::new();
+            let totals = decode_registry(&mut d, &mut names, None)?;
             let n = d.u64()? as usize;
-            if n > limit {
+            // Sanity bound against corrupt length prefixes.
+            if n > bytes.len() {
                 return None;
             }
             let mut epochs = Vec::with_capacity(n);
             for _ in 0..n {
                 let record = decode_epoch_record(&mut d)?;
-                let metrics = decode_registry(&mut d, limit)?;
+                let prev = epochs.last().map(|f: &EpochFrame| f.metrics.layout());
+                let metrics = decode_registry(&mut d, &mut names, prev)?;
                 epochs.push(EpochFrame { record, metrics });
             }
             Some(RunTelemetry { totals, epochs })
@@ -670,12 +687,34 @@ mod tests {
         assert_reports_equal(&r, &back);
     }
 
+    /// Whether two registries point at one shared layout.
+    fn shares_layout(a: &MetricsRegistry, b: &MetricsRegistry) -> bool {
+        Arc::ptr_eq(a.layout(), b.layout())
+    }
+
     #[test]
     fn roundtrip_is_lossless() {
         let r = sample_report();
         let bytes = encode_report(&r, "tagX");
         let back = decode_report(&bytes, "tagX").expect("decodes");
         assert_reports_equal(&r, &back);
+        // Every decoded frame shares one layout.
+        let frames = &back.telemetry.as_ref().expect("telemetry on").epochs;
+        assert!(frames.len() > 1, "need several frames, got {}", frames.len());
+        assert!(frames.windows(2).all(|w| shares_layout(&w[0].metrics, &w[1].metrics)));
+    }
+
+    #[test]
+    fn duplicate_metric_names_reject() {
+        let mut r = sample_report();
+        let totals = &mut r.telemetry.as_mut().expect("telemetry on").totals;
+        totals.inc("dup.a", 1);
+        totals.inc("dup.b", 2);
+        let mut bytes = encode_report(&r, "tagX");
+        assert!(decode_report(&bytes, "tagX").is_some());
+        let at = bytes.windows(5).position(|w| w == b"dup.b").expect("name encoded");
+        bytes[at + 4] = b'a';
+        assert!(decode_report(&bytes, "tagX").is_none(), "a repeated name is damage");
     }
 
     #[test]

@@ -23,7 +23,7 @@ use crate::cache::Job;
 use crate::persist::DiskTier;
 use crate::table::Table;
 use h2_system::RunReport;
-use scheduler::{Done, PoolStats, Source};
+use scheduler::{PoolStats, Source};
 use spec::{Search, SweepPoint, SweepSpec};
 use std::collections::HashMap;
 use std::io::Write;
@@ -91,8 +91,15 @@ impl Engine<'_> {
         let _ = writeln!(self.progress, "{line}");
     }
 
-    fn emit_done(&mut self, done: &Done, key: u128, point: &SweepPoint) {
-        let source = match done.source {
+    fn emit_done(
+        &mut self,
+        source: Source,
+        wall_s: f64,
+        report: &RunReport,
+        key: u128,
+        point: &SweepPoint,
+    ) {
+        let source = match source {
             Source::Executed => "executed",
             Source::DiskHit => "disk",
         };
@@ -103,24 +110,24 @@ impl Engine<'_> {
         let event = h2_sim_core::Json::obj()
             .field("event", "job")
             .field("key", format!("{key:032x}").as_str())
-            .field("mix", done.report.mix.as_str())
-            .field("policy", done.report.policy.as_str())
+            .field("mix", report.mix.as_str())
+            .field("policy", report.policy.as_str())
             .field("params", params)
             .field("source", source)
-            .field("weighted_ipc", done.report.weighted_ipc())
-            .field("wall_s", done.wall_s)
-            .field("events", done.report.events_processed)
-            .field("events_per_sec", done.report.events_per_sec);
+            .field("weighted_ipc", report.weighted_ipc())
+            .field("wall_s", wall_s)
+            .field("events", report.events_processed)
+            .field("events_per_sec", report.events_per_sec);
         self.emit(&event.to_string_compact());
-        self.exec_wall_s += done.wall_s;
+        self.exec_wall_s += wall_s;
         self.timing_rows.push(vec![
             format!("{key:032x}"),
-            done.report.mix.clone(),
-            done.report.policy.clone(),
+            report.mix.clone(),
+            report.policy.clone(),
             source.to_string(),
-            format!("{:.6}", done.wall_s),
-            done.report.events_processed.to_string(),
-            format!("{:.0}", done.report.events_per_sec),
+            format!("{:.6}", wall_s),
+            report.events_processed.to_string(),
+            format!("{:.0}", report.events_per_sec),
         ]);
     }
 
@@ -150,23 +157,17 @@ impl Engine<'_> {
             point_keys.push(keys);
         }
 
-        let mut dones: Vec<Done> = Vec::with_capacity(batch.len());
-        let (reports, stats) =
-            scheduler::run_batch(&batch, self.tier, self.workers, |done| {
-                // Emitting from inside the callback would need &mut self
-                // while `batch` is borrowed; stash completions and stream
-                // them right after the pool drains.
-                dones.push(Done {
-                    idx: done.idx,
-                    source: done.source,
-                    wall_s: done.wall_s,
-                    report: done.report.clone(),
-                });
-            });
-        for done in &dones {
-            let key = batch[done.idx].0;
-            let point = &points[batch_point[done.idx]];
-            self.emit_done(done, key, point);
+        let mut dones: Vec<(usize, Source, f64)> = Vec::with_capacity(batch.len());
+        let (reports, stats) = scheduler::run_batch(&batch, self.tier, self.workers, |done| {
+            // Emitting from inside the callback would need &mut self while
+            // `batch` is borrowed; stash completion order and stream the
+            // events from the returned reports once the pool drains.
+            dones.push((done.idx, done.source, done.wall_s));
+        });
+        for (idx, source, wall_s) in dones {
+            let key = batch[idx].0;
+            let point = &points[batch_point[idx]];
+            self.emit_done(source, wall_s, &reports[idx], key, point);
         }
         self.stats.executed += stats.executed;
         self.stats.disk_hits += stats.disk_hits;

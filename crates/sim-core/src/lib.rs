@@ -17,7 +17,9 @@ pub mod units;
 
 pub use event::{EngineKind, EventQueue, Scheduled};
 pub use json::Json;
-pub use metrics::{CounterId, GaugeId, HistId, LogHistogram, MetricsRegistry, ScopedMetrics};
+pub use metrics::{
+    CounterId, GaugeId, HistId, LogHistogram, MetricLayout, MetricsRegistry, ScopedMetrics,
+};
 pub use monitor::{InvariantMonitor, MonitorSet, Violation};
 pub use trace_span::{BlameCause, BlameClass, Span, SpanCollector, SpanId, SpanInterval};
 pub use rng::{SeededRng, ZipfDraw};

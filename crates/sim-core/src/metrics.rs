@@ -13,7 +13,9 @@
 //! (deterministic) collection code path, so serialising a registry yields
 //! byte-identical output across runs and event-queue engines.
 
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
+use std::sync::{Arc, OnceLock};
 
 /// Number of log₂ buckets in a [`LogHistogram`]. Bucket 0 holds values in
 /// `[0, 2)`; bucket `b >= 1` holds `[2^b, 2^(b+1))`. Covers the full `u64`
@@ -171,43 +173,261 @@ pub struct GaugeId(u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistId(u32);
 
+/// Index of each metric kind in [`MetricLayout`].
+const COUNTER: usize = 0;
+const GAUGE: usize = 1;
+const HIST: usize = 2;
+const KIND_NAMES: [&str; 3] = ["counter", "gauge", "histogram"];
+
+/// One kind's names, packed: name `i` is `text[ends[i - 1]..ends[i]]`
+/// (from 0 for the first). The name → position map is an open-addressed
+/// table of `position + 1` (0 = empty slot), built on the first lookup and
+/// kept current as names are appended. Names can come from run-cache
+/// files, so they are hashed with the standard library's keyed hasher.
+#[derive(Debug, Clone, Default)]
+struct Names {
+    text: String,
+    ends: Vec<u32>,
+    map: OnceLock<Vec<u32>>,
+    hasher: RandomState,
+}
+
+impl PartialEq for Names {
+    fn eq(&self, other: &Self) -> bool {
+        self.text == other.text && self.ends == other.ends
+    }
+}
+
+impl Names {
+    /// Names packed from a list, or `None` when one repeats.
+    fn from_unique(given: &[&str]) -> Option<Self> {
+        let mut names = Names {
+            text: String::with_capacity(given.iter().map(|n| n.len()).sum()),
+            ends: Vec::with_capacity(given.len()),
+            ..Self::default()
+        };
+        for n in given {
+            names.append(n);
+        }
+        let map = names.build_map()?;
+        names.map = OnceLock::from(map);
+        Some(names)
+    }
+
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    fn name(&self, i: usize) -> &str {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        &self.text[start..self.ends[i] as usize]
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &str> {
+        (0..self.len()).map(|i| self.name(i))
+    }
+
+    /// Append `name` at the tail, leaving the map to the caller.
+    fn append(&mut self, name: &str) {
+        self.text.push_str(name);
+        self.ends.push(u32::try_from(self.text.len()).expect("metric names fit in 4 GiB"));
+    }
+
+    /// The map slot where probing for `name` starts.
+    fn home(&self, name: &str, map: &[u32]) -> usize {
+        self.hasher.hash_one(name) as usize & (map.len() - 1)
+    }
+
+    /// Enter position `i` into `map`; `false` when an equal name is
+    /// already there.
+    fn enter(&self, map: &mut [u32], i: usize) -> bool {
+        let name = self.name(i);
+        let mut slot = self.home(name, map);
+        while map[slot] != 0 {
+            if self.name(map[slot] as usize - 1) == name {
+                return false;
+            }
+            slot = (slot + 1) & (map.len() - 1);
+        }
+        map[slot] = i as u32 + 1;
+        true
+    }
+
+    /// A map of every position, at most half full, or `None` when a name
+    /// repeats.
+    fn build_map(&self) -> Option<Vec<u32>> {
+        let mut map = vec![0; (2 * self.len()).next_power_of_two().max(8)];
+        (0..self.len()).all(|i| self.enter(&mut map, i)).then_some(map)
+    }
+
+    fn find(&self, name: &str) -> Option<usize> {
+        let map = self.map.get_or_init(|| self.build_map().expect("metric names are unique"));
+        let mut slot = self.home(name, map);
+        loop {
+            match map[slot] {
+                0 => return None,
+                p if self.name(p as usize - 1) == name => return Some(p as usize - 1),
+                _ => slot = (slot + 1) & (map.len() - 1),
+            }
+        }
+    }
+
+    /// Append `name`, absent until now, at the tail; returns its position.
+    fn push(&mut self, name: &str) -> usize {
+        let i = self.len();
+        self.append(name);
+        // A map that would pass half full is dropped and rebuilt, twice
+        // the size, by the next lookup.
+        if let Some(mut map) = self.map.take() {
+            if 2 * self.len() <= map.len() {
+                self.enter(&mut map, i);
+                self.map = OnceLock::from(map);
+            }
+        }
+        i
+    }
+}
+
+/// The names of a [`MetricsRegistry`]'s counters, gauges and histograms,
+/// in insertion order. Registries hold it behind an [`Arc`] and share it:
+/// a clone, an epoch delta and every frame decoded from one run point at
+/// the same layout and own only their values. A registry that gains a name
+/// while sharing its layout copies the layout first
+/// ([`Arc::make_mut`]), so the others keep theirs.
+#[derive(Debug, Clone, Default)]
+pub struct MetricLayout {
+    names: [Names; 3],
+}
+
+impl MetricLayout {
+    /// A layout holding `counters`, `gauges` and `hists` in that order, or
+    /// `None` when a name repeats within one kind (persistence codecs: a
+    /// registry never writes a name twice, so a repeat is damage).
+    pub fn from_names(counters: &[&str], gauges: &[&str], hists: &[&str]) -> Option<Self> {
+        Some(Self {
+            names: [
+                Names::from_unique(counters)?,
+                Names::from_unique(gauges)?,
+                Names::from_unique(hists)?,
+            ],
+        })
+    }
+
+    /// Whether this layout holds exactly these names, in this order.
+    pub fn has_names(&self, counters: &[&str], gauges: &[&str], hists: &[&str]) -> bool {
+        self.names
+            .iter()
+            .zip([counters, gauges, hists])
+            .all(|(names, given)| names.iter().eq(given.iter().copied()))
+    }
+}
+
+/// The layout every registry starts from: empty, shared, so building a
+/// registry (or `mem::take`-ing one) allocates nothing.
+fn empty_layout() -> Arc<MetricLayout> {
+    static EMPTY: OnceLock<Arc<MetricLayout>> = OnceLock::new();
+    Arc::clone(EMPTY.get_or_init(Default::default))
+}
+
+/// Position of `name` among one kind's names, appending it (with a zero
+/// value) when absent. Copies a shared layout before appending.
+fn position<V: Default>(
+    layout: &mut Arc<MetricLayout>,
+    kind: usize,
+    values: &mut Vec<V>,
+    name: &str,
+) -> usize {
+    match layout.names[kind].find(name) {
+        Some(i) => i,
+        None => {
+            values.push(V::default());
+            Arc::make_mut(layout).names[kind].push(name)
+        }
+    }
+}
+
 /// Hierarchical registry of named counters (`u64`), gauges (`f64`), and
 /// [`LogHistogram`]s. Names are dot-separated paths (`mem.fast.ch0.reads`);
 /// the [`scoped`](MetricsRegistry::scoped) helper prepends a prefix so
 /// components stay ignorant of where they sit in the hierarchy.
 ///
-/// Iteration order is insertion order (backed by an index map), so a
-/// registry built by a deterministic collection pass serialises identically
-/// every run.
+/// The registry is one value vector per kind over a shared, copy-on-write
+/// [`MetricLayout`] of names. Iteration order is insertion order, so a
+/// registry built by a deterministic collection pass serialises
+/// identically every run. Cloning copies values only.
 ///
 /// Besides the name-keyed API there is an *interned* API: resolve a name
 /// once with [`intern_counter`](MetricsRegistry::intern_counter) (and
 /// friends) and then read/write through the dense integer handle with no
-/// hashing or string formatting. Interning a name that already exists
+/// lookup or string formatting. Interning a name that already exists
 /// returns its existing position, so a registry populated by a string-keyed
 /// collection pass and one populated through handles interned in the same
 /// order are byte-identical when serialised.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct MetricsRegistry {
     enabled: bool,
-    counters: Vec<(String, u64)>,
-    counter_idx: HashMap<String, usize>,
-    gauges: Vec<(String, f64)>,
-    gauge_idx: HashMap<String, usize>,
-    hists: Vec<(String, LogHistogram)>,
-    hist_idx: HashMap<String, usize>,
+    layout: Arc<MetricLayout>,
+    counters: Vec<u64>,
+    gauges: Vec<f64>,
+    hists: Vec<LogHistogram>,
+}
+
+impl Default for MetricsRegistry {
+    fn default() -> Self {
+        Self::new(false)
+    }
 }
 
 impl MetricsRegistry {
     /// New registry; when `enabled` is false every mutation is a no-op that
     /// allocates nothing.
     pub fn new(enabled: bool) -> Self {
-        Self { enabled, ..Self::default() }
+        Self {
+            enabled,
+            layout: empty_layout(),
+            counters: Vec::new(),
+            gauges: Vec::new(),
+            hists: Vec::new(),
+        }
+    }
+
+    /// A registry over a shared `layout`, with one value per name in each
+    /// kind (persistence codecs). Panics when a count does not match.
+    pub fn from_parts(
+        layout: Arc<MetricLayout>,
+        counters: Vec<u64>,
+        gauges: Vec<f64>,
+        hists: Vec<LogHistogram>,
+    ) -> Self {
+        let lens = [counters.len(), gauges.len(), hists.len()];
+        assert!(
+            layout.names.iter().zip(lens).all(|(n, len)| n.len() == len),
+            "metric values do not match their layout"
+        );
+        Self { enabled: true, layout, counters, gauges, hists }
+    }
+
+    /// The shared name layout (persistence codecs hand it to the next
+    /// registry with the same names).
+    pub fn layout(&self) -> &Arc<MetricLayout> {
+        &self.layout
     }
 
     /// Whether mutations are recorded.
     pub fn enabled(&self) -> bool {
         self.enabled
+    }
+
+    fn counter_pos(&mut self, name: &str) -> usize {
+        position(&mut self.layout, COUNTER, &mut self.counters, name)
+    }
+
+    fn gauge_pos(&mut self, name: &str) -> usize {
+        position(&mut self.layout, GAUGE, &mut self.gauges, name)
+    }
+
+    fn hist_pos(&mut self, name: &str) -> usize {
+        position(&mut self.layout, HIST, &mut self.hists, name)
     }
 
     /// Add `v` to counter `name`, creating it at the current tail position
@@ -216,13 +436,8 @@ impl MetricsRegistry {
         if !self.enabled {
             return;
         }
-        match self.counter_idx.get(name) {
-            Some(&i) => self.counters[i].1 += v,
-            None => {
-                self.counter_idx.insert(name.to_string(), self.counters.len());
-                self.counters.push((name.to_string(), v));
-            }
-        }
+        let i = self.counter_pos(name);
+        self.counters[i] += v;
     }
 
     /// Set gauge `name` to `v` (last write wins).
@@ -230,13 +445,8 @@ impl MetricsRegistry {
         if !self.enabled {
             return;
         }
-        match self.gauge_idx.get(name) {
-            Some(&i) => self.gauges[i].1 = v,
-            None => {
-                self.gauge_idx.insert(name.to_string(), self.gauges.len());
-                self.gauges.push((name.to_string(), v));
-            }
-        }
+        let i = self.gauge_pos(name);
+        self.gauges[i] = v;
     }
 
     /// Record one sample into histogram `name`.
@@ -244,7 +454,8 @@ impl MetricsRegistry {
         if !self.enabled {
             return;
         }
-        self.hist_mut(name).record(v);
+        let i = self.hist_pos(name);
+        self.hists[i].record(v);
     }
 
     /// Merge a whole pre-built histogram into histogram `name`.
@@ -252,50 +463,38 @@ impl MetricsRegistry {
         if !self.enabled {
             return;
         }
-        self.hist_mut(name).merge(h);
-    }
-
-    fn hist_mut(&mut self, name: &str) -> &mut LogHistogram {
-        let i = match self.hist_idx.get(name) {
-            Some(&i) => i,
-            None => {
-                let i = self.hists.len();
-                self.hist_idx.insert(name.to_string(), i);
-                self.hists.push((name.to_string(), LogHistogram::new()));
-                i
-            }
-        };
-        &mut self.hists[i].1
+        let i = self.hist_pos(name);
+        self.hists[i].merge(h);
     }
 
     /// Read a counter (0 if absent).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counter_idx.get(name).map(|&i| self.counters[i].1).unwrap_or(0)
+        self.layout.names[COUNTER].find(name).map_or(0, |i| self.counters[i])
     }
 
     /// Read a gauge, if set.
     pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauge_idx.get(name).map(|&i| self.gauges[i].1)
+        self.layout.names[GAUGE].find(name).map(|i| self.gauges[i])
     }
 
     /// Read a histogram, if present.
     pub fn hist(&self, name: &str) -> Option<&LogHistogram> {
-        self.hist_idx.get(name).map(|&i| &self.hists[i].1)
+        self.layout.names[HIST].find(name).map(|i| &self.hists[i])
     }
 
     /// Counters in insertion order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(n, v)| (n.as_str(), *v))
+        self.layout.names[COUNTER].iter().zip(self.counters.iter().copied())
     }
 
     /// Gauges in insertion order.
     pub fn gauges(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.gauges.iter().map(|(n, v)| (n.as_str(), *v))
+        self.layout.names[GAUGE].iter().zip(self.gauges.iter().copied())
     }
 
     /// Histograms in insertion order.
     pub fn hists(&self) -> impl Iterator<Item = (&str, &LogHistogram)> {
-        self.hists.iter().map(|(n, h)| (n.as_str(), h))
+        self.layout.names[HIST].iter().zip(self.hists.iter())
     }
 
     /// True when nothing has been recorded.
@@ -323,13 +522,8 @@ impl MetricsRegistry {
         if !self.enabled {
             return;
         }
-        match self.counter_idx.get(name) {
-            Some(&i) => self.counters[i].1 = v,
-            None => {
-                self.counter_idx.insert(name.to_string(), self.counters.len());
-                self.counters.push((name.to_string(), v));
-            }
-        }
+        let i = self.counter_pos(name);
+        self.counters[i] = v;
     }
 
     /// Replace histogram `name` with a copy of `h` (name-keyed).
@@ -337,27 +531,24 @@ impl MetricsRegistry {
         if !self.enabled {
             return;
         }
-        self.hist_mut(name).clone_from(h);
+        let i = self.hist_pos(name);
+        self.hists[i].clone_from(h);
     }
 
     /// Per-window view: counters and histograms become `self - prev`
     /// (saturating); gauges keep their current (instantaneous) value.
-    /// Names absent from `prev` are treated as zero there. The result keeps
-    /// `self`'s insertion order.
+    /// Names absent from `prev` are treated as zero there. The result
+    /// shares `self`'s layout.
     pub fn delta_from(&self, prev: &MetricsRegistry) -> MetricsRegistry {
-        let mut out = MetricsRegistry::new(true);
-        for (n, v) in self.counters() {
-            out.inc(n, v.saturating_sub(prev.counter(n)));
+        let mut out = self.clone();
+        out.enabled = true;
+        for ((n, v), o) in self.counters().zip(out.counters.iter_mut()) {
+            *o = v.saturating_sub(prev.counter(n));
         }
-        for (n, v) in self.gauges() {
-            out.set_gauge(n, v);
-        }
-        for (n, h) in self.hists() {
-            let d = match prev.hist(n) {
-                Some(p) => h.delta_from(p),
-                None => h.clone(),
-            };
-            out.merge_hist(n, &d);
+        for ((n, h), o) in self.hists().zip(out.hists.iter_mut()) {
+            if let Some(p) = prev.hist(n) {
+                *o = h.delta_from(p);
+            }
         }
         out
     }
@@ -369,69 +560,52 @@ impl MetricsRegistry {
     /// Interning ignores the `enabled` flag: it is a build-time operation,
     /// and callers only build handle layouts for registries they collect.
     pub fn intern_counter(&mut self, name: &str) -> CounterId {
-        let i = match self.counter_idx.get(name) {
-            Some(&i) => i,
-            None => {
-                let i = self.counters.len();
-                self.counter_idx.insert(name.to_string(), i);
-                self.counters.push((name.to_string(), 0));
-                i
-            }
-        };
-        CounterId(i as u32)
+        CounterId(self.counter_pos(name) as u32)
     }
 
     /// Resolve `name` to a dense gauge handle (creating it at 0.0).
     pub fn intern_gauge(&mut self, name: &str) -> GaugeId {
-        let i = match self.gauge_idx.get(name) {
-            Some(&i) => i,
-            None => {
-                let i = self.gauges.len();
-                self.gauge_idx.insert(name.to_string(), i);
-                self.gauges.push((name.to_string(), 0.0));
-                i
-            }
-        };
-        GaugeId(i as u32)
+        GaugeId(self.gauge_pos(name) as u32)
     }
 
     /// Resolve `name` to a dense histogram handle (creating it empty).
     pub fn intern_hist(&mut self, name: &str) -> HistId {
-        let i = match self.hist_idx.get(name) {
-            Some(&i) => i,
-            None => {
-                let i = self.hists.len();
-                self.hist_idx.insert(name.to_string(), i);
-                self.hists.push((name.to_string(), LogHistogram::new()));
-                i
-            }
-        };
-        HistId(i as u32)
+        HistId(self.hist_pos(name) as u32)
     }
 
     /// Set an interned counter to an absolute (cumulative) value.
     #[inline]
     pub fn set_counter(&mut self, id: CounterId, v: u64) {
-        self.counters[id.0 as usize].1 = v;
+        self.counters[id.0 as usize] = v;
     }
 
     /// Add to an interned counter.
     #[inline]
     pub fn add_counter(&mut self, id: CounterId, v: u64) {
-        self.counters[id.0 as usize].1 += v;
+        self.counters[id.0 as usize] += v;
     }
 
     /// Set an interned gauge.
     #[inline]
     pub fn set_gauge_id(&mut self, id: GaugeId, v: f64) {
-        self.gauges[id.0 as usize].1 = v;
+        self.gauges[id.0 as usize] = v;
     }
 
     /// Overwrite an interned histogram with a copy of `h` (set semantics:
     /// the registry slot mirrors the component's cumulative histogram).
     #[inline]
     pub fn set_hist(&mut self, id: HistId, h: &LogHistogram) {
-        self.hists[id.0 as usize].1.clone_from(h);
+        self.hists[id.0 as usize].clone_from(h);
+    }
+
+    /// Debug-build check that `other` has the same names at the same
+    /// positions. Pointer-equal layouts skip the name walk.
+    fn debug_assert_same_layout(&self, other: &MetricsRegistry) {
+        if cfg!(debug_assertions) && !Arc::ptr_eq(&self.layout, &other.layout) {
+            for (k, kind) in KIND_NAMES.iter().enumerate() {
+                assert!(self.layout.names[k] == other.layout.names[k], "{kind} layouts diverged");
+            }
+        }
     }
 
     /// Index-wise [`Self::delta_from`] for two same-layout registries (a
@@ -439,53 +613,32 @@ impl MetricsRegistry {
     /// no name lookups, positions are trusted to match. The layouts must
     /// be identical — same names at the same indices — which holds by
     /// construction when `prev` started as a clone of `self` and every
-    /// later interning touched both.
+    /// later interning touched both. The result shares `self`'s layout,
+    /// so cutting a frame copies values only.
     pub fn delta_from_indexed(&self, prev: &MetricsRegistry) -> MetricsRegistry {
-        debug_assert_eq!(self.counters.len(), prev.counters.len(), "counter layouts diverged");
-        debug_assert_eq!(self.gauges.len(), prev.gauges.len(), "gauge layouts diverged");
-        debug_assert_eq!(self.hists.len(), prev.hists.len(), "histogram layouts diverged");
-        let mut out = MetricsRegistry::new(true);
-        out.counters = self
-            .counters
-            .iter()
-            .zip(prev.counters.iter())
-            .map(|((n, v), (pn, pv))| {
-                debug_assert_eq!(n, pn, "counter layouts diverged");
-                (n.clone(), v.saturating_sub(*pv))
-            })
-            .collect();
-        out.counter_idx = self.counter_idx.clone();
-        out.gauges = self.gauges.clone();
-        out.gauge_idx = self.gauge_idx.clone();
-        out.hists = self
-            .hists
-            .iter()
-            .zip(prev.hists.iter())
-            .map(|((n, h), (pn, ph))| {
-                debug_assert_eq!(n, pn, "histogram layouts diverged");
-                (n.clone(), h.delta_from(ph))
-            })
-            .collect();
-        out.hist_idx = self.hist_idx.clone();
-        out
+        self.debug_assert_same_layout(prev);
+        MetricsRegistry {
+            enabled: true,
+            layout: Arc::clone(&self.layout),
+            counters: self
+                .counters
+                .iter()
+                .zip(&prev.counters)
+                .map(|(v, p)| v.saturating_sub(*p))
+                .collect(),
+            gauges: self.gauges.clone(),
+            hists: self.hists.iter().zip(&prev.hists).map(|(h, p)| h.delta_from(p)).collect(),
+        }
     }
 
     /// Copy every value from a same-layout registry, allocating nothing
     /// (histograms are fixed arrays). Used to refresh the previous-epoch
     /// snapshot from the cumulative registry after a frame is cut.
     pub fn copy_values_from(&mut self, other: &MetricsRegistry) {
-        debug_assert_eq!(self.counters.len(), other.counters.len(), "counter layouts diverged");
-        debug_assert_eq!(self.gauges.len(), other.gauges.len(), "gauge layouts diverged");
-        debug_assert_eq!(self.hists.len(), other.hists.len(), "histogram layouts diverged");
-        for (a, b) in self.counters.iter_mut().zip(other.counters.iter()) {
-            a.1 = b.1;
-        }
-        for (a, b) in self.gauges.iter_mut().zip(other.gauges.iter()) {
-            a.1 = b.1;
-        }
-        for (a, b) in self.hists.iter_mut().zip(other.hists.iter()) {
-            a.1.clone_from(&b.1);
-        }
+        self.debug_assert_same_layout(other);
+        self.counters.copy_from_slice(&other.counters);
+        self.gauges.copy_from_slice(&other.gauges);
+        self.hists.clone_from_slice(&other.hists);
     }
 }
 
@@ -683,9 +836,40 @@ mod tests {
         assert_eq!(zero.counter("x.n"), 0);
         assert_eq!(zero.hist("x.h").unwrap().count(), 0);
         // Layout (names + order) survives every operation.
-        let a: Vec<_> = cum.counters().map(|(n, _)| n.to_string()).collect();
-        let b: Vec<_> = zero.counters().map(|(n, _)| n.to_string()).collect();
-        assert_eq!(a, b);
+        let names = |r: &MetricsRegistry| -> Vec<String> {
+            r.counters().map(|(n, _)| n.to_string()).collect()
+        };
+        assert_eq!(names(&cum), names(&zero));
+
+        // Copy-on-write: a cut frame shares the cumulative layout until a
+        // name is interned; then the registry that gains it copies first.
+        assert!(Arc::ptr_eq(by_index.layout(), cum.layout()));
+        let fresh = cum.intern_counter("x.new");
+        assert_eq!(prev.intern_counter("x.new"), fresh);
+        cum.set_counter(fresh, 3);
+        assert!(!Arc::ptr_eq(by_index.layout(), cum.layout()));
+        assert!(!Arc::ptr_eq(prev.layout(), cum.layout()));
+        assert_eq!(names(&by_index), ["x.n"]);
+        assert_eq!(by_index.counter("x.n"), 5);
+        assert_eq!(names(&cum), ["x.n", "x.new"]);
+        // Equal names behind distinct layouts pass the layout checks...
+        assert_eq!(cum.delta_from_indexed(&prev).counter("x.new"), 3);
+        prev.copy_values_from(&cum);
+        assert_eq!(prev.counter("x.new"), 3);
+        // ...which debug builds still run: a different name at the same
+        // position is caught by both.
+        #[cfg(debug_assertions)]
+        {
+            let mut odd = by_index.clone();
+            odd.intern_counter("x.odd");
+            let diverged = |f: &dyn Fn()| {
+                let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+                    .expect_err("diverged layouts must fail the debug check");
+                err.downcast_ref::<String>().is_some_and(|m| m == "counter layouts diverged")
+            };
+            assert!(diverged(&|| drop(cum.delta_from_indexed(&odd))));
+            assert!(diverged(&|| prev.clone().copy_values_from(&odd)));
+        }
     }
 
     #[test]
