@@ -28,7 +28,10 @@
 //!   evictor does not depend on filesystem atime (usually mounted
 //!   `relatime`). Index updates are best-effort: a missing or stale index
 //!   is rebuilt from the directory listing with file mtimes, so crashing
-//!   between an entry publish and its index line loses nothing.
+//!   between an entry publish and its index line loses nothing. A load
+//!   refreshes its entry's last-used stamp only once the stamp is
+//!   [`TOUCH_INTERVAL`] old, so a hit on a recently used entry writes
+//!   nothing.
 //! - **LRU size-based eviction.** [`ShardedStore::gc`] (CLI:
 //!   `h2 cache gc --max-bytes N`) evicts least-recently-used entries
 //!   until the store fits the budget, and sweeps quarantine and stale
@@ -63,6 +66,14 @@ const STALE_LOCK: Duration = Duration::from_secs(10);
 
 /// How long to keep retrying a contended lock before giving up.
 const LOCK_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// How old an entry's last-used stamp must be before a load refreshes it.
+/// The stamp only orders `gc`'s evictions, for which an hour's resolution
+/// does as well as a second's; refreshing it on every load would make each
+/// hit take the shard lock and rewrite the shard index (two lock-file
+/// operations, a temp write and a rename), which costs more than reading
+/// and decoding the entry and makes the hit's time depend on the disk.
+pub const TOUCH_INTERVAL: Duration = Duration::from_secs(3600);
 
 /// Fault-injection points for the crash-consistency tests: what a writer
 /// does *instead of* a clean commit. Never set outside tests.
@@ -185,7 +196,9 @@ impl ShardedStore {
     /// the running binary's [`cache_tag`], and migrates any flat-layout
     /// entries (`<root>/<key>.h2r` from older revisions) into their
     /// shards. Concurrent opens are safe: the lock serialises the wipe,
-    /// and migration renames are atomic.
+    /// and migration renames are atomic. A store that already has the
+    /// binary's `VERSION` and no flat-layout entries has nothing to
+    /// change, so opening it takes no lock and writes nothing.
     pub fn open(root: &Path) -> io::Result<Self> {
         fs::create_dir_all(root)?;
         let tag = cache_tag();
@@ -195,9 +208,11 @@ impl ShardedStore {
             fault: Mutex::new(CommitFault::None),
             quarantined: AtomicU64::new(0),
         };
-        {
+        let version_file = root.join("VERSION");
+        let current = fs::read_to_string(&version_file).is_ok_and(|v| v == store.tag)
+            && store.flat_entries().next().is_none();
+        if !current {
             let _lock = acquire_lock(&root.join(".store.lock"))?;
-            let version_file = root.join("VERSION");
             let on_disk = fs::read_to_string(&version_file).unwrap_or_default();
             if on_disk != store.tag {
                 store.wipe_entries();
@@ -260,24 +275,24 @@ impl ShardedStore {
         }
     }
 
+    /// Flat-layout entries (`<root>/<key>.h2r`) and their keys.
+    fn flat_entries(&self) -> impl Iterator<Item = (PathBuf, u128)> {
+        fs::read_dir(&self.root).into_iter().flatten().flatten().filter_map(|entry| {
+            let p = entry.path();
+            if p.extension().is_none_or(|e| e != "h2r") || !p.is_file() {
+                return None;
+            }
+            let key = p.file_stem()?.to_str().and_then(|s| u128::from_str_radix(s, 16).ok())?;
+            Some((p, key))
+        })
+    }
+
     /// Move flat-layout entries (`<root>/<key>.h2r`) into their shards.
     /// Renames are atomic; a concurrent process that already migrated an
     /// entry wins and the duplicate source is dropped. Caller holds the
     /// store lock.
     fn migrate_flat_entries(&self) {
-        let Ok(rd) = fs::read_dir(&self.root) else { return };
-        for entry in rd.flatten() {
-            let p = entry.path();
-            if !p.is_file() || p.extension().is_none_or(|e| e != "h2r") {
-                continue;
-            }
-            let Some(key) = p
-                .file_stem()
-                .and_then(|s| s.to_str())
-                .and_then(|s| u128::from_str_radix(s, 16).ok())
-            else {
-                continue;
-            };
+        for (p, key) in self.flat_entries() {
             let dest = self.entry_path(key);
             if fs::create_dir_all(self.shard_dir(key)).is_err() {
                 continue;
@@ -422,12 +437,24 @@ impl ShardedStore {
         let _ = Self::write_index(shard, &entries);
     }
 
-    /// Upsert one index line, acquiring the shard lock first. On lock
+    /// Refresh one entry's index line unless it already records `size`
+    /// and a last-used stamp younger than [`TOUCH_INTERVAL`]; only a
+    /// refresh takes the shard lock. Reading without the lock is safe
+    /// because the index is only ever replaced whole, by rename. On lock
     /// timeout the index is left stale (same best-effort contract).
     fn index_touch(&self, key: u128, size: u64) {
         let shard = self.shard_dir(key);
+        let now = now_secs();
+        let recent = |&(k, s, used): &IndexEntry| {
+            k == key
+                && s == size
+                && now.checked_sub(used).is_some_and(|age| age < TOUCH_INTERVAL.as_secs())
+        };
+        if Self::read_index(&shard).iter().any(recent) {
+            return;
+        }
         let Ok(_lock) = acquire_lock(&shard.join(".lock")) else { return };
-        Self::index_upsert_locked(&shard, key, size, now_secs());
+        Self::index_upsert_locked(&shard, key, size, now);
     }
 
     // --- eviction ---------------------------------------------------------
@@ -629,6 +656,35 @@ mod tests {
         // Index is consistent with the directory after eviction.
         let idx = ShardedStore::read_index(&shard);
         assert!(idx.iter().all(|(k, _, _)| *k != 1));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn warm_reads_write_nothing() {
+        let dir = tmp_dir("warm-read");
+        let store = ShardedStore::open(&dir).unwrap();
+        let r = sample_report();
+        store.store(1, &r).unwrap();
+        store.store(2, &r).unwrap();
+        let shard = store.shard_dir(1);
+        let (size, now) = (encode_len(&store, &r), now_secs());
+        {
+            let _lock = acquire_lock(&shard.join(".lock")).unwrap();
+            ShardedStore::index_upsert_locked(&shard, 1, size, now - 60);
+            ShardedStore::index_upsert_locked(&shard, 2, size, now - TOUCH_INTERVAL.as_secs());
+        }
+        // A current store opens without its lock, which is held elsewhere
+        // (taking it would wait until it counts as stale and break it).
+        let warm = {
+            let _held = acquire_lock(&dir.join(".store.lock")).unwrap();
+            let warm = ShardedStore::open(&dir).unwrap();
+            assert!(dir.join(".store.lock").exists(), "open left the held lock alone");
+            warm
+        };
+        assert!(warm.load(1).is_some() && warm.load(2).is_some());
+        let stamp = |key| ShardedStore::read_index(&shard).iter().find(|e| e.0 == key).map(|e| e.2);
+        assert_eq!(stamp(1), Some(now - 60), "a recent stamp is left alone");
+        assert!(stamp(2) >= Some(now), "a stamp TOUCH_INTERVAL old is refreshed");
         let _ = fs::remove_dir_all(&dir);
     }
 
