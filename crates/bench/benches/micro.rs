@@ -14,7 +14,7 @@ use h2_hybrid::types::{HybridConfig, ReqClass};
 use h2_hydrogen::partition::PartitionMap;
 use h2_mem::device::PIPELINE_DEPTH;
 use h2_mem::{MemCmd, MemDevice, TimingPreset};
-use h2_sim_core::{EngineKind, EventQueue};
+use h2_sim_core::{CalendarQueue, HeapQueue, Queue};
 use h2_system::{run_sim, PolicyKind, SystemConfig};
 use h2_trace::workloads;
 use h2_trace::Mix;
@@ -24,10 +24,29 @@ use std::hint::black_box;
 /// them all. The queue is constructed once outside the timed region — real
 /// simulations build one queue and push hundreds of millions of events
 /// through it, so construction is fully amortised.
-fn queue_round(q: &mut EventQueue<u64>, depth: u64, horizon: u64) -> u64 {
+fn queue_round(q: &mut impl Queue<u64>, depth: u64, horizon: u64) -> u64 {
     let now = q.now();
     for i in 0..depth {
         q.schedule_at(now + (i * 7919) % horizon, i);
+    }
+    let mut sum = 0u64;
+    while let Some(e) = q.pop() {
+        sum = sum.wrapping_add(e.payload);
+    }
+    sum
+}
+
+/// Mixed horizon: ~1/8 of events far in the future (epoch/faucet timers),
+/// exercising the overflow heap and its drain path.
+fn mixed_round(q: &mut impl Queue<u64>) -> u64 {
+    let now = q.now();
+    for i in 0..4096u64 {
+        let t = if i % 8 == 0 {
+            100_000 + (i * 104_729) % 3_000_000
+        } else {
+            (i * 7919) % 5000
+        };
+        q.schedule_at(now + t, i);
     }
     let mut sum = 0u64;
     while let Some(e) = q.pop() {
@@ -41,34 +60,19 @@ fn bench_event_queue(b: &mut Bench) {
         // Near-horizon: everything lands in the calendar wheel, the common
         // case during simulation (latencies are tens-to-thousands of cycles).
         let horizon = 5000.max(depth / 2);
-        for (tag, kind) in [("calendar", EngineKind::Calendar), ("heap", EngineKind::Heap)] {
-            let mut q = EventQueue::with_engine(kind);
-            b.bench(&format!("event_queue_{tag}_{depth}"), move || {
-                black_box(queue_round(&mut q, depth, horizon))
-            });
-        }
-    }
-    // Mixed horizon: ~1/8 of events far in the future (epoch/faucet timers),
-    // exercising the overflow heap and its drain path.
-    for (tag, kind) in [("calendar", EngineKind::Calendar), ("heap", EngineKind::Heap)] {
-        let mut q = EventQueue::with_engine(kind);
-        b.bench(&format!("event_queue_{tag}_4096_mixed"), move || {
-            let now = q.now();
-            for i in 0..4096u64 {
-                let t = if i % 8 == 0 {
-                    100_000 + (i * 104_729) % 3_000_000
-                } else {
-                    (i * 7919) % 5000
-                };
-                q.schedule_at(now + t, i);
-            }
-            let mut sum = 0u64;
-            while let Some(e) = q.pop() {
-                sum = sum.wrapping_add(e.payload);
-            }
-            black_box(sum)
+        let mut cal = CalendarQueue::new();
+        b.bench(&format!("event_queue_calendar_{depth}"), move || {
+            black_box(queue_round(&mut cal, depth, horizon))
+        });
+        let mut heap = HeapQueue::new();
+        b.bench(&format!("event_queue_heap_{depth}"), move || {
+            black_box(queue_round(&mut heap, depth, horizon))
         });
     }
+    let mut cal = CalendarQueue::new();
+    b.bench("event_queue_calendar_4096_mixed", move || black_box(mixed_round(&mut cal)));
+    let mut heap = HeapQueue::new();
+    b.bench("event_queue_heap_4096_mixed", move || black_box(mixed_round(&mut heap)));
 }
 
 fn bench_job_key(b: &mut Bench) {
@@ -227,14 +231,9 @@ fn bench_full_system(b: &mut Bench) {
     cfg.warmup_cycles = 50_000;
     cfg.measure_cycles = 100_000;
     let mix = Mix::by_name("C1").unwrap();
-    for (tag, kind) in [("calendar", EngineKind::Calendar), ("heap", EngineKind::Heap)] {
-        cfg.engine = kind;
-        let c = cfg.clone();
-        let m = mix.clone();
-        b.bench(&format!("full_system_tiny_c1_150k_{tag}"), move || {
-            black_box(run_sim(&c, &m, PolicyKind::HydrogenFull).events_processed)
-        });
-    }
+    b.bench("full_system_tiny_c1_150k_calendar", move || {
+        black_box(run_sim(&cfg, &mix, PolicyKind::HydrogenFull).events_processed)
+    });
 }
 
 fn main() {

@@ -16,8 +16,26 @@ use crate::diff::diff_reports;
 use crate::monitors::standard_monitors;
 use crate::relations;
 use h2_sim_core::trace_span::tiles_exactly;
-use h2_sim_core::{EngineKind, Json};
-use h2_system::{run_workloads, run_workloads_monitored, RunReport};
+use h2_sim_core::Json;
+use h2_system::{
+    plan_from_workloads, run_plan_on_heap, run_workloads_monitored, PolicyKind, RunReport,
+    SystemConfig,
+};
+use h2_trace::WorkloadSpec;
+
+/// [`h2_system::run_workloads`] on the legacy binary-heap event queue: the
+/// reference run of the engine-differential oracle.
+pub fn run_workloads_on_heap(
+    cfg: &SystemConfig,
+    label: &str,
+    cpu_specs: &[WorkloadSpec],
+    gpu_spec: Option<&WorkloadSpec>,
+    kind: PolicyKind,
+    fast_capacity: u64,
+) -> RunReport {
+    let plan = plan_from_workloads(cfg, cpu_specs, gpu_spec);
+    run_plan_on_heap(cfg, label, kind, fast_capacity, plan)
+}
 
 /// Run label used for every battery run. Constant so that re-runs of the
 /// same case (engine oracle, relations, replay) compare equal on
@@ -120,9 +138,7 @@ fn battery_inner(case: &FuzzCase, hooks: &OracleHooks) -> Result<(), Failure> {
     // 3. Engine differential: an *unmonitored* heap-engine run must match
     //    byte-for-byte — proving both engine equivalence and that the
     //    monitors perturbed nothing.
-    let mut heap_cfg = cfg.clone();
-    heap_cfg.engine = EngineKind::Heap;
-    let heap = run_workloads(&heap_cfg, FUZZ_LABEL, &cpu, gpu.as_ref(), kind, cap);
+    let heap = run_workloads_on_heap(&cfg, FUZZ_LABEL, &cpu, gpu.as_ref(), kind, cap);
     if let Some(d) = diff_reports(&report, &heap) {
         return Err(Failure::new(
             "oracle:engine-diff",

@@ -12,10 +12,11 @@
 //!   probe hook, checked at every epoch/faucet boundary: token
 //!   conservation, fast-way occupancy bounds, remap-table coherence,
 //!   transaction accounting, counter monotonicity, device pipeline
-//!   limits.
+//!   limits, alloc-mask memo coherence, and interned-metric fidelity.
 //! * **Differential oracles** ([`fuzz::OracleHooks`]) — calendar vs heap
-//!   engines, persistence-codec round-trips, and run-cache store/replay
-//!   must all reproduce the report exactly ([`diff::diff_reports`]).
+//!   engines ([`run_workloads_on_heap`], [`run_scenario_on_heap`]),
+//!   persistence-codec round-trips, and run-cache store/replay must all
+//!   reproduce the report exactly ([`diff::diff_reports`]).
 //! * **Metamorphic relations** ([`relations`]) — transformed re-runs with
 //!   semantics the paper pins down (observation layers never perturb
 //!   timing, absent processors generate no traffic, ...).
@@ -34,9 +35,11 @@ pub mod tenancy;
 pub use case::{policy_by_name, FuzzCase, POLICIES};
 pub use diff::{diff_reports, diff_reports_except};
 pub use fuzz::{
-    fuzz, parse_repro, repro_json, run_battery, shrink, Failure, FuzzOutcome, OracleHooks,
-    FUZZ_LABEL,
+    fuzz, parse_repro, repro_json, run_battery, run_workloads_on_heap, shrink, Failure,
+    FuzzOutcome, OracleHooks, FUZZ_LABEL,
 };
 pub use monitors::standard_monitors;
 pub use relations::{applicable, check as check_relation, Relation};
-pub use tenancy::{check_partition, permute_tenants, sample_scenario, scenario_battery};
+pub use tenancy::{
+    check_partition, permute_tenants, run_scenario_on_heap, sample_scenario, scenario_battery,
+};

@@ -189,6 +189,22 @@ impl InvariantMonitor<SimProbe> for MaskMemoCoherence {
     }
 }
 
+/// Interned-metric fidelity: at every epoch boundary of a run with
+/// telemetry on, the registry the handle path wrote — the one epoch frames
+/// are cut from — equals a fresh collection on the string path of record
+/// (see `SimProbe::interned_metrics`).
+pub struct InternedMetrics;
+
+impl InvariantMonitor<SimProbe> for InternedMetrics {
+    fn name(&self) -> &'static str {
+        "interned-metrics"
+    }
+
+    fn check(&mut self, p: &SimProbe) -> Result<(), String> {
+        p.interned_metrics.as_ref().map(|_| ()).map_err(String::clone)
+    }
+}
+
 /// The full standard battery, in a fixed order (order shows up in
 /// violation reports, so keep it stable).
 pub fn standard_monitors() -> MonitorSet<SimProbe> {
@@ -200,6 +216,7 @@ pub fn standard_monitors() -> MonitorSet<SimProbe> {
     set.register(Box::new(MonotoneCounters::default()));
     set.register(Box::new(MemDeviceInvariants));
     set.register(Box::new(MaskMemoCoherence));
+    set.register(Box::new(InternedMetrics));
     set
 }
 
@@ -227,6 +244,7 @@ mod tests {
             policy_invariants: Ok(()),
             mem_invariants: Ok(()),
             mask_memo: Ok(0),
+            interned_metrics: Ok(0),
             fast: MemStats::default(),
             slow: MemStats::default(),
             spans_closed: 0,
@@ -258,10 +276,11 @@ mod tests {
         p.inflight = 1; // 3 + 1 != 5
         p.mem_invariants = Err("channel 0: stuck".into());
         p.mask_memo = Err("set 3: memo 0b0011 != policy 0b1100".into());
+        p.interned_metrics = Err("counter 9: cache.llc.hits = 5 vs cache.llc.hits = 4".into());
 
         let mut set = standard_monitors();
         let fresh = set.check_all(123, &p);
-        assert_eq!(fresh, 6);
+        assert_eq!(fresh, 7);
         let names: Vec<&str> = set.violations().iter().map(|v| v.monitor).collect();
         assert_eq!(
             names,
@@ -271,7 +290,8 @@ mod tests {
                 "remap-coherence",
                 "txn-accounting",
                 "mem-device",
-                "mask-memo"
+                "mask-memo",
+                "interned-metrics"
             ]
         );
         assert!(set.violations().iter().all(|v| v.at == 123));

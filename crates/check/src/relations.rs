@@ -31,11 +31,6 @@ pub enum Relation {
     /// `NoMigrate` (cache mode) performs no migrations, so the fast tier
     /// stays empty: no hits, no swaps, no victim write-backs.
     NoMigrateZero,
-    /// Re-running on the legacy string-keyed metrics path produces a
-    /// byte-identical report — the interned-handle fast path is a pure
-    /// observation-layer rewrite with no semantic freedom at all, so this
-    /// diff runs with *no* exclusions.
-    InternedMetrics,
 }
 
 impl Relation {
@@ -47,18 +42,13 @@ impl Relation {
             Relation::SoloSideZero => "solo-side-zero",
             Relation::EpochDouble => "epoch-double",
             Relation::NoMigrateZero => "no-migrate-zero",
-            Relation::InternedMetrics => "interned-metrics",
         }
     }
 }
 
 /// The relations that apply to `case`, in catalogue order.
 pub fn applicable(case: &FuzzCase) -> Vec<Relation> {
-    let mut rels = vec![
-        Relation::TelemetryOff,
-        Relation::TraceFlip,
-        Relation::InternedMetrics,
-    ];
+    let mut rels = vec![Relation::TelemetryOff, Relation::TraceFlip];
     if case.cpu.is_empty() || case.gpu.is_none() {
         rels.push(Relation::SoloSideZero);
     }
@@ -131,17 +121,6 @@ pub fn check(
                 )),
             }
         }
-        Relation::InternedMetrics => {
-            let variant = rerun(case, label, |cfg| cfg.string_metrics = true)?;
-            // No exclusions: the two metric paths must agree on every byte,
-            // telemetry and trace included.
-            match diff_reports_except(base, &variant, &[]) {
-                None => Ok(()),
-                Some(d) => Err(format!(
-                    "interned metrics diverge from the string path: {d}"
-                )),
-            }
-        }
         Relation::NoMigrateZero => {
             let h = &base.hmc;
             if h.migrations != [0, 0]
@@ -188,7 +167,7 @@ mod tests {
         c.flat = false;
         let rels = applicable(&c);
         assert!(rels.contains(&Relation::TelemetryOff));
-        assert!(rels.contains(&Relation::InternedMetrics));
+        assert!(rels.contains(&Relation::TraceFlip));
         assert!(rels.contains(&Relation::EpochDouble));
         assert!(!rels.contains(&Relation::SoloSideZero));
         assert!(!rels.contains(&Relation::NoMigrateZero));

@@ -17,8 +17,11 @@
 
 use crate::diff::diff_reports;
 use h2_sim_core::trace_span::tiles_exactly;
-use h2_sim_core::{EngineKind, LogHistogram};
-use h2_system::{run_scenario, PolicyKind, RunReport, SystemConfig};
+use h2_sim_core::LogHistogram;
+use h2_system::{
+    run_plan_on_heap, run_scenario, scenario_config, scenario_plan, PolicyKind, RunReport,
+    SystemConfig,
+};
 use h2_trace::{Arrival, TenantScenario, TenantSpec};
 
 /// Deterministically generate a small scenario from a seed: 1–3 tenants,
@@ -72,6 +75,14 @@ pub fn sample_scenario(seed: u64) -> TenantScenario {
         });
     }
     TenantScenario { name: format!("fuzz-sc-{seed}"), seed, tenants }
+}
+
+/// [`h2_system::run_scenario`] on the legacy binary-heap event queue: the
+/// reference run of the scenario engine differential.
+pub fn run_scenario_on_heap(cfg: &SystemConfig, sc: &TenantScenario, kind: PolicyKind) -> RunReport {
+    let cfg = scenario_config(cfg, sc);
+    let (plan, fast_capacity) = scenario_plan(&cfg, sc);
+    run_plan_on_heap(&cfg, &sc.name, kind, fast_capacity, plan)
 }
 
 /// Rotate tenant declaration order by `rot` positions. Unit counts and
@@ -160,9 +171,7 @@ pub fn scenario_battery(case_seed: u64, sim_seed: u64) -> Result<(), String> {
         }
     }
 
-    let mut heap_cfg = cfg.clone();
-    heap_cfg.engine = EngineKind::Heap;
-    let b = run_scenario(&heap_cfg, &sc, kind);
+    let b = run_scenario_on_heap(&cfg, &sc, kind);
     if let Some(d) = diff_reports(&a, &b) {
         return Err(format!("scenario calendar vs heap diverged: {d}"));
     }

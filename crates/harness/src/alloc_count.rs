@@ -2,7 +2,7 @@
 //!
 //! The counter is compiled in only with the `alloc-count` feature, so
 //! default builds pay nothing and the gate's timing numbers come from the
-//! stock allocator. The `h2` binary registers [`CountingAlloc`] as the
+//! stock allocator. The `h2` binary registers `CountingAlloc` as the
 //! `#[global_allocator]` when the feature is on; [`allocs`] then reports
 //! every allocation *and* reallocation made by the process (deallocations
 //! are not counted — the bench cares about allocator pressure, not

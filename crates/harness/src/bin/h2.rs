@@ -10,7 +10,6 @@
 //! h2 run --mix C1 --capture t.h2trace  # capture a mix run's demand stream
 //! h2 run --replay t.h2trace         # bit-identical replay from the capture
 //! h2 all                            # run everything (Tables I-II, Figs 2, 5-11)
-//! h2 run --jobs 4 fig8              # cap the simulation worker pool
 //! h2 fuzz --seeds 500               # deterministic simulation fuzzer (h2-check)
 //! h2 fuzz --replay repro.json       # replay a committed reproducer
 //! h2 bench [--gate|--baseline]      # hot-path bench / regression gate
@@ -18,6 +17,10 @@
 //! h2 cache stats                    # inspect the persistent run store
 //! h2 cache gc --max-bytes 512M      # LRU-evict the store down to a budget
 //! ```
+//!
+//! `--jobs N` sizes `h2 sweep`'s worker pool. `h2 run` and `h2 all` accept
+//! it but still simulate one job at a time: experiments submit their jobs
+//! to the run cache one by one.
 //!
 //! Scale with `H2_PROFILE=quick|default|full`; `H2_VERBOSE=1` for progress.
 //! `h2 run` and `h2 all` exit with status 1 when any paper claim checked by
@@ -167,7 +170,7 @@ fn main() {
         }
         _ => {
             eprintln!(
-                "usage: h2 list | h2 [--telemetry <dir>] [--trace <dir> [--trace-sample N]] [--profile <dir>] [--jobs N] run <experiment>.. | h2 all | h2 fuzz [--seeds N] [--time-budget SECS] [--jobs N] [--replay FILE] | h2 bench [--gate|--baseline] [--iters N] [--profile] [--profile-out DIR] [--profile-snapshot] | h2 sweep <spec.json> [--out FILE] [--jobs N] | h2 cache stats|gc [--max-bytes N[K|M|G]] [--dir D]"
+                "usage: h2 list | h2 [--telemetry <dir>] [--trace <dir> [--trace-sample N]] [--profile <dir>] [--jobs N] run <experiment>.. | h2 all | h2 fuzz [--seeds N] [--time-budget SECS] [--replay FILE] | h2 bench [--gate|--baseline] [--iters N] [--profile] [--profile-out DIR] [--profile-snapshot] | h2 sweep <spec.json> [--out FILE] [--jobs N] | h2 cache stats|gc [--max-bytes N[K|M|G]] [--dir D]"
             );
             eprintln!("experiments: {}", ALL_EXPERIMENTS.join(" "));
             std::process::exit(2);

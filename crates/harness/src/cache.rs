@@ -153,26 +153,9 @@ pub struct RunCache {
     /// the run is re-executed traced and overwrites the untraced entry).
     /// Tracing never changes job keys — see `crate::key`.
     trace_sample: Option<u64>,
-    /// Worker-pool size override for `run_batch` (`--jobs N`). `None`
-    /// falls back to the process-wide default, then to the CPU count.
+    /// Worker-pool size override for `run_batch`. `None` falls back to
+    /// the CPU count.
     jobs: Option<usize>,
-}
-
-/// Process-wide default worker count (0 = auto-detect). Set once from the
-/// CLI (`--jobs`) so every cache constructed afterwards — including the
-/// scratch caches the fuzz oracles build internally — honours it.
-static DEFAULT_JOBS: AtomicUsize = AtomicUsize::new(0);
-
-/// Set the process-wide default `run_batch` worker count (0 = auto).
-pub fn set_default_jobs(n: usize) {
-    DEFAULT_JOBS.store(n, Ordering::Relaxed);
-}
-
-fn default_jobs() -> Option<usize> {
-    match DEFAULT_JOBS.load(Ordering::Relaxed) {
-        0 => None,
-        n => Some(n),
-    }
 }
 
 impl RunCache {
@@ -218,7 +201,7 @@ impl RunCache {
     }
 
     /// Cap the `run_batch` worker pool at `n` threads (`n = 1` forces
-    /// sequential execution). Overrides [`set_default_jobs`].
+    /// sequential execution).
     pub fn set_jobs(&mut self, n: usize) {
         self.jobs = Some(n.max(1));
     }
@@ -377,7 +360,6 @@ impl RunCache {
 
         let workers = self
             .jobs
-            .or_else(default_jobs)
             .unwrap_or_else(|| {
                 std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
             })

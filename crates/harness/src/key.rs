@@ -8,16 +8,16 @@
 //! giving a fixed-width `u128` key that is cheap to compare, to use as a
 //! `HashMap` key, and to name on-disk cache entries with.
 //!
-//! Deliberate omissions: [`SystemConfig::engine`] (the two event
-//! engines are proved bit-identical by the differential tests, so flipping
-//! the engine must *hit* the cache, not re-simulate),
-//! [`SystemConfig::telemetry`], [`SystemConfig::trace_sample`] (both
-//! are pure observations that never perturb timing — runs differing only
-//! in them are the same run; a traced replay of an untraced cache entry is
-//! handled by the cache's upgrade-on-miss rule, not by the key), and
-//! [`SystemConfig::string_metrics`] (the string and interned telemetry
-//! paths are byte-identical by construction and by the equivalence suite).
+//! The config encoder destructures [`SystemConfig`] and its cache hierarchy
+//! exhaustively, so a new config field does not compile until it is either
+//! keyed or named as an omission. The deliberate omissions:
+//! [`SystemConfig::telemetry`] and [`SystemConfig::trace_sample`] (pure
+//! observations that never perturb timing — runs differing only in them
+//! are the same run; a traced replay of an untraced cache entry is handled
+//! by the cache's upgrade-on-miss rule, not by the key) and each cache
+//! level's display `name`.
 
+use h2_cache::{CacheConfig, HierarchyConfig};
 use h2_system::{Participants, PolicyKind, SystemConfig};
 use h2_trace::{Mix, TenantScenario};
 
@@ -105,45 +105,69 @@ fn encode_mix(e: &mut KeyEncoder, mix: &Mix) {
     e.str(mix.gpu);
 }
 
+/// Encode every field that influences a run. The patterns are exhaustive,
+/// so adding a field breaks the build here until it is keyed or listed
+/// with the omissions (`field: _`, see module docs).
 fn encode_config(e: &mut KeyEncoder, c: &SystemConfig) {
-    e.u64(c.cpu_cores as u64);
-    e.u64(c.gpu_eus as u64);
-    e.u64(c.gpu_ctx_slots as u64);
-    e.u64(c.store_buffer as u64);
-    e.u64(c.cpu_mlp as u64);
-    e.f64(c.weights.0);
-    e.f64(c.weights.1);
-    for cache in [
-        &c.hierarchy.cpu_l1,
-        &c.hierarchy.cpu_l2,
-        &c.hierarchy.gpu_l1,
-        &c.hierarchy.llc,
-    ] {
-        e.u64(cache.size_bytes);
-        e.u64(cache.ways as u64);
-        e.u64(cache.line_bytes);
-        e.u64(cache.latency);
+    let SystemConfig {
+        cpu_cores,
+        gpu_eus,
+        gpu_ctx_slots,
+        store_buffer,
+        cpu_mlp,
+        weights,
+        hierarchy,
+        block_bytes,
+        assoc,
+        fast_preset,
+        fast_channels,
+        slow_channels,
+        mode,
+        fast_capacity_override,
+        footprint_scale,
+        remap_cache_bytes,
+        epoch_cycles,
+        faucet_cycles,
+        epochs_per_phase,
+        warmup_cycles,
+        measure_cycles,
+        seed,
+        telemetry: _,
+        trace_sample: _,
+    } = c;
+    let HierarchyConfig { cpu_l1, cpu_l2, gpu_l1, llc, eus_per_gpu_l1 } = hierarchy;
+    e.u64(*cpu_cores as u64);
+    e.u64(*gpu_eus as u64);
+    e.u64(*gpu_ctx_slots as u64);
+    e.u64(*store_buffer as u64);
+    e.u64(*cpu_mlp as u64);
+    e.f64(weights.0);
+    e.f64(weights.1);
+    for level in [cpu_l1, cpu_l2, gpu_l1, llc] {
+        let CacheConfig { name: _, size_bytes, ways, line_bytes, latency } = level;
+        e.u64(*size_bytes);
+        e.u64(*ways as u64);
+        e.u64(*line_bytes);
+        e.u64(*latency);
     }
-    e.u64(c.hierarchy.eus_per_gpu_l1 as u64);
-    e.u64(c.block_bytes);
-    e.u64(c.assoc as u64);
+    e.u64(*eus_per_gpu_l1 as u64);
+    e.u64(*block_bytes);
+    e.u64(*assoc as u64);
     // Debug strings are a stable, exhaustive discriminant for these small
     // config enums (a new variant automatically gets a distinct tag).
-    e.str(&format!("{:?}", c.fast_preset));
-    e.u64(c.fast_channels as u64);
-    e.u64(c.slow_channels as u64);
-    e.str(&format!("{:?}", c.mode));
-    e.opt_u64(c.fast_capacity_override);
-    e.u64(c.footprint_scale);
-    e.u64(c.remap_cache_bytes);
-    e.u64(c.epoch_cycles);
-    e.u64(c.faucet_cycles);
-    e.u64(c.epochs_per_phase);
-    e.u64(c.warmup_cycles);
-    e.u64(c.measure_cycles);
-    e.u64(c.seed);
-    // `c.engine`, `c.telemetry`, `c.trace_sample` and `c.string_metrics`
-    // intentionally excluded — see module docs.
+    e.str(&format!("{fast_preset:?}"));
+    e.u64(*fast_channels as u64);
+    e.u64(*slow_channels as u64);
+    e.str(&format!("{mode:?}"));
+    e.opt_u64(*fast_capacity_override);
+    e.u64(*footprint_scale);
+    e.u64(*remap_cache_bytes);
+    e.u64(*epoch_cycles);
+    e.u64(*faucet_cycles);
+    e.u64(*epochs_per_phase);
+    e.u64(*warmup_cycles);
+    e.u64(*measure_cycles);
+    e.u64(*seed);
 }
 
 /// The canonical key of one (config, mix, policy, participants, scenario)
@@ -214,15 +238,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_choice_does_not_change_the_key() {
-        let mix = Mix::by_name("C1").unwrap();
-        let mut c = SystemConfig::tiny();
-        let k0 = job_key(&c, &mix, PolicyKind::NoPart, Participants::Both, None);
-        c.engine = h2_sim_core::EngineKind::Heap;
-        assert_eq!(job_key(&c, &mix, PolicyKind::NoPart, Participants::Both, None), k0);
-    }
-
-    #[test]
     fn telemetry_flag_does_not_change_the_key() {
         let mix = Mix::by_name("C1").unwrap();
         let mut c = SystemConfig::tiny();
@@ -237,15 +252,6 @@ mod tests {
         let mut c = SystemConfig::tiny();
         let k0 = job_key(&c, &mix, PolicyKind::NoPart, Participants::Both, None);
         c.trace_sample = Some(64);
-        assert_eq!(job_key(&c, &mix, PolicyKind::NoPart, Participants::Both, None), k0);
-    }
-
-    #[test]
-    fn string_metrics_flag_does_not_change_the_key() {
-        let mix = Mix::by_name("C1").unwrap();
-        let mut c = SystemConfig::tiny();
-        let k0 = job_key(&c, &mix, PolicyKind::NoPart, Participants::Both, None);
-        c.string_metrics = true;
         assert_eq!(job_key(&c, &mix, PolicyKind::NoPart, Participants::Both, None), k0);
     }
 
@@ -276,6 +282,47 @@ mod tests {
         sc2.seed = 2;
         let k2 = job_key(&c, &mix, PolicyKind::NoPart, Participants::Both, Some(&sc2));
         assert_ne!(k1, k2);
+    }
+
+    /// Literal keys of a tiny C1 job and a two-tenant scenario job. Every
+    /// persisted run store is addressed by these values, so a change that
+    /// moves them orphans each stored run; such a change must bump
+    /// [`KEY_SCHEMA_VERSION`] and re-pin.
+    #[test]
+    fn keys_are_pinned() {
+        let mix = Mix::by_name("C1").unwrap();
+        let c = SystemConfig::tiny();
+        let tenant = |name: &str, priority, cores, ctxs, cpu: &[&str], gpu: &[&str]| {
+            h2_trace::TenantSpec {
+                name: name.into(),
+                priority,
+                cores,
+                ctxs,
+                cpu: cpu.iter().map(|s| s.to_string()).collect(),
+                gpu: gpu.iter().map(|s| s.to_string()).collect(),
+                arrival: h2_trace::Arrival::Steady,
+                start: 0,
+                stop: None,
+                phase_cycles: None,
+            }
+        };
+        let mut ml = tenant("ml", 0, 0, 2, &[], &["bfs"]);
+        ml.arrival = h2_trace::Arrival::Bursty { on: 4_000, off: 2_000 };
+        ml.start = 5_000;
+        ml.stop = Some(90_000);
+        let sc = TenantScenario {
+            name: "pinned".into(),
+            seed: 3,
+            tenants: vec![tenant("web", 1, 1, 0, &["gcc"], &[]), ml],
+        };
+        assert_eq!(
+            job_key(&c, &mix, PolicyKind::NoPart, Participants::Both, None),
+            0x8bf4_7a9b_8ae7_d5fb_4001_189a_f8fc_0108
+        );
+        assert_eq!(
+            job_key(&c, &mix, PolicyKind::HydrogenFull, Participants::Both, Some(&sc)),
+            0xe121_81df_f04f_5919_be43_b920_72ba_4c36
+        );
     }
 
     #[test]

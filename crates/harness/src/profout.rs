@@ -1,4 +1,5 @@
-//! Writing a [`prof::ProfReport`] to disk (`h2 run --profile <dir>`).
+//! Writing a [`h2_sim_core::prof::ProfReport`] to disk
+//! (`h2 run --profile <dir>`).
 //!
 //! Three sibling artifacts per profiled invocation:
 //!

@@ -18,7 +18,7 @@
 //! # Pending-command layout
 //!
 //! Queued commands live in a per-channel arrival-ordered ring
-//! ([`CmdRing`]): a command's slot is its per-channel arrival position
+//! (`CmdRing`): a command's slot is its per-channel arrival position
 //! modulo a power-of-two capacity, so bit order starting from `head` (the
 //! oldest queued position) is age order. The fields the scheduler reads
 //! (priority, arrival time) sit in their own dense arrays, while
@@ -893,7 +893,7 @@ struct ChannelMetricHandles {
 }
 
 /// Interned metric handles for a whole device: one
-/// [`ChannelMetricHandles`] per channel, in channel order. Produced by
+/// `ChannelMetricHandles` per channel, in channel order. Produced by
 /// [`MemDevice::intern_metrics`], consumed by [`MemDevice::record_metrics`].
 #[derive(Debug, Clone)]
 pub struct MemMetricHandles {
@@ -967,7 +967,7 @@ impl MemDevice {
     /// in-flight occupancy must respect the pipeline depth (release-build
     /// counterpart of the `debug_assert` in [`Self::on_complete`]), and each
     /// channel's pending-command ring must be consistent (see
-    /// [`CmdRing::check`]).
+    /// `CmdRing::check`).
     pub fn check_invariants(&self) -> Result<(), String> {
         for (ch, c) in self.channels.iter().enumerate() {
             if c.in_flight > PIPELINE_DEPTH {

@@ -1,27 +1,30 @@
 //! A deterministic discrete-event queue.
 //!
-//! Two engines implement the same `(time, seq)` total order — two events
-//! scheduled for the same cycle pop in insertion order, which keeps
-//! whole-system runs bit-reproducible regardless of payload type:
+//! Two engines implement the [`Queue`] trait with the same `(time, seq)`
+//! total order — two events scheduled for the same cycle pop in insertion
+//! order, which keeps whole-system runs bit-reproducible regardless of
+//! payload type:
 //!
-//! * [`calendar`] — the default: a calendar queue (timing wheel). Events
-//!   within [`calendar::WHEEL_SLOTS`] cycles of now go into per-cycle ring
-//!   buckets with O(1) schedule and pop (each bucket is a list through one
-//!   node slab whose freed nodes are reused, so the steady state allocates
-//!   nothing and memory follows the pending events); the rare far-future
-//!   events (epoch boundaries, faucet refills, warm-up end) spill to a
-//!   small overflow binary heap and migrate into the wheel as the window
-//!   advances. This is the classic DES optimisation for memory-system
-//!   simulators, where almost every event is a DRAM/bus/cache latency of at
-//!   most a few hundred cycles.
+//! * [`calendar`] — the production engine ([`EventQueue`]): a calendar
+//!   queue (timing wheel). Events within [`calendar::WHEEL_SLOTS`] cycles
+//!   of now go into per-cycle ring buckets with O(1) schedule and pop
+//!   (each bucket is a list through one node slab whose freed nodes are
+//!   reused, so the steady state allocates nothing and memory follows the
+//!   pending events); the rare far-future events (epoch boundaries,
+//!   faucet refills, warm-up end) spill to a small overflow binary heap
+//!   and migrate into the wheel as the window advances. This is the
+//!   classic DES optimisation for memory-system simulators, where almost
+//!   every event is a DRAM/bus/cache latency of at most a few hundred
+//!   cycles.
 //! * [`legacy`] — the original binary min-heap with O(log n) operations.
 //!   Kept as a differential oracle (tests assert the two engines produce
-//!   identical event streams) and as the baseline for the `micro`
-//!   criterion-style benchmarks.
+//!   identical event streams, and whole simulations are replayed on it)
+//!   and as the baseline for the `micro` criterion-style benchmarks.
 //!
-//! [`EventQueue`] wraps either engine behind one API; the engine is chosen
-//! per queue via [`EngineKind`] so an end-to-end simulation can be replayed
-//! on both engines and compared bit-for-bit.
+//! The system runner's event loop is generic over [`Queue`], so the engine
+//! a run uses is fixed at compile time: production entry points
+//! instantiate only [`EventQueue`], and the heap engine is reached through
+//! one dedicated oracle entry point.
 
 use crate::units::Cycles;
 use std::cmp::Ordering;
@@ -60,20 +63,50 @@ impl<E> Ord for Scheduled<E> {
     }
 }
 
-/// Which event engine a queue uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineKind {
-    /// Calendar queue / timing wheel (the default).
-    #[default]
-    Calendar,
-    /// The legacy binary heap (differential oracle / benchmark baseline).
-    Heap,
+/// The operations the event loop needs from an engine. Both engines pop
+/// the identical `(time, seq)` order.
+pub trait Queue<E> {
+    /// Current simulated time: the fire time of the last popped event.
+    fn now(&self) -> Cycles;
+
+    /// Total number of events popped so far (simulator throughput metric).
+    fn events_processed(&self) -> u64;
+
+    /// Events that were scheduled in the past and silently clamped to `now`
+    /// (release builds only; debug builds panic instead). A non-zero count
+    /// flags scheduling bugs that debug assertions would have caught.
+    fn clamped_events(&self) -> u64;
+
+    /// Schedule `payload` to fire at absolute cycle `time`.
+    ///
+    /// Scheduling in the past is a logic error and panics in debug builds;
+    /// in release builds the event is clamped to `now` and counted in
+    /// [`Self::clamped_events`].
+    fn schedule_at(&mut self, time: Cycles, payload: E);
+
+    /// Schedule `payload` to fire `delta` cycles from now.
+    fn schedule_in(&mut self, delta: Cycles, payload: E) {
+        self.schedule_at(self.now() + delta, payload);
+    }
+
+    /// Pop the earliest event, advancing `now` to its fire time.
+    fn pop(&mut self) -> Option<Scheduled<E>>;
+
+    /// Pop every event scheduled for the earliest pending cycle, appending
+    /// them to `out` in `(time, seq)` order; returns how many were popped.
+    /// Equivalent to repeated [`Self::pop`] while the head time is
+    /// unchanged (0 when the queue is empty). `now` advances to the
+    /// frontier's time; the popped count increases by the batch size.
+    fn pop_batch(&mut self, out: &mut Vec<Scheduled<E>>) -> usize;
+
+    /// Fire time of the earliest pending event, if any.
+    fn peek_time(&self) -> Option<Cycles>;
 }
 
 pub mod legacy {
     //! The original binary-heap engine, kept as a differential oracle.
 
-    use super::{Cycles, Scheduled};
+    use super::{Cycles, Queue, Scheduled};
     use std::collections::BinaryHeap;
 
     /// Deterministic binary-heap event queue (O(log n) schedule/pop).
@@ -103,38 +136,22 @@ pub mod legacy {
                 clamped: 0,
             }
         }
+    }
 
-        /// Current simulated time: the fire time of the last popped event.
-        pub fn now(&self) -> Cycles {
+    impl<E> Queue<E> for HeapQueue<E> {
+        fn now(&self) -> Cycles {
             self.now
         }
 
-        /// Total number of events popped so far.
-        pub fn events_processed(&self) -> u64 {
+        fn events_processed(&self) -> u64 {
             self.popped
         }
 
-        /// Events that were scheduled in the past and clamped to `now`.
-        pub fn clamped_events(&self) -> u64 {
+        fn clamped_events(&self) -> u64 {
             self.clamped
         }
 
-        /// Number of pending events.
-        pub fn len(&self) -> usize {
-            self.heap.len()
-        }
-
-        /// True when no events are pending.
-        pub fn is_empty(&self) -> bool {
-            self.heap.is_empty()
-        }
-
-        /// Schedule `payload` to fire at absolute cycle `time`.
-        ///
-        /// Scheduling in the past is a logic error and panics in debug
-        /// builds; in release builds the event is clamped to `now` and
-        /// counted in [`Self::clamped_events`].
-        pub fn schedule_at(&mut self, time: Cycles, payload: E) {
+        fn schedule_at(&mut self, time: Cycles, payload: E) {
             debug_assert!(
                 time >= self.now,
                 "event scheduled in the past: {} < {}",
@@ -150,13 +167,7 @@ pub mod legacy {
             self.heap.push(Scheduled { time, seq, payload });
         }
 
-        /// Schedule `payload` to fire `delta` cycles from now.
-        pub fn schedule_in(&mut self, delta: Cycles, payload: E) {
-            self.schedule_at(self.now + delta, payload);
-        }
-
-        /// Pop the earliest event, advancing `now` to its fire time.
-        pub fn pop(&mut self) -> Option<Scheduled<E>> {
+        fn pop(&mut self) -> Option<Scheduled<E>> {
             let ev = self.heap.pop()?;
             debug_assert!(ev.time >= self.now, "time went backwards");
             self.now = ev.time;
@@ -164,12 +175,7 @@ pub mod legacy {
             Some(ev)
         }
 
-        /// Pop *every* event scheduled for the earliest pending cycle,
-        /// appending them to `out` in `(time, seq)` order, and return how
-        /// many were popped. Equivalent to repeated [`Self::pop`] while the
-        /// head time is unchanged — the event loop's way of taking a whole
-        /// same-timestamp frontier in one call.
-        pub fn pop_batch(&mut self, out: &mut Vec<Scheduled<E>>) -> usize {
+        fn pop_batch(&mut self, out: &mut Vec<Scheduled<E>>) -> usize {
             let Some(first) = self.heap.pop() else { return 0 };
             debug_assert!(first.time >= self.now, "time went backwards");
             let t = first.time;
@@ -187,8 +193,7 @@ pub mod legacy {
             k
         }
 
-        /// Fire time of the earliest pending event, if any.
-        pub fn peek_time(&self) -> Option<Cycles> {
+        fn peek_time(&self) -> Option<Cycles> {
             self.heap.peek().map(|e| e.time)
         }
     }
@@ -222,7 +227,7 @@ pub mod calendar {
     //!    earlier, they also have the lower seqs. So `pop` takes a list
     //!    head and `pop_batch` takes a whole list, with no sort.
 
-    use super::{Cycles, Scheduled};
+    use super::{Cycles, Queue, Scheduled};
     use std::collections::BinaryHeap;
 
     /// Wheel span in cycles (one bucket per cycle). Must be a power of two
@@ -306,21 +311,6 @@ pub mod calendar {
                 popped: 0,
                 clamped: 0,
             }
-        }
-
-        /// Current simulated time: the fire time of the last popped event.
-        pub fn now(&self) -> Cycles {
-            self.now
-        }
-
-        /// Total number of events popped so far.
-        pub fn events_processed(&self) -> u64 {
-            self.popped
-        }
-
-        /// Events that were scheduled in the past and clamped to `now`.
-        pub fn clamped_events(&self) -> u64 {
-            self.clamped
         }
 
         /// Number of pending events.
@@ -480,12 +470,22 @@ pub mod calendar {
             None
         }
 
-        /// Schedule `payload` to fire at absolute cycle `time`.
-        ///
-        /// Scheduling in the past is a logic error and panics in debug
-        /// builds; in release builds the event is clamped to `now` and
-        /// counted in [`Self::clamped_events`].
-        pub fn schedule_at(&mut self, time: Cycles, payload: E) {
+    }
+
+    impl<E> Queue<E> for CalendarQueue<E> {
+        fn now(&self) -> Cycles {
+            self.now
+        }
+
+        fn events_processed(&self) -> u64 {
+            self.popped
+        }
+
+        fn clamped_events(&self) -> u64 {
+            self.clamped
+        }
+
+        fn schedule_at(&mut self, time: Cycles, payload: E) {
             debug_assert!(
                 time >= self.now,
                 "event scheduled in the past: {} < {}",
@@ -506,13 +506,7 @@ pub mod calendar {
             }
         }
 
-        /// Schedule `payload` to fire `delta` cycles from now.
-        pub fn schedule_in(&mut self, delta: Cycles, payload: E) {
-            self.schedule_at(self.now + delta, payload);
-        }
-
-        /// Pop the earliest event, advancing `now` to its fire time.
-        pub fn pop(&mut self) -> Option<Scheduled<E>> {
+        fn pop(&mut self) -> Option<Scheduled<E>> {
             let s = self.front_slot()?;
             let i = self.buckets[s].head;
             let node = &mut self.nodes[i as usize];
@@ -531,15 +525,11 @@ pub mod calendar {
             Some(ev)
         }
 
-        /// Pop *every* event scheduled for the earliest pending cycle,
-        /// appending them to `out` in `(time, seq)` order, and return how
-        /// many were popped.
-        ///
         /// The frontier is exactly the earliest slot's list (invariants 1
         /// and 2), already in seq order (invariant 3): one walk unlinks it
         /// and returns its nodes to the free list. Reuses the caller's
         /// buffer; steady state allocates nothing.
-        pub fn pop_batch(&mut self, out: &mut Vec<Scheduled<E>>) -> usize {
+        fn pop_batch(&mut self, out: &mut Vec<Scheduled<E>>) -> usize {
             let Some(s) = self.front_slot() else { return 0 };
             let mut i = self.buckets[s].head;
             self.mark_empty(s);
@@ -559,8 +549,7 @@ pub mod calendar {
             k
         }
 
-        /// Fire time of the earliest pending event, if any.
-        pub fn peek_time(&self) -> Option<Cycles> {
+        fn peek_time(&self) -> Option<Cycles> {
             // By invariant 2 a non-empty wheel holds the minimum.
             match self.next_occupied_slot(Self::slot_of(self.now)) {
                 Some(s) => Some(self.event(self.buckets[s].head).time),
@@ -571,141 +560,26 @@ pub mod calendar {
 }
 
 use calendar::CalendarQueue;
-use legacy::HeapQueue;
 
-#[derive(Debug)]
-enum Engine<E> {
-    Calendar(CalendarQueue<E>),
-    Heap(HeapQueue<E>),
-}
-
-/// Deterministic event queue over an arbitrary payload type `E`.
-///
-/// Delegates to the engine selected at construction ([`EngineKind`]); both
-/// engines produce the identical `(time, seq)` pop order.
-#[derive(Debug)]
-pub struct EventQueue<E> {
-    inner: Engine<E>,
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-macro_rules! delegate {
-    ($self:ident, $q:ident => $body:expr) => {
-        match &$self.inner {
-            Engine::Calendar($q) => $body,
-            Engine::Heap($q) => $body,
-        }
-    };
-    (mut $self:ident, $q:ident => $body:expr) => {
-        match &mut $self.inner {
-            Engine::Calendar($q) => $body,
-            Engine::Heap($q) => $body,
-        }
-    };
-}
-
-impl<E> EventQueue<E> {
-    /// Create an empty queue at time zero using the default engine.
-    pub fn new() -> Self {
-        Self::with_engine(EngineKind::default())
-    }
-
-    /// Create an empty queue using a specific engine.
-    pub fn with_engine(kind: EngineKind) -> Self {
-        let inner = match kind {
-            EngineKind::Calendar => Engine::Calendar(CalendarQueue::new()),
-            EngineKind::Heap => Engine::Heap(HeapQueue::new()),
-        };
-        Self { inner }
-    }
-
-    /// The engine this queue runs on.
-    pub fn engine(&self) -> EngineKind {
-        match self.inner {
-            Engine::Calendar(_) => EngineKind::Calendar,
-            Engine::Heap(_) => EngineKind::Heap,
-        }
-    }
-
-    /// Current simulated time: the fire time of the last popped event.
-    pub fn now(&self) -> Cycles {
-        delegate!(self, q => q.now())
-    }
-
-    /// Total number of events popped so far (simulator throughput metric).
-    pub fn events_processed(&self) -> u64 {
-        delegate!(self, q => q.events_processed())
-    }
-
-    /// Events that were scheduled in the past and silently clamped to `now`
-    /// (release builds only; debug builds panic instead). A non-zero count
-    /// flags scheduling bugs that debug assertions would have caught.
-    pub fn clamped_events(&self) -> u64 {
-        delegate!(self, q => q.clamped_events())
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        delegate!(self, q => q.len())
-    }
-
-    /// True when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        delegate!(self, q => q.is_empty())
-    }
-
-    /// Schedule `payload` to fire at absolute cycle `time`.
-    ///
-    /// Scheduling in the past is a logic error and panics in debug builds;
-    /// in release builds the event is clamped to `now` and counted.
-    pub fn schedule_at(&mut self, time: Cycles, payload: E) {
-        delegate!(mut self, q => q.schedule_at(time, payload))
-    }
-
-    /// Schedule `payload` to fire `delta` cycles from now.
-    pub fn schedule_in(&mut self, delta: Cycles, payload: E) {
-        delegate!(mut self, q => q.schedule_in(delta, payload))
-    }
-
-    /// Pop the earliest event, advancing `now` to its fire time.
-    pub fn pop(&mut self) -> Option<Scheduled<E>> {
-        delegate!(mut self, q => q.pop())
-    }
-
-    /// Pop every event scheduled for the earliest pending cycle, appending
-    /// them to `out` in `(time, seq)` order; returns how many were popped.
-    /// Equivalent to repeated [`Self::pop`] while the head time is
-    /// unchanged (0 when the queue is empty). `now` advances to the
-    /// frontier's time; the popped count increases by the batch size.
-    pub fn pop_batch(&mut self, out: &mut Vec<Scheduled<E>>) -> usize {
-        delegate!(mut self, q => q.pop_batch(out))
-    }
-
-    /// Fire time of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<Cycles> {
-        delegate!(self, q => q.peek_time())
-    }
-}
+/// The production event queue: the calendar engine. Production code names
+/// the queue through this alias only.
+pub type EventQueue<E> = CalendarQueue<E>;
 
 #[cfg(test)]
 mod tests {
+    use super::legacy::HeapQueue;
     use super::*;
 
-    fn both_engines() -> [EventQueue<u64>; 2] {
-        [
-            EventQueue::with_engine(EngineKind::Calendar),
-            EventQueue::with_engine(EngineKind::Heap),
-        ]
-    }
+    // Most test bodies below are generic over the engine and run once per
+    // engine.
+
+    /// A popped event as `(time, seq, payload)`.
+    type Popped = (u64, u64, u64);
 
     #[test]
     fn pops_in_time_order() {
-        for mut q in both_engines() {
+        fn body<Q: Queue<u64> + Default>() {
+            let mut q = Q::default();
             q.schedule_at(30, 2);
             q.schedule_at(10, 0);
             q.schedule_at(20, 1);
@@ -714,11 +588,14 @@ mod tests {
             assert_eq!(q.now(), 30);
             assert_eq!(q.events_processed(), 3);
         }
+        body::<CalendarQueue<u64>>();
+        body::<HeapQueue<u64>>();
     }
 
     #[test]
     fn ties_pop_in_insertion_order() {
-        for mut q in both_engines() {
+        fn body<Q: Queue<u64> + Default>() {
+            let mut q = Q::default();
             for i in 0..100 {
                 q.schedule_at(5, i);
             }
@@ -726,21 +603,27 @@ mod tests {
             let expected: Vec<u64> = (0..100).collect();
             assert_eq!(order, expected);
         }
+        body::<CalendarQueue<u64>>();
+        body::<HeapQueue<u64>>();
     }
 
     #[test]
     fn schedule_in_is_relative_to_now() {
-        for mut q in both_engines() {
+        fn body<Q: Queue<u64> + Default>() {
+            let mut q = Q::default();
             q.schedule_at(100, 1);
             q.pop();
             q.schedule_in(5, 2);
             assert_eq!(q.peek_time(), Some(105));
         }
+        body::<CalendarQueue<u64>>();
+        body::<HeapQueue<u64>>();
     }
 
     #[test]
     fn interleaved_schedule_and_pop_never_goes_backwards() {
-        for mut q in both_engines() {
+        fn body<Q: Queue<u64> + Default>() {
+            let mut q = Q::default();
             q.schedule_at(1, 0);
             let mut last = 0;
             for i in 0..1000u64 {
@@ -753,12 +636,15 @@ mod tests {
                 }
             }
         }
+        body::<CalendarQueue<u64>>();
+        body::<HeapQueue<u64>>();
     }
 
     #[test]
     fn far_future_events_round_trip_through_overflow() {
-        let horizon = calendar::WHEEL_SLOTS as u64;
-        for mut q in both_engines() {
+        fn body<Q: Queue<u64> + Default>() {
+            let horizon = calendar::WHEEL_SLOTS as u64;
+            let mut q = Q::default();
             // A mix far beyond the wheel horizon plus near events.
             q.schedule_at(3 * horizon + 17, 100);
             q.schedule_at(5, 0);
@@ -778,6 +664,8 @@ mod tests {
                 ]
             );
         }
+        body::<CalendarQueue<u64>>();
+        body::<HeapQueue<u64>>();
     }
 
     /// Schedules five events for one cycle `t`, returned: three while `t`
@@ -786,10 +674,7 @@ mod tests {
     /// the first reached by jumping to the overflow minimum, the second
     /// from the wheel — and brought `t` into the horizon. Neighbours at
     /// `t - 1` and `t + 1` come one from each tier.
-    fn schedule_split_frontier(
-        q: &mut EventQueue<u64>,
-        step: impl Fn(&mut EventQueue<u64>),
-    ) -> u64 {
+    fn schedule_split_frontier<Q: Queue<u64>>(q: &mut Q, step: impl Fn(&mut Q)) -> u64 {
         let horizon = calendar::WHEEL_SLOTS as u64;
         let t = 2 * horizon + 3;
         q.schedule_at(t, 1); // overflow, seq 0
@@ -810,15 +695,17 @@ mod tests {
     fn same_time_split_across_wheel_and_overflow_preserves_seq() {
         // The events that reach cycle t via the overflow heap have the
         // lower seqs and must pop before the ones inserted directly.
-        let [cal, heap] = both_engines().map(|mut q| {
+        fn body<Q: Queue<u64> + Default>() -> (u64, Vec<Popped>) {
+            let mut q = Q::default();
             let t = schedule_split_frontier(&mut q, |q| {
                 q.pop();
             });
             let rest: Vec<_> =
                 std::iter::from_fn(|| q.pop().map(|e| (e.time, e.seq, e.payload))).collect();
             (t, rest)
-        });
-        assert_eq!(cal, heap);
+        }
+        let cal = body::<CalendarQueue<u64>>();
+        assert_eq!(cal, body::<HeapQueue<u64>>());
         let (t, rest) = cal;
         let order: Vec<_> = rest.iter().map(|&(time, _, p)| (time, p)).collect();
         assert_eq!(
@@ -838,7 +725,7 @@ mod tests {
     #[test]
     fn peek_time_sees_overflow_minimum() {
         let horizon = calendar::WHEEL_SLOTS as u64;
-        let mut q = EventQueue::with_engine(EngineKind::Calendar);
+        let mut q = CalendarQueue::new();
         q.schedule_at(4 * horizon, 1u8);
         assert_eq!(q.peek_time(), Some(4 * horizon));
         q.schedule_at(9, 2);
@@ -848,7 +735,7 @@ mod tests {
     #[test]
     fn len_counts_both_tiers() {
         let horizon = calendar::WHEEL_SLOTS as u64;
-        let mut q = EventQueue::with_engine(EngineKind::Calendar);
+        let mut q = CalendarQueue::new();
         assert!(q.is_empty());
         q.schedule_at(1, 0u8);
         q.schedule_at(2 * horizon, 1);
@@ -872,7 +759,8 @@ mod tests {
     #[test]
     #[cfg(not(debug_assertions))]
     fn past_scheduling_clamps_and_counts_in_release() {
-        for mut q in both_engines() {
+        fn body<Q: Queue<u64> + Default>() {
+            let mut q = Q::default();
             q.schedule_at(100, 0);
             q.pop();
             q.schedule_at(50, 1);
@@ -880,11 +768,14 @@ mod tests {
             let ev = q.pop().unwrap();
             assert_eq!((ev.time, ev.payload), (100, 1));
         }
+        body::<CalendarQueue<u64>>();
+        body::<HeapQueue<u64>>();
     }
 
     #[test]
     fn pop_batch_takes_whole_frontier_in_seq_order() {
-        for mut q in both_engines() {
+        fn body<Q: Queue<u64> + Default>() {
+            let mut q = Q::default();
             q.schedule_at(10, 0);
             q.schedule_at(20, 10);
             q.schedule_at(10, 1);
@@ -903,6 +794,8 @@ mod tests {
             out.clear();
             assert_eq!(q.pop_batch(&mut out), 0, "empty queue pops nothing");
         }
+        body::<CalendarQueue<u64>>();
+        body::<HeapQueue<u64>>();
     }
 
     #[test]
@@ -910,9 +803,9 @@ mod tests {
         // Differential: one queue drained with pop_batch, its twin with
         // pop, over a randomized schedule with heavy same-cycle ties and
         // overflow spills — on both engines.
-        for kind in [EngineKind::Calendar, EngineKind::Heap] {
-            let mut batched = EventQueue::with_engine(kind);
-            let mut single = EventQueue::with_engine(kind);
+        fn body<Q: Queue<u64> + Default>() {
+            let mut batched = Q::default();
+            let mut single = Q::default();
             let mut x = 0x243f6a8885a308d3u64;
             for i in 0..20_000u64 {
                 x ^= x << 13;
@@ -943,13 +836,16 @@ mod tests {
             }
             assert_eq!(batched.events_processed(), single.events_processed());
         }
+        body::<CalendarQueue<u64>>();
+        body::<HeapQueue<u64>>();
     }
 
     #[test]
     fn pop_batch_sorts_overflow_migrants_into_seq_order() {
         // The same split frontier, stepped and drained with pop_batch: the
         // batch at t holds all five events, overflow migrants first.
-        let [cal, heap] = both_engines().map(|mut q| {
+        fn body<Q: Queue<u64> + Default>() -> (u64, Vec<Vec<Popped>>) {
+            let mut q = Q::default();
             let t = schedule_split_frontier(&mut q, |q| {
                 q.pop_batch(&mut Vec::new());
             });
@@ -963,8 +859,9 @@ mod tests {
                 );
             }
             (t, batches)
-        });
-        assert_eq!(cal, heap);
+        }
+        let cal = body::<CalendarQueue<u64>>();
+        assert_eq!(cal, body::<HeapQueue<u64>>());
         let (t, batches) = cal;
         assert_eq!(batches.len(), 3);
         assert_eq!(
@@ -982,7 +879,7 @@ mod tests {
     #[test]
     fn calendar_slab_never_outgrows_peak_pending() {
         const DEPTH: usize = 300;
-        let mut q = calendar::CalendarQueue::new();
+        let mut q = CalendarQueue::new();
         let mut x = 0x2545f4914f6cdd1du64;
         let mut next = move || {
             x ^= x << 13;
@@ -1025,10 +922,10 @@ mod tests {
     /// same-cycle ties, far-future spills, and jumps across empty regions.
     #[test]
     fn engines_agree_on_mixed_horizons() {
-        let mut cal = EventQueue::with_engine(EngineKind::Calendar);
-        let mut heap = EventQueue::with_engine(EngineKind::Heap);
+        let mut cal = CalendarQueue::new();
+        let mut heap = HeapQueue::new();
         let mut x = 0x9e3779b97f4a7c15u64;
-        let step = |q: &mut EventQueue<u64>, x: u64, i: u64| {
+        fn step(q: &mut impl Queue<u64>, x: u64, i: u64) {
             let delta = match x % 5 {
                 0 => x % 64,                  // hot path: near events
                 1 => x % 800,                 // DRAM-latency scale
@@ -1037,7 +934,7 @@ mod tests {
                 _ => 20_000 + x % 300_000,    // far: overflow territory
             };
             q.schedule_in(delta, i);
-        };
+        }
         for i in 0..5_000u64 {
             x ^= x << 13;
             x ^= x >> 7;
@@ -1068,8 +965,8 @@ mod tests {
     /// occupancy-word and summary-word boundaries, and overflow spills.
     #[test]
     fn engines_agree_over_a_million_events() {
-        let mut cal = EventQueue::with_engine(EngineKind::Calendar);
-        let mut heap = EventQueue::with_engine(EngineKind::Heap);
+        let mut cal = CalendarQueue::new();
+        let mut heap = HeapQueue::new();
         let mut x = 0x243f6a8885a308d3u64;
         let mut scheduled = 0u64;
         let mut idle_restarts = 0u64;
@@ -1122,6 +1019,6 @@ mod tests {
         assert_eq!(cal.events_processed(), scheduled);
         assert_eq!(heap.events_processed(), scheduled);
         assert!(idle_restarts > 0, "the idle fast-forward path was never exercised");
-        assert!(cal.is_empty() && heap.is_empty());
+        assert!(cal.is_empty() && heap.peek_time().is_none());
     }
 }

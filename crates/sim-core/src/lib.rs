@@ -15,7 +15,7 @@ pub mod stats;
 pub mod trace_span;
 pub mod units;
 
-pub use event::{EngineKind, EventQueue, Scheduled};
+pub use event::{calendar::CalendarQueue, legacy::HeapQueue, EventQueue, Queue, Scheduled};
 pub use json::Json;
 pub use metrics::{
     CounterId, GaugeId, HistId, LogHistogram, MetricLayout, MetricsRegistry, ScopedMetrics,

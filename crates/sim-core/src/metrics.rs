@@ -28,7 +28,7 @@ pub const HIST_BUCKETS: usize = 64;
 /// subtracted bucket-wise to produce an exact per-window histogram. Quantile
 /// queries return the *lower bound* of the bucket containing the requested
 /// rank — coarse, but deterministic and monotone.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LogHistogram {
     count: u64,
     sum: u64,
@@ -640,6 +640,38 @@ impl MetricsRegistry {
         self.gauges.copy_from_slice(&other.gauges);
         self.hists.clone_from_slice(&other.hists);
     }
+
+    /// Compare with `other` kind by kind: the same names in the same
+    /// insertion order, with equal values (gauges bit for bit). `Ok`
+    /// carries the number of names compared; `Err` describes the first
+    /// difference.
+    pub fn compare(&self, other: &MetricsRegistry) -> Result<usize, String> {
+        Ok(same_entries("counter", self.counters(), other.counters(), |a, b| a == b)?
+            + same_entries("gauge", self.gauges(), other.gauges(), |a, b| {
+                a.to_bits() == b.to_bits()
+            })?
+            + same_entries("histogram", self.hists(), other.hists(), |a, b| a == b)?)
+    }
+}
+
+/// Walk two `(name, value)` sequences of one kind in step. `Ok` carries
+/// the number of entries when they match; `Err` names the first position
+/// where they differ.
+fn same_entries<'a, V: std::fmt::Debug>(
+    kind: &str,
+    mut a: impl Iterator<Item = (&'a str, V)>,
+    mut b: impl Iterator<Item = (&'a str, V)>,
+    eq: impl Fn(&V, &V) -> bool,
+) -> Result<usize, String> {
+    let show = |e: Option<(&str, V)>| e.map_or("nothing".into(), |(n, v)| format!("{n} = {v:?}"));
+    let mut i = 0;
+    loop {
+        match (a.next(), b.next()) {
+            (None, None) => return Ok(i),
+            (Some((na, va)), Some((nb, vb))) if na == nb && eq(&va, &vb) => i += 1,
+            (x, y) => return Err(format!("{kind} {i}: {} vs {}", show(x), show(y))),
+        }
+    }
 }
 
 /// A mutable view of a [`MetricsRegistry`] that prepends `prefix.` to every
@@ -870,6 +902,42 @@ mod tests {
             assert!(diverged(&|| drop(cum.delta_from_indexed(&odd))));
             assert!(diverged(&|| prev.clone().copy_values_from(&odd)));
         }
+    }
+
+    #[test]
+    fn compare_checks_names_order_and_values() {
+        let mut a = MetricsRegistry::new(true);
+        a.inc("x.n", 3);
+        a.inc("x.m", 1);
+        a.set_gauge("x.g", 0.5);
+        a.observe("x.h", 7);
+        assert_eq!(a.compare(&a.clone()), Ok(4));
+        // The handle API builds an equal registry.
+        let mut b = MetricsRegistry::new(true);
+        let (n, m) = (b.intern_counter("x.n"), b.intern_counter("x.m"));
+        let (g, h) = (b.intern_gauge("x.g"), b.intern_hist("x.h"));
+        b.set_counter(n, 3);
+        b.set_counter(m, 1);
+        b.set_gauge_id(g, 0.5);
+        b.set_hist(h, a.hist("x.h").unwrap());
+        assert_eq!(a.compare(&b), Ok(4));
+
+        let mut value = b.clone();
+        value.set_counter(m, 2);
+        assert_eq!(a.compare(&value).unwrap_err(), "counter 1: x.m = 1 vs x.m = 2");
+        let mut gauge = b.clone();
+        gauge.set_gauge_id(g, -0.5);
+        assert!(a.compare(&gauge).unwrap_err().starts_with("gauge 0: x.g = 0.5"));
+        let mut hist = b.clone();
+        hist.set_hist(h, &LogHistogram::new());
+        assert!(a.compare(&hist).unwrap_err().starts_with("histogram 0: x.h"));
+        let mut order = MetricsRegistry::new(true);
+        order.inc("x.m", 1);
+        order.inc("x.n", 3);
+        assert!(a.compare(&order).unwrap_err().starts_with("counter 0: x.n = 3 vs x.m = 1"));
+        let mut extra = b.clone();
+        extra.intern_gauge("x.more");
+        assert_eq!(a.compare(&extra).unwrap_err(), "gauge 1: nothing vs x.more = 0.0");
     }
 
     #[test]

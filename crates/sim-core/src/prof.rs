@@ -325,7 +325,7 @@ pub struct ScopeGuard {
 
 impl Drop for ScopeGuard {
     /// Inlined so a disarmed guard's drop is one branch on `active`; the
-    /// armed path lives out of line in [`exit_armed`].
+    /// armed path lives out of line in `exit_armed`.
     #[inline]
     fn drop(&mut self) {
         if self.active {

@@ -123,7 +123,7 @@ impl SeededRng {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Bernoulli draw with probability `p` (clamped to [0,1]).
+    /// Bernoulli draw with probability `p` (clamped to `[0, 1]`).
     pub fn chance(&mut self, p: f64) -> bool {
         self.unit() < p.clamp(0.0, 1.0)
     }

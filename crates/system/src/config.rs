@@ -13,7 +13,7 @@ use h2_cache::{CacheConfig, HierarchyConfig};
 use h2_hybrid::types::Mode;
 use h2_mem::TimingPreset;
 use h2_sim_core::units::{Cycles, KIB, MIB};
-use h2_sim_core::{EngineKind, Json};
+use h2_sim_core::Json;
 use h2_trace::Mix;
 
 /// Which sides of the processor run (solo runs feed Fig 2a / Fig 10a).
@@ -75,14 +75,10 @@ pub struct SystemConfig {
     pub measure_cycles: Cycles,
     /// Experiment seed (trace generators, stochastic policies).
     pub seed: u64,
-    /// Event-queue engine. Both engines are bit-identical (proved by the
-    /// differential tests), so this is not part of the run-cache key; the
-    /// `Heap` oracle exists for differential testing and benchmarking.
-    pub engine: EngineKind,
     /// Collect epoch-resolved telemetry (metrics registry snapshots and
     /// per-class latency histograms) into [`crate::report::RunTelemetry`].
     /// Telemetry is an *observation* of the simulation — it never perturbs
-    /// timing — so, like `engine`, it is not part of the run-cache key.
+    /// timing — so it is not part of the run-cache key.
     pub telemetry: bool,
     /// Request-span tracing with blame attribution
     /// (`h2_sim_core::trace_span`). `None` disables tracing entirely (the
@@ -92,13 +88,6 @@ pub struct SystemConfig {
     /// part of the run-cache key; the cache re-executes an entry cached
     /// without spans when a traced replay asks for them.
     pub trace_sample: Option<u64>,
-    /// Collect telemetry through the legacy string-keyed metric path
-    /// instead of the interned-handle fast path. The two paths are
-    /// byte-identical (proved by the equivalence tests and the
-    /// `interned-metrics` fuzz relation); this switch exists only for that
-    /// differential testing. Pure observation, so — like `engine` and
-    /// `telemetry` — it is not part of the run-cache key.
-    pub string_metrics: bool,
 }
 
 impl Default for SystemConfig {
@@ -134,10 +123,8 @@ impl SystemConfig {
             warmup_cycles: 50_000_000,
             measure_cycles: 500_000_000,
             seed: 42,
-            engine: EngineKind::default(),
             telemetry: true,
             trace_sample: None,
-            string_metrics: false,
         }
     }
 
@@ -317,10 +304,10 @@ impl SystemConfig {
     }
 
     /// Decode a configuration from [`SystemConfig::to_json`] output.
-    /// Observation-only knobs (`engine`, `telemetry`, `trace_sample`,
-    /// `string_metrics`) are deliberately *not* part of the encoding — they
-    /// never change simulation results, so a replayed run starts from
-    /// their defaults and the caller sets whatever it wants.
+    /// Observation-only knobs (`telemetry`, `trace_sample`) are deliberately
+    /// *not* part of the encoding — they never change simulation results,
+    /// so a replayed run starts from their defaults and the caller sets
+    /// whatever it wants.
     pub fn from_json(j: &Json) -> Result<Self, String> {
         fn u64f(j: &Json, name: &str) -> Result<u64, String> {
             j.get(name)
@@ -392,10 +379,8 @@ impl SystemConfig {
             warmup_cycles: u64f(j, "warmup_cycles")?,
             measure_cycles: u64f(j, "measure_cycles")?,
             seed: u64f(j, "seed")?,
-            engine: EngineKind::default(),
             telemetry: true,
             trace_sample: None,
-            string_metrics: false,
         };
         cfg.validate()?;
         Ok(cfg)

@@ -22,8 +22,8 @@ pub use config::{Participants, SystemConfig};
 pub use policies::PolicyKind;
 pub use report::{RunReport, RunTelemetry, RunTrace, TenantSlo};
 pub use runner::{
-    plan_from_workloads, run_plan_monitored, run_sim, run_sim_parts, run_workloads,
-    run_workloads_monitored, FrontendPlan, SimProbe,
+    plan_from_workloads, run_plan_monitored, run_plan_on_heap, run_sim, run_sim_parts,
+    run_workloads, run_workloads_monitored, FrontendPlan, SimProbe,
 };
 pub use scenario::{
     replay_config, replay_plan, run_scenario, run_scenario_monitored, scenario_config,

@@ -1,10 +1,15 @@
 //! The deterministic event-driven system runner.
 //!
-//! One [`EventQueue`] drives CPU cores, GPU contexts, the cache hierarchy,
+//! One event queue drives CPU cores, GPU contexts, the cache hierarchy,
 //! the hybrid memory controller, and both DRAM devices. Cores and contexts
 //! batch their private cache hits locally (no events) and interact with the
 //! event queue only at LLC misses, which keeps whole-system runs at a few
 //! million events even for memory-intensive mixes.
+//!
+//! The event loop is generic over the engine ([`Queue`]). Every production
+//! entry point runs on [`EventQueue`], the calendar engine;
+//! [`run_plan_on_heap`] runs the same plan on the legacy binary heap for the
+//! engine-differential oracles.
 
 use crate::config::{Participants, SystemConfig};
 use crate::frontend::{CoreBlock, CpuCore, GpuCtx};
@@ -21,7 +26,8 @@ use h2_sim_core::prof;
 use h2_sim_core::trace_span::{BlameCause, CmdTrace, SpanCollector, SpanId};
 use h2_sim_core::units::{Cycles, MIB};
 use h2_sim_core::{
-    CounterId, EventQueue, GaugeId, HistId, LogHistogram, MetricsRegistry, MonitorSet,
+    CounterId, EventQueue, GaugeId, HeapQueue, HistId, LogHistogram, MetricsRegistry,
+    MonitorSet, Queue,
 };
 use h2_trace::{Mix, RefSource, TenantInfo, TraceCapture, TraceRecord, WorkloadSpec};
 
@@ -108,6 +114,12 @@ pub struct SimProbe {
     /// probes take this verdict just *before* their boundary invalidates
     /// the memo, so it covers the whole interval since the last one.
     pub mask_memo: Result<usize, String>,
+    /// Interned-metric fidelity: the registry the handle path wrote at
+    /// this epoch boundary (the one epoch frames are cut from) against a
+    /// fresh string-path collection — names, per-kind order and values.
+    /// `Ok` carries the number of names compared: 0 at faucet and
+    /// end-of-run probes and with telemetry off.
+    pub interned_metrics: Result<usize, String>,
     /// Cumulative fast-device statistics.
     pub fast: MemStats,
     /// Cumulative slow-device statistics.
@@ -149,7 +161,8 @@ struct TraceHandles {
 /// collection then runs through [`Sim::update_cum_registry`] — indexed
 /// stores with zero hashing or string formatting — while serialisation
 /// renders names only at flush, keeping output byte-identical to the
-/// string path (`SystemConfig::string_metrics`).
+/// string path of record, which monitored runs compare against at every
+/// epoch ([`SimProbe::interned_metrics`]).
 struct MetricsLayout {
     cpu_instr: CounterId,
     gpu_instr: CounterId,
@@ -166,9 +179,9 @@ struct MetricsLayout {
     trace: Option<TraceHandles>,
 }
 
-struct Sim {
+struct Sim<Q: Queue<Ev>> {
     cfg: SystemConfig,
-    q: EventQueue<Ev>,
+    q: Q,
     cores: Vec<CpuCore>,
     l1s: Vec<SetAssocCache>,
     l2s: Vec<SetAssocCache>,
@@ -216,8 +229,8 @@ struct Sim {
     /// observation: sampling decisions ride along with events but never
     /// influence what is scheduled when.
     tracer: SpanCollector,
-    /// Interned metric handles (`None` on the string path or with
-    /// telemetry off). See [`MetricsLayout`].
+    /// Interned metric handles (`None` with telemetry off). See
+    /// [`MetricsLayout`].
     layout: Option<MetricsLayout>,
     /// Persistent cumulative registry the handle path writes into; frames
     /// are `cum - prev_reg` and `prev_reg` copies `cum` value-wise, so no
@@ -250,7 +263,7 @@ struct Sim {
     warm_tenant_gpu: Vec<LogHistogram>,
 }
 
-impl Sim {
+impl<Q: Queue<Ev>> Sim<Q> {
     fn cpu_instr_total(&self) -> u64 {
         self.cores.iter().map(|c| c.retired).sum()
     }
@@ -320,8 +333,7 @@ impl Sim {
     /// Resolve every static metric name into dense handles (exactly the
     /// names [`Self::collect_registry`] emits, in the same per-kind
     /// insertion order) and seed the persistent cumulative/previous
-    /// registries. Called once at system build when the handle path is
-    /// active (`telemetry && !string_metrics`).
+    /// registries. Called once at system build when telemetry is on.
     fn init_metrics_layout(&mut self) {
         let mut reg = MetricsRegistry::new(true);
         let cpu_instr = reg.intern_counter("sys.cpu_instr");
@@ -389,8 +401,7 @@ impl Sim {
     /// Handle-path equivalent of `collect_registry(false)`: store every
     /// component's cumulative statistics into the persistent registry
     /// through the interned handles. Value- and layout-identical to a fresh
-    /// string collection (the equivalence tests compare the serialised
-    /// bytes).
+    /// string collection, which [`Self::check_interned_metrics`] verifies.
     fn update_cum_registry(&mut self) {
         let mut layout = self.layout.take().expect("handle path initialised");
         let mut reg = std::mem::take(&mut self.cum_reg);
@@ -449,6 +460,19 @@ impl Sim {
         }
         self.cum_reg = reg;
         self.layout = Some(layout);
+    }
+
+    /// The [`SimProbe::interned_metrics`] verdict: the string path of
+    /// record, `collect_registry(false)`, against the registry
+    /// [`Self::update_cum_registry`] last wrote. Only meaningful right
+    /// after an epoch boundary refreshed it.
+    fn check_interned_metrics(&self) -> Result<usize, String> {
+        if !self.telemetry {
+            return Ok(0);
+        }
+        self.collect_registry(false)
+            .compare(&self.cum_reg)
+            .map_err(|e| format!("string path vs handle path: {e}"))
     }
 
     fn dev(&mut self, tier: Tier) -> &mut MemDevice {
@@ -888,32 +912,19 @@ impl Sim {
             if self.telemetry {
                 // Per-epoch frame: counter/histogram deltas since the last
                 // boundary, gauges as sampled now (after adaptation).
-                if self.layout.is_some() {
-                    self.update_cum_registry();
-                    self.frames.push(EpochFrame {
-                        record: record.clone(),
-                        metrics: self.cum_reg.delta_from_indexed(&self.prev_reg),
-                    });
-                    self.prev_reg.copy_values_from(&self.cum_reg);
-                } else {
-                    let cur = self.collect_registry(false);
-                    self.frames.push(EpochFrame {
-                        record: record.clone(),
-                        metrics: cur.delta_from(&self.prev_reg),
-                    });
-                    self.prev_reg = cur;
-                }
+                self.update_cum_registry();
+                self.frames.push(EpochFrame {
+                    record: record.clone(),
+                    metrics: self.cum_reg.delta_from_indexed(&self.prev_reg),
+                });
+                self.prev_reg.copy_values_from(&self.cum_reg);
             }
             self.epoch_trace.push(record);
         } else if self.telemetry {
             // Keep the boundary snapshot fresh during warm-up so the first
             // measured frame covers exactly one epoch.
-            if self.layout.is_some() {
-                self.update_cum_registry();
-                self.prev_reg.copy_values_from(&self.cum_reg);
-            } else {
-                self.prev_reg = self.collect_registry(false);
-            }
+            self.update_cum_registry();
+            self.prev_reg.copy_values_from(&self.cum_reg);
         }
     }
 
@@ -927,21 +938,22 @@ impl Sim {
             // Wide per-bank totals snapshot: taken twice per run, so it
             // stays on the string path.
             self.warm_reg = self.collect_registry(true);
-            if self.layout.is_some() {
-                self.update_cum_registry();
-                self.prev_reg.copy_values_from(&self.cum_reg);
-            } else {
-                self.prev_reg = self.collect_registry(false);
-            }
+            self.update_cum_registry();
+            self.prev_reg.copy_values_from(&self.cum_reg);
         }
         self.warm_tenant_cpu = self.tenant_cpu_hists.clone();
         self.warm_tenant_gpu = self.tenant_gpu_hists.clone();
         self.in_measurement = true;
     }
 
-    /// Snapshot the state invariant monitors inspect. The memo verdict is
-    /// the caller's: see [`SimProbe::mask_memo`] for when it is taken.
-    fn probe(&self, mask_memo: Result<usize, String>) -> SimProbe {
+    /// Snapshot the state invariant monitors inspect. The memo and metric
+    /// verdicts are the caller's: see [`SimProbe::mask_memo`] and
+    /// [`SimProbe::interned_metrics`] for when they are taken.
+    fn probe(
+        &self,
+        mask_memo: Result<usize, String>,
+        interned_metrics: Result<usize, String>,
+    ) -> SimProbe {
         let (occ_cpu, occ_gpu) = self.hmc.occupancy_by_class();
         let hc = self.hmc.config();
         let mem_invariants = self
@@ -966,6 +978,7 @@ impl Sim {
             policy_invariants: self.hmc.policy().check_invariants(),
             mem_invariants,
             mask_memo,
+            interned_metrics,
             fast: self.fast.stats(),
             slow: self.slow.stats(),
             spans_closed: self.tracer.spans_closed(),
@@ -973,7 +986,7 @@ impl Sim {
     }
 
     /// The event loop. Each same-timestamp frontier is drained from the
-    /// engine in one [`EventQueue::pop_batch`] call, amortising find-min
+    /// engine in one [`Queue::pop_batch`] call, amortising find-min
     /// and bucket bookkeeping across the frontier. Events an in-flight
     /// frontier *schedules* at the same timestamp land in the next batch,
     /// since their sequence numbers are larger than the whole current
@@ -1007,22 +1020,26 @@ impl Sim {
         // Final check once the queue drains (or the horizon passes): the
         // end-of-run state must satisfy every invariant too.
         if let Some(m) = monitors {
-            m.check_all(self.q.now(), &self.probe(self.hmc.check_mask_memo()));
+            m.check_all(self.q.now(), &self.probe(self.hmc.check_mask_memo(), Ok(0)));
         }
     }
 
     /// Run an epoch or faucet boundary `hook`, then check the monitors.
     /// The memo verdict is taken *before* the hook: the hook invalidates
     /// every memo entry, so a verdict taken afterwards would check nothing.
+    /// The metric verdict is taken *after* an epoch hook, which refreshes
+    /// the handle path's registry.
     fn at_boundary(
         &mut self,
         monitors: &mut Option<&mut MonitorSet<SimProbe>>,
+        epoch: bool,
         hook: impl FnOnce(&mut Self),
     ) {
         let memo = monitors.is_some().then(|| self.hmc.check_mask_memo());
         hook(self);
         if let (Some(m), Some(memo)) = (monitors.as_deref_mut(), memo) {
-            m.check_all(self.q.now(), &self.probe(memo));
+            let metrics = if epoch { self.check_interned_metrics() } else { Ok(0) };
+            m.check_all(self.q.now(), &self.probe(memo, metrics));
         }
     }
 
@@ -1114,11 +1131,11 @@ impl Sim {
                     }
                     self.started_buf = started;
                 }
-                Ev::Epoch => self.at_boundary(monitors, |s| {
+                Ev::Epoch => self.at_boundary(monitors, true, |s| {
                     s.on_epoch();
                     s.q.schedule_in(s.cfg.epoch_cycles, Ev::Epoch);
                 }),
-                Ev::Faucet => self.at_boundary(monitors, |s| {
+                Ev::Faucet => self.at_boundary(monitors, false, |s| {
                     s.hmc.on_faucet();
                     s.q.schedule_in(s.cfg.faucet_cycles, Ev::Faucet);
                 }),
@@ -1306,6 +1323,33 @@ pub fn run_plan_monitored(
     capture: Option<&mut Option<TraceCapture>>,
     monitors: Option<&mut MonitorSet<SimProbe>>,
 ) -> RunReport {
+    simulate::<EventQueue<Ev>>(cfg, label, kind, fast_capacity, plan, capture, monitors)
+}
+
+/// [`run_plan_monitored`] on the legacy binary-heap event queue, without
+/// capture or monitors: the reference run of the engine-differential
+/// oracles. It must be bit-identical to the production run of the same
+/// plan.
+pub fn run_plan_on_heap(
+    cfg: &SystemConfig,
+    label: &str,
+    kind: PolicyKind,
+    fast_capacity: u64,
+    plan: FrontendPlan,
+) -> RunReport {
+    simulate::<HeapQueue<Ev>>(cfg, label, kind, fast_capacity, plan, None, None)
+}
+
+/// Build the system for `plan`, run it on a fresh `Q`, and report.
+fn simulate<Q: Queue<Ev> + Default>(
+    cfg: &SystemConfig,
+    label: &str,
+    kind: PolicyKind,
+    fast_capacity: u64,
+    plan: FrontendPlan,
+    capture: Option<&mut Option<TraceCapture>>,
+    monitors: Option<&mut MonitorSet<SimProbe>>,
+) -> RunReport {
     let mut hybrid = HybridConfig {
         block_bytes: cfg.block_bytes,
         assoc: cfg.assoc,
@@ -1352,7 +1396,7 @@ pub fn run_plan_monitored(
     slow.set_tracing(tracing);
     let mut sim = Sim {
         cfg: cfg.clone(),
-        q: EventQueue::with_engine(cfg.engine),
+        q: Q::default(),
         cores,
         l1s,
         l2s,
@@ -1405,7 +1449,7 @@ pub fn run_plan_monitored(
         warm_tenant_cpu: vec![LogHistogram::new(); n_tenants],
         warm_tenant_gpu: vec![LogHistogram::new(); n_tenants],
     };
-    if cfg.telemetry && !cfg.string_metrics {
+    if cfg.telemetry {
         sim.init_metrics_layout();
     }
 
@@ -1571,26 +1615,36 @@ mod tests {
         assert_eq!(a.events_processed, b.events_processed);
     }
 
-    /// Acceptance check for the calendar-queue engine: an identical-seed
-    /// end-to-end run must be bit-identical on both engines.
-    #[test]
-    fn calendar_and_heap_engines_are_bit_identical() {
-        let mut cfg = tiny();
-        let mix = Mix::by_name("C1").unwrap();
-        cfg.engine = h2_sim_core::EngineKind::Calendar;
-        let a = run_sim(&cfg, &mix, PolicyKind::HydrogenFull);
-        cfg.engine = h2_sim_core::EngineKind::Heap;
-        let b = run_sim(&cfg, &mix, PolicyKind::HydrogenFull);
-        assert_eq!(a.cpu_instr, b.cpu_instr);
-        assert_eq!(a.gpu_instr, b.gpu_instr);
-        assert_eq!(a.hmc, b.hmc);
-        assert_eq!(a.fast, b.fast);
-        assert_eq!(a.slow, b.slow);
-        assert_eq!(a.epoch_trace, b.epoch_trace);
-        assert_eq!(a.events_processed, b.events_processed);
-        assert_eq!(a.clamped_events, b.clamped_events);
-        assert_eq!(a.fast_channel_bytes, b.fast_channel_bytes);
-        assert_eq!(a.slow_channel_bytes, b.slow_channel_bytes);
+    /// Every probe a monitored run of `kind` on `mix` publishes, in order.
+    fn monitored_probes(cfg: &SystemConfig, mix: &Mix, kind: PolicyKind) -> Vec<SimProbe> {
+        use h2_sim_core::InvariantMonitor;
+        use std::cell::RefCell;
+        use std::rc::Rc;
+
+        struct Record(Rc<RefCell<Vec<SimProbe>>>);
+        impl InvariantMonitor<SimProbe> for Record {
+            fn name(&self) -> &'static str {
+                "record"
+            }
+            fn check(&mut self, p: &SimProbe) -> Result<(), String> {
+                self.0.borrow_mut().push(p.clone());
+                Ok(())
+            }
+        }
+
+        let probes = Rc::new(RefCell::new(Vec::new()));
+        let mut monitors = MonitorSet::new();
+        monitors.register(Box::new(Record(Rc::clone(&probes))));
+        run_workloads_monitored(
+            cfg,
+            mix.name,
+            &mix.cpu_specs(),
+            Some(&mix.gpu_spec()),
+            kind,
+            cfg.fast_capacity_for(mix),
+            Some(&mut monitors),
+        );
+        probes.take()
     }
 
     /// End-to-end guard for the alloc-mask memo: epoch and faucet probes
@@ -1600,38 +1654,11 @@ mod tests {
     /// checks nothing, which would leave the `mask-memo` monitor vacuous.
     #[test]
     fn boundary_probes_check_live_mask_memo_entries() {
-        use h2_sim_core::InvariantMonitor;
-        use std::cell::RefCell;
-        use std::rc::Rc;
-
-        /// Records how many live memo entries each probe checked.
-        struct MemoCounts(Rc<RefCell<Vec<usize>>>);
-        impl InvariantMonitor<SimProbe> for MemoCounts {
-            fn name(&self) -> &'static str {
-                "memo-counts"
-            }
-            fn check(&mut self, p: &SimProbe) -> Result<(), String> {
-                self.0.borrow_mut().push(p.mask_memo.clone()?);
-                Ok(())
-            }
-        }
-
-        let cfg = tiny();
         let mix = Mix::by_name("C1").unwrap();
-        let counts = Rc::new(RefCell::new(Vec::new()));
-        let mut monitors = MonitorSet::new();
-        monitors.register(Box::new(MemoCounts(Rc::clone(&counts))));
-        run_workloads_monitored(
-            &cfg,
-            mix.name,
-            &mix.cpu_specs(),
-            Some(&mix.gpu_spec()),
-            PolicyKind::HydrogenFull,
-            cfg.fast_capacity_for(&mix),
-            Some(&mut monitors),
-        );
-        assert!(monitors.ok(), "violations: {:?}", monitors.violations());
-        let counts = counts.borrow();
+        let counts: Vec<usize> = monitored_probes(&tiny(), &mix, PolicyKind::HydrogenFull)
+            .into_iter()
+            .map(|p| p.mask_memo.unwrap_or_else(|e| panic!("{e}")))
+            .collect();
         // The last probe is the end-of-run check; the rest are mid-run.
         let (_, mid) = counts.split_last().expect("probes ran");
         assert!(!mid.is_empty(), "no mid-run probes");
@@ -1778,20 +1805,6 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_json_identical_across_engines() {
-        let mut cfg = tiny();
-        let mix = Mix::by_name("C1").unwrap();
-        cfg.engine = h2_sim_core::EngineKind::Calendar;
-        let a = run_sim(&cfg, &mix, PolicyKind::HydrogenFull);
-        cfg.engine = h2_sim_core::EngineKind::Heap;
-        let b = run_sim(&cfg, &mix, PolicyKind::HydrogenFull);
-        let ja = a.telemetry_json_string().unwrap();
-        let jb = b.telemetry_json_string().unwrap();
-        assert!(!ja.is_empty());
-        assert_eq!(ja, jb, "telemetry must be engine-independent");
-    }
-
-    #[test]
     fn monitored_run_is_bit_identical_and_clean() {
         use h2_sim_core::InvariantMonitor;
 
@@ -1842,39 +1855,32 @@ mod tests {
         assert_eq!(a.epoch_trace, b.epoch_trace);
     }
 
-    /// Acceptance suite for the interned-handle telemetry path: against the
-    /// string path of record, runs must produce byte-identical serialised
-    /// telemetry and identical reports — on both engines, with the tracer
-    /// armed and off.
+    /// Run `kind` on `mix` monitored and assert that every epoch probe
+    /// compared a non-empty registry and found the handle path equal to
+    /// the string path; every other probe (faucet ticks, end of run)
+    /// compares nothing.
+    fn assert_metrics_match_at_every_epoch(cfg: &SystemConfig, mix: &Mix, kind: PolicyKind) {
+        let ctx = format!("{} trace={:?}", kind.label(), cfg.trace_sample);
+        let counts: Vec<usize> = monitored_probes(cfg, mix, kind)
+            .into_iter()
+            .map(|p| p.interned_metrics.unwrap_or_else(|e| panic!("{ctx}: {e}")))
+            .collect();
+        let epochs = cfg.total_cycles() / cfg.epoch_cycles;
+        assert!(epochs > 0, "{ctx}: no epoch boundary to probe");
+        let compared = counts.iter().filter(|&&n| n > 0).count() as u64;
+        assert_eq!(compared, epochs, "{ctx}: epoch probes that compared names: {counts:?}");
+    }
+
+    /// Acceptance check for the interned-handle telemetry path: at every
+    /// epoch boundary its registry equals the string path of record, with
+    /// the tracer armed (lazily interned `trace.*` names) and off.
     #[test]
-    fn interned_metrics_match_string_path_byte_for_byte() {
+    fn interned_metrics_match_string_path_at_every_epoch() {
         let mix = Mix::by_name("C1").unwrap();
-        for engine in [h2_sim_core::EngineKind::Calendar, h2_sim_core::EngineKind::Heap] {
-            for trace in [None, Some(64)] {
-                let mut cfg = tiny();
-                cfg.engine = engine;
-                cfg.trace_sample = trace;
-                cfg.string_metrics = false;
-                let fast = run_sim(&cfg, &mix, PolicyKind::HydrogenFull);
-                cfg.string_metrics = true;
-                let strs = run_sim(&cfg, &mix, PolicyKind::HydrogenFull);
-                let ctx = format!("engine={engine:?} trace={trace:?}");
-                assert_eq!(fast.cpu_instr, strs.cpu_instr, "{ctx}");
-                assert_eq!(fast.gpu_instr, strs.gpu_instr, "{ctx}");
-                assert_eq!(fast.hmc, strs.hmc, "{ctx}");
-                assert_eq!(fast.fast, strs.fast, "{ctx}");
-                assert_eq!(fast.slow, strs.slow, "{ctx}");
-                assert_eq!(fast.epoch_trace, strs.epoch_trace, "{ctx}");
-                assert_eq!(fast.events_processed, strs.events_processed, "{ctx}");
-                assert_eq!(
-                    fast.telemetry_json_string().unwrap(),
-                    strs.telemetry_json_string().unwrap(),
-                    "{ctx}: serialised telemetry must be byte-identical"
-                );
-                let sa = fast.trace.as_ref().map(|t| &t.spans);
-                let sb = strs.trace.as_ref().map(|t| &t.spans);
-                assert_eq!(sa, sb, "{ctx}: span sets must match");
-            }
+        for trace in [None, Some(64)] {
+            let mut cfg = tiny();
+            cfg.trace_sample = trace;
+            assert_metrics_match_at_every_epoch(&cfg, &mix, PolicyKind::HydrogenFull);
         }
     }
 
@@ -1886,16 +1892,7 @@ mod tests {
         for kind in [PolicyKind::NoPart, PolicyKind::HydrogenFull] {
             let mut cfg = tiny();
             cfg.trace_sample = Some(64);
-            cfg.string_metrics = false;
-            let fast = run_sim(&cfg, &mix, kind);
-            cfg.string_metrics = true;
-            let strs = run_sim(&cfg, &mix, kind);
-            assert_eq!(
-                fast.telemetry_json_string().unwrap(),
-                strs.telemetry_json_string().unwrap(),
-                "policy {}",
-                kind.label()
-            );
+            assert_metrics_match_at_every_epoch(&cfg, &mix, kind);
         }
     }
 

@@ -4,7 +4,7 @@
 //! popped `(time, seq, payload)` streams must be bit-identical, proving the
 //! calendar engine preserves the exact `(time, seq)` total order.
 
-use hydrogen_repro::sim::{EngineKind, EventQueue, SeededRng};
+use hydrogen_repro::sim::{CalendarQueue, HeapQueue, Queue, SeededRng};
 
 const TOTAL_EVENTS: u64 = 1_000_000;
 
@@ -24,8 +24,8 @@ fn next_delta(rng: &mut SeededRng) -> u64 {
 
 #[test]
 fn one_million_mixed_horizon_events_are_bit_identical() {
-    let mut cal = EventQueue::with_engine(EngineKind::Calendar);
-    let mut heap = EventQueue::with_engine(EngineKind::Heap);
+    let mut cal = CalendarQueue::new();
+    let mut heap = HeapQueue::new();
     let mut rng = SeededRng::derive(2024, "diff.schedule");
     let mut pop_rng = SeededRng::derive(2024, "diff.pop");
 

@@ -15,8 +15,9 @@
 //!
 //! and commit the updated files alongside the change that caused them.
 
+use h2_check::{run_scenario_on_heap, run_workloads_on_heap};
 use hydrogen_repro::prelude::*;
-use hydrogen_repro::sim::{EngineKind, Json};
+use hydrogen_repro::sim::Json;
 use hydrogen_repro::system::run_scenario;
 use hydrogen_repro::trace::TenantScenario;
 use std::fs;
@@ -32,16 +33,14 @@ fn golden_path(name: &str) -> PathBuf {
 fn check(name: &str, cfg: &SystemConfig, mix_name: &str, kind: PolicyKind) {
     let mix = Mix::by_name(mix_name).unwrap();
 
-    let mut cal = cfg.clone();
-    cal.engine = EngineKind::Calendar;
-    let mut heap = cfg.clone();
-    heap.engine = EngineKind::Heap;
-    let got = run_sim(&cal, &mix, kind)
+    let got = run_sim(cfg, &mix, kind)
         .telemetry_json_string()
         .expect("telemetry must be enabled for golden runs");
-    let via_heap = run_sim(&heap, &mix, kind)
-        .telemetry_json_string()
-        .expect("telemetry must be enabled for golden runs");
+    let cap = cfg.fast_capacity_for(&mix);
+    let via_heap =
+        run_workloads_on_heap(cfg, mix.name, &mix.cpu_specs(), Some(&mix.gpu_spec()), kind, cap)
+            .telemetry_json_string()
+            .expect("telemetry must be enabled for golden runs");
     assert_eq!(got, via_heap, "{name}: engines must produce identical telemetry");
 
     let path = golden_path(name);
@@ -69,14 +68,10 @@ fn check(name: &str, cfg: &SystemConfig, mix_name: &str, kind: PolicyKind) {
 /// timeline (which carries the `tenant.*`
 /// metric schema) against a checked-in snapshot, exactly like [`check`].
 fn check_scenario(name: &str, cfg: &SystemConfig, sc: &TenantScenario, kind: PolicyKind) {
-    let mut cal = cfg.clone();
-    cal.engine = EngineKind::Calendar;
-    let mut heap = cfg.clone();
-    heap.engine = EngineKind::Heap;
-    let got = run_scenario(&cal, sc, kind)
+    let got = run_scenario(cfg, sc, kind)
         .telemetry_json_string()
         .expect("telemetry must be enabled for golden runs");
-    let via_heap = run_scenario(&heap, sc, kind)
+    let via_heap = run_scenario_on_heap(cfg, sc, kind)
         .telemetry_json_string()
         .expect("telemetry must be enabled for golden runs");
     assert_eq!(got, via_heap, "{name}: engines must produce identical telemetry");

@@ -2,46 +2,47 @@
 //!
 //! For every policy in the fuzzer's catalogue, one oracle run on the
 //! legacy heap engine is compared against a run on the production
-//! calendar engine. Every counter, the telemetry JSON, and the sampled
-//! request trace must be bit-identical. The oracle runs alone process
-//! more than one million events.
+//! calendar engine, traced at 1/64; one more HydrogenFull pass runs
+//! untraced. Every deterministic report field, the telemetry JSON and the
+//! sampled request trace included, must be bit-identical. The oracle runs
+//! alone process more than one million events.
 
+use h2_check::{diff_reports, run_workloads_on_heap};
 use hydrogen_repro::prelude::*;
-use hydrogen_repro::sim::EngineKind;
+
+/// Run `kind` on `mix` on both engines and assert the reports match;
+/// returns the oracle's event count.
+fn assert_engines_match(cfg: &SystemConfig, mix: &Mix, kind: PolicyKind, name: &str) -> u64 {
+    let want = run_workloads_on_heap(
+        cfg,
+        mix.name,
+        &mix.cpu_specs(),
+        Some(&mix.gpu_spec()),
+        kind,
+        cfg.fast_capacity_for(mix),
+    );
+    let got = run_sim(cfg, mix, kind);
+    assert!(want.telemetry.is_some(), "{name}: telemetry is on");
+    assert_eq!(diff_reports(&want, &got), None, "{name}");
+    want.events_processed
+}
 
 #[test]
 fn kernels_match_heap_oracle_across_all_policies() {
     let mix = Mix::by_name("C1").unwrap();
     let mut cfg = SystemConfig::tiny();
     cfg.telemetry = true;
-    cfg.trace_sample = Some(64);
 
+    cfg.trace_sample = Some(64);
     let mut oracle_events = 0u64;
     for &(name, kind) in h2_check::POLICIES {
-        cfg.engine = EngineKind::Heap;
-        let want = run_sim(&cfg, &mix, kind);
-        oracle_events += want.events_processed;
-        cfg.engine = EngineKind::Calendar;
-        let got = run_sim(&cfg, &mix, kind);
-        assert_eq!(want.cpu_instr, got.cpu_instr, "{name}");
-        assert_eq!(want.gpu_instr, got.gpu_instr, "{name}");
-        assert_eq!(want.hmc, got.hmc, "{name}");
-        assert_eq!(want.fast, got.fast, "{name}");
-        assert_eq!(want.slow, got.slow, "{name}");
-        assert_eq!(want.epoch_trace, got.epoch_trace, "{name}");
-        assert_eq!(want.events_processed, got.events_processed, "{name}");
-        assert_eq!(want.clamped_events, got.clamped_events, "{name}");
-        assert_eq!(want.fast_channel_bytes, got.fast_channel_bytes, "{name}");
-        assert_eq!(want.slow_channel_bytes, got.slow_channel_bytes, "{name}");
-        assert_eq!(
-            want.telemetry_json_string().unwrap(),
-            got.telemetry_json_string().unwrap(),
-            "telemetry must match: {name}"
-        );
-        assert_eq!(want.trace, got.trace, "trace must match: {name}");
+        oracle_events += assert_engines_match(&cfg, &mix, kind, name);
     }
     assert!(
         oracle_events > 1_000_000,
         "oracle workload too small to be meaningful: {oracle_events} events"
     );
+
+    cfg.trace_sample = None;
+    assert_engines_match(&cfg, &mix, PolicyKind::HydrogenFull, "HydrogenFull untraced");
 }

@@ -12,7 +12,7 @@ use hydrogen_repro::hybrid::types::{HybridConfig, ReqClass};
 use hydrogen_repro::hybrid::RemapTable;
 use hydrogen_repro::hydrogen::partition::PartitionMap;
 use hydrogen_repro::hydrogen::TokenBucket;
-use hydrogen_repro::sim::{EngineKind, EventQueue, SeededRng};
+use hydrogen_repro::sim::{CalendarQueue, HeapQueue, Queue, SeededRng};
 
 const CASES: u64 = 64;
 
@@ -464,8 +464,8 @@ fn rng_stream_properties() {
 #[test]
 fn event_queue_interleavings_agree() {
     cases("prop.queue", |case, rng| {
-        let mut cal = EventQueue::with_engine(EngineKind::Calendar);
-        let mut heap = EventQueue::with_engine(EngineKind::Heap);
+        let mut cal = CalendarQueue::new();
+        let mut heap = HeapQueue::new();
         let mut payload = 0u64;
         let mut last: Option<(u64, u64)> = None;
         let steps = 50 + rng.below(400);

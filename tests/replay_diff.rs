@@ -12,8 +12,11 @@
 
 use h2_check::{diff_reports, sample_scenario};
 use h2_harness::trace_cli::{replay_trace, run_mix_capture, run_scenario_capture};
-use h2_sim_core::{EngineKind, Json};
-use h2_system::{replay_config, replay_plan, run_plan_monitored, PolicyKind, SystemConfig};
+use h2_sim_core::Json;
+use h2_system::{
+    replay_config, replay_plan, run_plan_monitored, run_plan_on_heap, PolicyKind, RunReport,
+    SystemConfig,
+};
 use h2_trace::{Arrival, Mix, TenantScenario, TenantSpec, TraceFile};
 use std::fs;
 use std::path::PathBuf;
@@ -30,9 +33,10 @@ fn short_cfg(seed: u64) -> SystemConfig {
     cfg
 }
 
-/// Replay `file` purely from its embedded header under the given engine,
-/// with telemetry armed so the comparison covers the timeline.
-fn replay_with(file: &TraceFile, engine: EngineKind) -> h2_system::RunReport {
+/// Replay `file` purely from its embedded header on the production queue
+/// and on the heap oracle, with telemetry armed so the comparison covers
+/// the timeline.
+fn replay_on_both_engines(file: &TraceFile) -> [RunReport; 2] {
     let meta_cfg = SystemConfig::from_json(file.meta.get("config").expect("capture embeds config"))
         .expect("embedded config must decode");
     let policy = file.meta.get("policy").and_then(Json::as_str).expect("capture embeds policy");
@@ -44,20 +48,21 @@ fn replay_with(file: &TraceFile, engine: EngineKind) -> h2_system::RunReport {
         .expect("capture embeds fast_capacity");
     let mut rcfg = replay_config(&meta_cfg, file);
     rcfg.telemetry = true;
-    rcfg.engine = engine;
-    run_plan_monitored(&rcfg, &file.label, kind, fast, replay_plan(file), None, None)
+    [
+        run_plan_monitored(&rcfg, &file.label, kind, fast, replay_plan(file), None, None),
+        run_plan_on_heap(&rcfg, &file.label, kind, fast, replay_plan(file)),
+    ]
 }
 
 /// Capture → decode from bytes → replay on both engines; every replayed
 /// report (telemetry included) must be bit-identical to the original.
-fn assert_replay_matrix(orig: &h2_system::RunReport, bytes: &[u8], what: &str) {
+fn assert_replay_matrix(orig: &RunReport, bytes: &[u8], what: &str) {
     let decoded = TraceFile::decode(bytes).expect("capture must decode");
-    for engine in [EngineKind::Calendar, EngineKind::Heap] {
-        let rep = replay_with(&decoded, engine);
+    for (engine, rep) in ["calendar", "heap"].iter().zip(replay_on_both_engines(&decoded)) {
         assert_eq!(
             diff_reports(orig, &rep),
             None,
-            "{what}: {engine:?} replay diverged from the original"
+            "{what}: {engine} replay diverged from the original"
         );
     }
 }

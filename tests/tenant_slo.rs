@@ -10,9 +10,11 @@
 //! scenario (`examples/scenarios/inference_hpc_analytics.json`) must
 //! validate and satisfy all of it.
 
-use h2_check::{check_partition, diff_reports, permute_tenants, sample_scenario};
+use h2_check::{
+    check_partition, diff_reports, permute_tenants, run_scenario_on_heap, sample_scenario,
+};
 use h2_sim_core::trace_span::tiles_exactly;
-use h2_sim_core::{EngineKind, Json, LogHistogram};
+use h2_sim_core::{Json, LogHistogram};
 use h2_system::report::METRIC_NAMES;
 use h2_system::{run_scenario, PolicyKind, RunReport, SystemConfig};
 use h2_trace::{Arrival, TenantScenario, TenantSpec};
@@ -162,9 +164,7 @@ fn partition_holds_for_sampled_scenarios_on_both_engines() {
         let cfg = short_cfg(seed + 100);
         let a = run_scenario(&cfg, &sc, PolicyKind::NoPart);
         check_partition(&a).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-        let mut heap = cfg.clone();
-        heap.engine = EngineKind::Heap;
-        let b = run_scenario(&heap, &sc, PolicyKind::NoPart);
+        let b = run_scenario_on_heap(&cfg, &sc, PolicyKind::NoPart);
         assert_eq!(
             diff_reports(&a, &b),
             None,

@@ -13,15 +13,18 @@
 //!    instruction counts, cycle counts, and the telemetry timeline are
 //!    byte-identical to an untraced run.
 
+use h2_check::run_workloads_on_heap;
 use hydrogen_repro::prelude::*;
 use hydrogen_repro::sim::trace_span::{BlameCause, Span};
-use hydrogen_repro::sim::EngineKind;
 
-fn traced_run(engine: EngineKind, sample: u64, mix: &str, kind: PolicyKind) -> RunReport {
+fn traced_cfg(sample: u64) -> SystemConfig {
     let mut cfg = SystemConfig::tiny();
-    cfg.engine = engine;
     cfg.trace_sample = Some(sample);
-    run_sim(&cfg, &Mix::by_name(mix).unwrap(), kind)
+    cfg
+}
+
+fn traced_run(sample: u64, mix: &str, kind: PolicyKind) -> RunReport {
+    run_sim(&traced_cfg(sample), &Mix::by_name(mix).unwrap(), kind)
 }
 
 /// Intervals sorted, non-overlapping, gap-free, covering the span exactly.
@@ -40,7 +43,7 @@ fn assert_tiles(s: &Span) {
 #[test]
 fn blame_intervals_tile_every_request_exactly() {
     for kind in [PolicyKind::NoPart, PolicyKind::HydrogenFull] {
-        let r = traced_run(EngineKind::Calendar, 4, "C1", kind);
+        let r = traced_run(4, "C1", kind);
         let t = r.trace.expect("tracing on");
         assert!(!t.spans.is_empty(), "{kind:?}: rate 4 must sample spans");
         for s in &t.spans {
@@ -51,7 +54,7 @@ fn blame_intervals_tile_every_request_exactly() {
 
 #[test]
 fn sampled_spans_cover_both_sides_and_real_causes() {
-    let r = traced_run(EngineKind::Calendar, 2, "C1", PolicyKind::HydrogenFull);
+    let r = traced_run(2, "C1", PolicyKind::HydrogenFull);
     let t = r.trace.expect("tracing on");
     let classes: std::collections::HashSet<u8> = t.spans.iter().map(|s| s.class).collect();
     assert!(classes.contains(&0), "no CPU demand spans sampled");
@@ -68,14 +71,24 @@ fn sampled_spans_cover_both_sides_and_real_causes() {
 
 #[test]
 fn sampling_is_deterministic_across_engines() {
-    let cal = traced_run(EngineKind::Calendar, 4, "C5", PolicyKind::HydrogenFull);
-    let heap = traced_run(EngineKind::Heap, 4, "C5", PolicyKind::HydrogenFull);
+    let cfg = traced_cfg(4);
+    let mix = Mix::by_name("C5").unwrap();
+    let cal = run_sim(&cfg, &mix, PolicyKind::HydrogenFull);
+    let cap = cfg.fast_capacity_for(&mix);
+    let heap = run_workloads_on_heap(
+        &cfg,
+        mix.name,
+        &mix.cpu_specs(),
+        Some(&mix.gpu_spec()),
+        PolicyKind::HydrogenFull,
+        cap,
+    );
     let (ct, ht) = (cal.trace.unwrap(), heap.trace.unwrap());
     assert!(!ct.spans.is_empty());
     assert_eq!(ct, ht, "engines must sample the identical span set");
 
     // And across repeat runs of the same engine.
-    let again = traced_run(EngineKind::Calendar, 4, "C5", PolicyKind::HydrogenFull);
+    let again = traced_run(4, "C5", PolicyKind::HydrogenFull);
     assert_eq!(ct, again.trace.unwrap());
 }
 
@@ -99,7 +112,7 @@ fn tracing_never_perturbs_the_simulation() {
 
 #[test]
 fn interference_matrix_totals_match_the_spans() {
-    let r = traced_run(EngineKind::Calendar, 4, "C1", PolicyKind::HydrogenFull);
+    let r = traced_run(4, "C1", PolicyKind::HydrogenFull);
     let t = r.trace.as_ref().expect("tracing on");
     // Rebuild the blame matrix from the raw spans.
     let mut want = [[0u64; 8]; 2];
@@ -136,7 +149,7 @@ fn interference_matrix_totals_match_the_spans() {
 /// complete event per span plus one per blamed interval.
 #[test]
 fn chrome_trace_export_is_consistent_with_the_spans() {
-    let r = traced_run(EngineKind::Calendar, 8, "C1", PolicyKind::NoPart);
+    let r = traced_run(8, "C1", PolicyKind::NoPart);
     let t = r.trace.as_ref().unwrap();
     let json = r.chrome_trace_json_string().expect("traced run exports");
     let n_intervals: usize = t.spans.iter().map(|s| s.intervals.len()).sum();
