@@ -18,9 +18,16 @@
 //! h2 cache gc --max-bytes 512M      # LRU-evict the store down to a budget
 //! ```
 //!
-//! `--jobs N` sizes `h2 sweep`'s worker pool. `h2 run` and `h2 all` accept
-//! it but still simulate one job at a time: experiments submit their jobs
-//! to the run cache one by one.
+//! `--jobs N` sizes the one worker pool (default: every CPU). `h2 run` and
+//! `h2 all` plan each experiment and run its distinct jobs on the pool as
+//! one batch; `h2 sweep` runs its points on it. Tables and CSVs do not
+//! depend on `N`.
+//!
+//! The global flags apply to these subcommands only, and any other
+//! subcommand exits with status 2 when given one: `--jobs` to `run
+//! <experiment>..`, `all` and `sweep`; `--trace` and `--trace-sample` to
+//! `run <experiment>..` and `all`; `--telemetry` and `--profile` to `run`
+//! and `all`.
 //!
 //! Scale with `H2_PROFILE=quick|default|full`; `H2_VERBOSE=1` for progress.
 //! `h2 run` and `h2 all` exit with status 1 when any paper claim checked by
@@ -43,7 +50,10 @@
 //! for the whole invocation and writes `profile.txt` / `profile.json` /
 //! `profile.folded` into the directory (see DESIGN.md §17). The profile
 //! covers *executed* simulations only — cache replays spend no simulator
-//! time, so a fully warm run produces a near-empty profile.
+//! time, so a fully warm run produces a near-empty profile. Simulations on
+//! every worker are profiled; in an `alloc-count` build with `--jobs` above
+//! 1, a frame's allocation count also includes what other workers
+//! allocated meanwhile, since the counter is process-wide.
 
 use h2_harness::{run_experiment, validate_run_ids, Profile, RunCache, Table, ALL_EXPERIMENTS};
 use h2_sim_core::prof;
@@ -59,6 +69,18 @@ static GLOBAL: h2_harness::alloc_count::CountingAlloc =
 
 /// Default request-trace sampling rate: every 64th demand read.
 const DEFAULT_TRACE_SAMPLE: u64 = 64;
+
+/// Whether the subcommand in `args` takes the global `flag`. Every other
+/// subcommand rejects the flag rather than run as if it were absent.
+fn takes_flag(args: &[String], flag: &str) -> bool {
+    let trace_mode = h2_harness::trace_cli::is_trace_mode(args.get(1..).unwrap_or_default());
+    match (args.first().map(String::as_str), flag) {
+        (Some("all"), _) | (Some("run"), "--telemetry" | "--profile") => true,
+        (Some("run"), _) => !trace_mode,
+        (Some("sweep"), "--jobs") => true,
+        _ => false,
+    }
+}
 
 /// Extract `--flag <value>` from anywhere in `args`, removing both tokens.
 fn take_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
@@ -100,7 +122,6 @@ fn main() {
         eprintln!("--trace-sample requires --trace <dir>");
         std::process::exit(2);
     }
-    let trace = trace_dir.map(|d| (d, trace_sample.unwrap_or(DEFAULT_TRACE_SAMPLE)));
     let jobs = match take_flag(&mut args, "--jobs") {
         Some(v) => match v.parse::<usize>() {
             Ok(0) => {
@@ -115,6 +136,26 @@ fn main() {
         },
         None => None,
     };
+    for (flag, given) in [
+        ("--telemetry", telemetry_dir.is_some()),
+        ("--trace", trace_dir.is_some()),
+        ("--trace-sample", trace_sample.is_some()),
+        ("--profile", profile_dir.is_some()),
+        ("--jobs", jobs.is_some()),
+    ] {
+        if given && !takes_flag(&args, flag) {
+            let on = match args.first().map(String::as_str) {
+                None => "no subcommand".to_string(),
+                // `run <experiment>..` takes every flag; only trace mode
+                // rejects one.
+                Some("run") => "`h2 run --scenario/--capture/--replay`".to_string(),
+                Some(cmd) => format!("`h2 {cmd}`"),
+            };
+            eprintln!("{flag} does not apply to {on}");
+            std::process::exit(2);
+        }
+    }
+    let trace = trace_dir.map(|d| (d, trace_sample.unwrap_or(DEFAULT_TRACE_SAMPLE)));
 
     match args.first().map(|s| s.as_str()) {
         Some("list") => {

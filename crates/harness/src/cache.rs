@@ -3,9 +3,12 @@
 //! Several experiments need the same runs (every figure needs per-mix
 //! baselines; Fig 6 reuses Fig 5's runs). Jobs are keyed by a structured
 //! `u128` hash of the full configuration ([`crate::key::job_key`]); lookups
-//! go memory → disk ([`crate::persist::DiskTier`]) → simulate. Batches are
-//! deduplicated before dispatch and fanned out over a `std::thread` worker
-//! pool when more than one CPU is available.
+//! go memory → disk ([`crate::persist::DiskTier`]) → simulate. Everything
+//! past memory runs on the sweep scheduler
+//! ([`crate::sweep::scheduler::run_batch`]): [`RunCache::run`] is a batch
+//! of one, and [`RunCache::run_planned`] records every job an experiment
+//! requests, then runs the distinct misses as one batch across the
+//! [`RunCache::set_jobs`] workers (default: every CPU).
 //!
 //! The disk tier (default `results/.runcache/`) survives process restarts:
 //! re-running an experiment after a crash or `^C` replays completed
@@ -15,14 +18,13 @@
 
 use crate::key::job_key;
 use crate::persist::DiskTier;
+use crate::sweep::scheduler::{self, Source};
 use h2_system::{run_scenario, run_sim_parts, Participants, PolicyKind, RunReport, SystemConfig};
 use h2_trace::{Mix, TenantScenario};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
 
 /// One simulation job.
 #[derive(Debug, Clone)]
@@ -69,20 +71,21 @@ impl Job {
     pub fn key(&self) -> u128 {
         job_key(&self.cfg, &self.mix, self.kind, self.parts, self.scenario.as_ref())
     }
-}
 
-/// Execute one job (scenario or mix) with the given effective config.
-fn execute(cfg: &SystemConfig, job: &Job) -> RunReport {
-    match &job.scenario {
-        Some(sc) => run_scenario(cfg, sc, job.kind),
-        None => run_sim_parts(cfg, &job.mix, job.kind, job.parts),
+    /// Simulate the job: its scenario when it has one, else its mix. The
+    /// scheduler's workers call this for every store miss.
+    pub(crate) fn execute(&self) -> RunReport {
+        match &self.scenario {
+            Some(sc) => run_scenario(&self.cfg, sc, self.kind),
+            None => run_sim_parts(&self.cfg, &self.mix, self.kind, self.parts),
+        }
     }
 }
 
 /// The default persistent-cache directory: `results/.runcache` under the
 /// nearest ancestor that already has a `results/` dir or is a repo root —
-/// so `cargo bench` targets (whose CWD is the package dir) share one cache
-/// with the `h2` CLI (run from the workspace root).
+/// so `h2` started from a subdirectory of the workspace shares one cache
+/// with `h2` run from the workspace root.
 pub(crate) fn default_cache_dir() -> std::path::PathBuf {
     let cwd = std::env::current_dir().unwrap_or_else(|_| std::path::PathBuf::from("."));
     let mut at = cwd.as_path();
@@ -128,11 +131,13 @@ pub struct RunCache {
     disk: Option<DiskTier>,
     /// Runs actually executed (missed both tiers).
     pub executed: usize,
-    /// In-memory cache hits.
+    /// Requests served from memory. The render pass of
+    /// [`RunCache::run_planned`] is not counted: it repeats the requests
+    /// its plan already counted.
     pub hits: usize,
-    /// Runs replayed from the persistent tier.
+    /// Distinct runs replayed from the persistent tier.
     pub disk_hits: usize,
-    /// Duplicate jobs collapsed within `run_batch` calls.
+    /// Repeated requests for a job a plan had already recorded.
     pub deduped: usize,
     /// Total simulator events across executed runs.
     pub sim_events: u64,
@@ -153,9 +158,11 @@ pub struct RunCache {
     /// the run is re-executed traced and overwrites the untraced entry).
     /// Tracing never changes job keys — see `crate::key`.
     trace_sample: Option<u64>,
-    /// Worker-pool size override for `run_batch`. `None` falls back to
-    /// the CPU count.
+    /// Worker-pool size override. `None` falls back to the CPU count.
     jobs: Option<usize>,
+    /// While `plan` records: the distinct jobs that missed memory, in
+    /// first-request order.
+    planned: Option<Vec<(u128, Job)>>,
 }
 
 impl RunCache {
@@ -188,11 +195,6 @@ impl RunCache {
         Ok(c)
     }
 
-    /// Whether a persistent tier is attached.
-    pub fn is_persistent(&self) -> bool {
-        self.disk.is_some()
-    }
-
     /// The sharded store behind the persistent tier, if any. The
     /// crash-consistency suite uses this to inject commit faults and read
     /// quarantine counters on the exact handle the cache writes through.
@@ -200,8 +202,8 @@ impl RunCache {
         self.disk.as_ref().map(DiskTier::sharded)
     }
 
-    /// Cap the `run_batch` worker pool at `n` threads (`n = 1` forces
-    /// sequential execution).
+    /// Cap the worker pool at `n` threads (`n = 1` runs every batch on the
+    /// calling thread).
     pub fn set_jobs(&mut self, n: usize) {
         self.jobs = Some(n.max(1));
     }
@@ -248,171 +250,98 @@ impl RunCache {
         }
     }
 
-    fn dump_all(&self, key: u128, report: &RunReport) {
-        self.dump_telemetry(key, report);
-        self.dump_trace(key, report);
-    }
-
-    /// Upgrade-on-miss rule: a cached report satisfies the request unless
-    /// tracing is wanted and the entry was executed without it.
-    fn satisfies_trace(&self, r: &RunReport) -> bool {
-        self.trace_sample.is_none() || r.trace.is_some()
-    }
-
-    /// A job's effective config: the requested one, plus the cache-level
-    /// trace-sample override (which never changes the key).
-    fn effective_cfg(&self, job: &Job) -> SystemConfig {
-        let mut cfg = job.cfg.clone();
-        if self.trace_sample.is_some() {
-            cfg.trace_sample = self.trace_sample;
-        }
-        cfg
-    }
-
-    /// Look a key up in both tiers, promoting disk hits into memory.
-    fn fetch(&mut self, key: u128) -> Option<RunReport> {
-        if let Some(r) = self.map.get(&key) {
-            if self.satisfies_trace(r) {
-                self.hits += 1;
-                return Some(r.clone());
-            }
-        }
-        if let Some(disk) = &self.disk {
-            if let Some(r) = disk.load(key) {
-                if self.satisfies_trace(&r) {
-                    self.disk_hits += 1;
-                    self.dump_all(key, &r);
-                    self.map.insert(key, r.clone());
-                    return Some(r);
-                }
-            }
-        }
-        None
-    }
-
-    /// Record a finished run in both tiers.
-    fn admit(&mut self, key: u128, report: &RunReport) {
-        self.executed += 1;
-        self.sim_events += report.events_processed;
-        self.sim_wall_s += report.wall_s;
-        if let Some(disk) = &self.disk {
-            if let Err(e) = disk.store(key, report) {
-                eprintln!("[h2] run cache write failed: {e}");
-            }
-        }
-        self.dump_all(key, report);
-        self.map.insert(key, report.clone());
-    }
-
-    /// Run (or fetch) a single job.
+    /// Run (or fetch) a single job: a memory hit, or else a batch of one
+    /// on the sweep scheduler (a store hit or a simulation). While
+    /// [`RunCache::run_planned`] plans, a miss is recorded instead and
+    /// answered with `RunReport::default()`.
     pub fn run(&mut self, job: &Job) -> RunReport {
         let key = job.key();
-        if let Some(r) = self.fetch(key) {
-            return r;
+        if let Some(r) = self
+            .map
+            .get(&key)
+            .filter(|r| scheduler::satisfies(self.trace_sample, r))
+        {
+            self.hits += 1;
+            return r.clone();
         }
-        if self.verbose {
-            eprintln!("[h2] running {} / {:?} / {:?}", job.mix.name, job.kind, job.parts);
+        // The cache-level sample rate rides on the job's config (which the
+        // key ignores), so the worker runs it traced and applies the same
+        // upgrade rule to store entries.
+        let mut job = job.clone();
+        if self.trace_sample.is_some() {
+            job.cfg.trace_sample = self.trace_sample;
         }
-        let cfg = self.effective_cfg(job);
-        let report = execute(&cfg, job);
-        if self.verbose {
-            eprintln!(
-                "[h2]   done in {:.1}s ({} events, {:.2} Mev/s)",
-                report.wall_s,
-                report.events_processed,
-                report.events_per_sec / 1e6
-            );
+        match &mut self.planned {
+            Some(plan) if plan.iter().any(|(k, _)| *k == key) => self.deduped += 1,
+            Some(plan) => plan.push((key, job)),
+            None => {
+                self.run_misses(&[(key, job)]);
+                return self.map[&key].clone();
+            }
         }
-        self.admit(key, &report);
-        report
+        RunReport::default()
     }
 
-    /// Run a batch of jobs, deduplicating identical jobs and using a worker
-    /// pool when multiple CPUs exist. Results come back in job order.
-    pub fn run_batch(&mut self, jobs: &[Job]) -> Vec<RunReport> {
-        // Partition into cached and to-run, collapsing duplicates so each
-        // distinct key is simulated at most once per batch.
-        let mut pending = HashSet::new();
-        let mut misses: Vec<(u128, Job)> = Vec::new();
-        for job in jobs {
-            let key = job.key();
-            if self.map.get(&key).is_some_and(|r| self.satisfies_trace(r)) {
-                self.hits += 1;
-                continue;
-            }
-            if !pending.insert(key) {
-                self.deduped += 1;
-                continue;
-            }
-            if let Some(r) = self
-                .disk
-                .as_ref()
-                .and_then(|d| d.load(key))
-                .filter(|r| self.satisfies_trace(r))
-            {
-                self.disk_hits += 1;
-                self.dump_all(key, &r);
-                self.map.insert(key, r);
-                continue;
-            }
-            misses.push((key, job.clone()));
-        }
-
-        let workers = self
-            .jobs
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-            })
-            .min(misses.len().max(1));
-
-        if workers <= 1 || misses.len() <= 1 {
-            for (key, job) in &misses {
-                if self.verbose {
-                    eprintln!("[h2] running {} / {:?} / {:?}", job.mix.name, job.kind, job.parts);
-                }
-                let cfg = self.effective_cfg(job);
-                let r = execute(&cfg, job);
-                self.admit(*key, &r);
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            let (tx, rx) = mpsc::channel::<(usize, RunReport)>();
-            let misses_ref = &misses;
-            let trace_sample = self.trace_sample;
-            std::thread::scope(|s| {
-                for _ in 0..workers {
-                    let tx = tx.clone();
-                    let next = &next;
-                    s.spawn(move || loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some((_, job)) = misses_ref.get(i) else { break };
-                        let mut cfg = job.cfg.clone();
-                        if trace_sample.is_some() {
-                            cfg.trace_sample = trace_sample;
-                        }
-                        let r = execute(&cfg, job);
-                        if tx.send((i, r)).is_err() {
-                            break;
-                        }
-                    });
-                }
-                drop(tx);
-                for (i, r) in rx {
-                    self.admit(misses_ref[i].0, &r);
-                }
-            });
-        }
-        jobs.iter().map(|j| self.map[&j.key()].clone()).collect()
+    /// Record the jobs `experiment` requests without running any: every
+    /// request that misses memory is answered with `RunReport::default()`,
+    /// and the distinct misses come back in first-request order.
+    pub(crate) fn plan(&mut self, experiment: impl FnOnce(&mut Self)) -> Vec<(u128, Job)> {
+        self.planned = Some(Vec::new());
+        experiment(self);
+        self.planned.take().unwrap_or_default()
     }
 
-    /// Number of distinct cached runs in memory.
-    pub fn len(&self) -> usize {
-        self.map.len()
+    /// Plan, run, render: record `experiment`'s jobs, run the distinct
+    /// misses as one batch, then run `experiment` again from memory and
+    /// return what that pass produced. Panics if the render pass requests
+    /// a job its plan did not record (a job set that depends on results).
+    pub fn run_planned<T>(&mut self, mut experiment: impl FnMut(&mut Self) -> T) -> T {
+        let batch = self.plan(|c| {
+            experiment(c);
+        });
+        self.run_misses(&batch);
+        let (misses, hits) = (self.executed + self.disk_hits, self.hits);
+        let out = experiment(self);
+        assert_eq!(
+            self.executed + self.disk_hits,
+            misses,
+            "the render pass requested a job its plan did not record"
+        );
+        self.hits = hits;
+        out
     }
 
-    /// True when nothing has been run yet.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+    /// Run `batch` (distinct keys that missed memory) on the sweep
+    /// scheduler. Its workers serve store hits, or simulate and publish to
+    /// the store; here each report is dumped and admitted to memory.
+    fn run_misses(&mut self, batch: &[(u128, Job)]) {
+        let workers = self.jobs.unwrap_or_else(scheduler::default_workers);
+        let (reports, stats) = scheduler::run_batch(batch, self.disk.as_ref(), workers, |done| {
+            if done.source != Source::Executed {
+                return;
+            }
+            let r = &done.report;
+            self.sim_events += r.events_processed;
+            self.sim_wall_s += r.wall_s;
+            if self.verbose {
+                eprintln!(
+                    "[h2] ran {} / {} / {:?} in {:.1}s ({} events, {:.2} Mev/s)",
+                    r.mix,
+                    r.policy,
+                    batch[done.idx].1.parts,
+                    r.wall_s,
+                    r.events_processed,
+                    r.events_per_sec / 1e6
+                );
+            }
+        });
+        self.executed += stats.executed;
+        self.disk_hits += stats.disk_hits;
+        for ((key, _), report) in batch.iter().zip(reports) {
+            self.dump_telemetry(*key, &report);
+            self.dump_trace(*key, &report);
+            self.map.insert(*key, report);
+        }
     }
 
     /// One-line summary of cache activity for CLI output.
@@ -435,9 +364,32 @@ impl RunCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::Profile;
+    use h2_check::{diff_reports, sample_scenario};
 
     fn tiny_job(kind: PolicyKind) -> Job {
         Job::new(&SystemConfig::tiny(), &Mix::by_name("C1").unwrap(), kind)
+    }
+
+    /// A tiny job with short windows, distinguished by its seed.
+    fn short_job(seed: u64, kind: PolicyKind) -> Job {
+        let mut cfg = SystemConfig::tiny();
+        cfg.seed = seed;
+        cfg.epoch_cycles = 20_000;
+        cfg.faucet_cycles = 5_000;
+        cfg.warmup_cycles = 40_000;
+        cfg.measure_cycles = 60_000;
+        Job::new(&cfg, &Mix::by_name("C1").unwrap(), kind)
+    }
+
+    /// The job run directly, traced at `sample`.
+    fn direct(job: &Job, sample: u64) -> RunReport {
+        let mut cfg = job.cfg.clone();
+        cfg.trace_sample = Some(sample);
+        match &job.scenario {
+            Some(sc) => run_scenario(&cfg, sc, job.kind),
+            None => run_sim_parts(&cfg, &job.mix, job.kind, job.parts),
+        }
     }
 
     fn tmp_dir(name: &str) -> std::path::PathBuf {
@@ -463,40 +415,6 @@ mod tests {
         let a = tiny_job(PolicyKind::NoPart).key();
         let b = tiny_job(PolicyKind::HydrogenFull).key();
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn batch_returns_in_order() {
-        let mut c = RunCache::new();
-        let jobs = vec![tiny_job(PolicyKind::NoPart), tiny_job(PolicyKind::WayPart)];
-        let rs = c.run_batch(&jobs);
-        assert_eq!(rs.len(), 2);
-        assert_eq!(rs[0].policy, "Baseline");
-        assert_eq!(rs[1].policy, "WayPart");
-    }
-
-    #[test]
-    fn batch_dedups_identical_jobs() {
-        let mut c = RunCache::new();
-        let j = tiny_job(PolicyKind::NoPart);
-        let rs = c.run_batch(&[j.clone(), j.clone(), j.clone(), tiny_job(PolicyKind::WayPart)]);
-        assert_eq!(rs.len(), 4);
-        assert_eq!(c.executed, 2, "duplicates collapsed before dispatch");
-        assert_eq!(c.deduped, 2);
-        assert_eq!(rs[0].cpu_instr, rs[1].cpu_instr);
-        assert_eq!(rs[0].cpu_instr, rs[2].cpu_instr);
-    }
-
-    #[test]
-    fn jobs_one_forces_sequential_batches() {
-        let mut c = RunCache::new();
-        c.set_jobs(1);
-        let jobs = vec![tiny_job(PolicyKind::NoPart), tiny_job(PolicyKind::WayPart)];
-        let rs = c.run_batch(&jobs);
-        assert_eq!(rs.len(), 2);
-        assert_eq!(c.executed, 2);
-        assert_eq!(rs[0].policy, "Baseline");
-        assert_eq!(rs[1].policy, "WayPart");
     }
 
     #[test]
@@ -531,17 +449,6 @@ mod tests {
         assert_eq!(c2.disk_hits, 1);
         assert_eq!(again.cpu_instr, first.cpu_instr);
         assert_eq!(again.epoch_trace, first.epoch_trace);
-
-        // A batch over the same job also comes from disk.
-        let mut c3 = RunCache::with_disk_dir(&dir).unwrap();
-        let rs = c3.run_batch(&[j.clone(), j.clone()]);
-        assert_eq!(c3.executed, 0);
-        assert_eq!(c3.disk_hits, 1);
-        // The duplicate lands after the disk promotion, so it counts as a
-        // memory hit rather than a dedup.
-        assert_eq!(c3.deduped, 0);
-        assert_eq!(c3.hits, 1);
-        assert_eq!(rs[0].cpu_instr, first.cpu_instr);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -588,25 +495,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_upgrades_untraced_entries_too() {
-        let dir = tmp_dir("trace-batch");
-        let j = tiny_job(PolicyKind::NoPart);
-        {
-            let mut c = RunCache::with_disk_dir(&dir).unwrap();
-            c.run_batch(std::slice::from_ref(&j));
-            assert_eq!(c.executed, 1);
-        }
-        let trace_dir = tmp_dir("trace-batch-out");
-        let mut c2 = RunCache::with_disk_dir(&dir).unwrap();
-        c2.set_trace_dir(&trace_dir, 4).unwrap();
-        let rs = c2.run_batch(&[j.clone(), j.clone()]);
-        assert_eq!(c2.executed, 1, "batch re-executes the untraced entry");
-        assert!(rs.iter().all(|r| r.trace.is_some()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_dir_all(&trace_dir);
-    }
-
-    #[test]
     fn version_bump_invalidates_persisted_runs() {
         let dir = tmp_dir("inval");
         let j = tiny_job(PolicyKind::NoPart);
@@ -620,5 +508,65 @@ mod tests {
         assert_eq!(c2.executed, 1, "stale cache wiped; run re-executed");
         assert_eq!(c2.disk_hits, 0);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn planned_runs_match_direct_runs_at_any_worker_count() {
+        let a = short_job(1, PolicyKind::NoPart);
+        let cpu_only = Job { parts: Participants::CpuOnly, ..a.clone() };
+        let sc = sample_scenario(1);
+        let scenario = Job::scenario(&a.cfg, &sc, PolicyKind::NoPart);
+        let untraced = short_job(1, PolicyKind::WayPart);
+        let traced = short_job(2, PolicyKind::NoPart);
+        let warm = short_job(3, PolicyKind::NoPart);
+        let requests = [
+            &a, &cpu_only, &a, &scenario, &untraced, &traced, &cpu_only, &warm,
+        ];
+        for workers in [1, 3] {
+            let dir = tmp_dir(&format!("planned-{workers}"));
+            let trace_dir = tmp_dir(&format!("planned-trace-{workers}"));
+            {
+                let mut c = RunCache::with_disk_dir(&dir).unwrap();
+                assert!(c.run(&untraced).trace.is_none());
+                c.set_trace_dir(&trace_dir, 4).unwrap();
+                assert!(c.run(&traced).trace.is_some());
+            }
+            let _ = std::fs::remove_dir_all(&trace_dir);
+
+            let mut c = RunCache::with_disk_dir(&dir).unwrap();
+            c.set_jobs(workers);
+            c.set_trace_dir(&trace_dir, 4).unwrap();
+            c.run(&warm);
+            let reports = c.run_planned(|c| requests.map(|j| c.run(j)));
+            // `warm` executed before the plan and is its one memory hit;
+            // the two repeats are deduped; `traced` is served by the
+            // store; `untraced` is re-executed with spans, like `a`,
+            // `cpu_only` and `scenario`.
+            assert_eq!(
+                (c.executed, c.disk_hits, c.deduped, c.hits),
+                (5, 1, 2, 1),
+                "workers={workers}"
+            );
+            for (job, r) in requests.iter().zip(&reports) {
+                assert_eq!(diff_reports(r, &direct(job, 4)), None, "workers={workers}");
+            }
+            assert_eq!(reports[3].mix, sc.name, "the scenario job ran its scenario");
+            let upgraded = DiskTier::open(&dir).unwrap().load(untraced.key()).unwrap();
+            assert!(upgraded.trace.is_some_and(|t| !t.spans.is_empty()));
+            assert_eq!(std::fs::read_dir(&trace_dir).unwrap().count(), 6);
+            let _ = std::fs::remove_dir_all(&dir);
+            let _ = std::fs::remove_dir_all(&trace_dir);
+        }
+    }
+
+    #[test]
+    fn quick_verify_plan_is_thirteen_jobs_and_simulates_nothing() {
+        let mut c = RunCache::new();
+        let plan = c.plan(|c| {
+            crate::experiments::verify::run(&Profile::Quick, c);
+        });
+        assert_eq!(plan.len(), 13);
+        assert_eq!((c.executed, c.disk_hits, c.deduped, c.hits), (0, 0, 2, 0));
+        assert!(c.map.is_empty(), "planning admits nothing");
     }
 }

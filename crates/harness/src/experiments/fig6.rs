@@ -57,43 +57,20 @@ pub fn run(profile: &Profile, cache: &mut RunCache) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use h2_hybrid::policy::PolicyParams;
-    use h2_hybrid::HmcStats;
-    use h2_mem::device::MemStats;
     use h2_mem::EnergyBreakdown;
 
     #[test]
     fn energy_per_work_scales_inversely_with_work() {
         let mk = |instr: u64| RunReport {
-            policy: "x".into(),
-            mix: "C1".into(),
             measured_cycles: 1000,
             cpu_instr: instr,
-            gpu_instr: 0,
             weights: (1.0, 0.0),
-            hmc: HmcStats::default(),
-            fast: MemStats::default(),
-            slow: MemStats::default(),
             fast_energy: EnergyBreakdown {
                 dynamic_rw_j: 1.0,
                 act_pre_j: 0.0,
                 static_j: 1.0,
             },
-            slow_energy: EnergyBreakdown::default(),
-            remap_hit_rate: 0.0,
-            final_params: PolicyParams { bw: 0, cap: 0, tok: 0, label: String::new() },
-            epoch_trace: vec![],
-            events_processed: 0,
-            wall_s: 0.0,
-            events_per_sec: 0.0,
-            clamped_events: 0,
-            avg_cpu_read_latency: 0.0,
-            avg_gpu_read_latency: 0.0,
-            fast_channel_bytes: vec![],
-            slow_channel_bytes: vec![],
-            telemetry: None,
-            trace: None,
-            tenants: vec![],
+            ..RunReport::default()
         };
         let slow = mk(100);
         let fast = mk(200);

@@ -3,8 +3,12 @@
 //!
 //! Each experiment in [`experiments`] produces one or more [`table::Table`]s
 //! — the same rows/series the paper plots — prints them, and writes CSVs to
-//! `results/`. Runs are cached per process ([`cache::RunCache`]) so
-//! experiments sharing the same simulations (e.g. Fig 5 and Fig 6) pay once.
+//! `results/`. [`run_experiment`] plans each experiment before running it:
+//! one pass records the jobs it requests, the distinct misses run as one
+//! batch on the sweep scheduler's worker pool ([`sweep::scheduler`]), and
+//! a second pass renders the tables from memory. Runs are cached per
+//! process ([`cache::RunCache`]) so experiments sharing the same
+//! simulations (e.g. Fig 5 and Fig 6) pay once.
 //!
 //! Scale profiles ([`profile::Profile`]) select how much work to do:
 //! `quick` (sanity, a few mixes), `default` (all headline mixes, scaled
@@ -28,23 +32,25 @@ pub use profile::Profile;
 pub use table::Table;
 
 /// Run one experiment by id ("table1", "fig5", ...), returning its tables.
+/// Its jobs are planned first and run as one batch
+/// ([`RunCache::run_planned`]).
 pub fn run_experiment(id: &str, profile: &Profile, cache: &mut RunCache) -> Option<Vec<Table>> {
-    let t = match id {
-        "table1" => experiments::table1::run(profile),
-        "table2" => experiments::table2::run(profile),
-        "fig2" => experiments::fig2::run(profile, cache),
-        "fig5" => experiments::fig5::run(profile, cache),
-        "fig6" => experiments::fig6::run(profile, cache),
-        "fig7" => experiments::fig7::run(profile, cache),
-        "fig8" => experiments::fig8::run(profile, cache),
-        "fig9" => experiments::fig9::run(profile, cache),
-        "fig10" => experiments::fig10::run(profile, cache),
-        "fig11" => experiments::fig11::run(profile, cache),
-        "extensions" => experiments::extensions::run(profile, cache),
-        "verify" => experiments::verify::run(profile, cache),
+    let experiment: fn(&Profile, &mut RunCache) -> Vec<Table> = match id {
+        "table1" => |p, _| experiments::table1::run(p),
+        "table2" => |p, _| experiments::table2::run(p),
+        "fig2" => experiments::fig2::run,
+        "fig5" => experiments::fig5::run,
+        "fig6" => experiments::fig6::run,
+        "fig7" => experiments::fig7::run,
+        "fig8" => experiments::fig8::run,
+        "fig9" => experiments::fig9::run,
+        "fig10" => experiments::fig10::run,
+        "fig11" => experiments::fig11::run,
+        "extensions" => experiments::extensions::run,
+        "verify" => experiments::verify::run,
         _ => return None,
     };
-    Some(t)
+    Some(cache.run_planned(|c| experiment(profile, c)))
 }
 
 /// All experiment ids in paper order.

@@ -371,9 +371,7 @@ pub fn cmd_sweep(args: &[String], jobs: Option<usize>) -> i32 {
             None
         }
     });
-    let workers = jobs.unwrap_or_else(|| {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    });
+    let workers = jobs.unwrap_or_else(scheduler::default_workers);
 
     let sweeps_dir = Path::new("results/sweeps");
     let out = out.unwrap_or_else(|| sweeps_dir.join(format!("{}.jsonl", spec.name)));
@@ -602,6 +600,32 @@ mod tests {
         assert!(text.lines().last().unwrap().contains("\"event\":\"summary\""));
         // The metric column is present alongside weighted_ipc.
         assert!(out.table.header.iter().any(|h| h == "measured_cycles"));
+    }
+
+    #[test]
+    fn scenario_sweep_runs_each_scenario() {
+        let dir = std::env::temp_dir().join(format!("h2-sweep-scenario-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let tier = DiskTier::open(&dir).unwrap();
+        let mut spec = spec::tests::scenario_spec();
+        spec.search = Search::Grid {
+            params: vec![spec::Axis { name: spec::SCENARIO_SEED_PARAM.into(), values: vec![1, 2] }],
+        };
+        let name = spec.scenario.as_ref().unwrap().name.clone();
+        let out = run_sweep(&spec, Some(&tier), 2, &mut Vec::new()).unwrap();
+        // Rows: seed, mix, policy, key, weighted_ipc; two policies a point.
+        assert_eq!(out.table.rows.len(), 4);
+        assert!(out.table.rows.iter().all(|r| r[1] == name), "{:?}", out.table.rows);
+        assert_ne!(out.table.rows[0][4], out.table.rows[2][4], "the seed moves the result");
+        for point in spec.expand(&mut |_| unreachable!()).unwrap() {
+            for job in spec.jobs_for_point(&point).unwrap() {
+                let sc = job.scenario.as_ref().unwrap();
+                let stored = tier.load(job.key()).unwrap();
+                let direct = h2_system::run_scenario(&job.cfg, sc, job.kind);
+                assert_eq!(h2_check::diff_reports(&stored, &direct), None);
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

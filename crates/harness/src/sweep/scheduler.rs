@@ -12,10 +12,14 @@
 //! only place results are aggregated — worker count and steal order can
 //! therefore never change *what* is computed, only when, which the sweep
 //! determinism suite pins down.
+//!
+//! This is the only job runner: sweeps batch their points here, and
+//! [`crate::cache::RunCache`] sends every memory miss here, from a single
+//! `RunCache::run` to an experiment's whole planned job set.
 
 use crate::cache::Job;
 use crate::persist::DiskTier;
-use h2_system::{run_sim_parts, RunReport};
+use h2_system::RunReport;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -56,11 +60,25 @@ pub struct PoolStats {
     pub steals: u64,
 }
 
+/// The default pool size: one worker per available CPU.
+pub(crate) fn default_workers() -> usize {
+    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+}
+
+/// Upgrade-on-miss: a cached report serves a request unless the request
+/// is traced (`trace_sample` set) and the report was run without spans.
+pub(crate) fn satisfies(trace_sample: Option<u64>, report: &RunReport) -> bool {
+    trace_sample.is_none() || report.trace.is_some()
+}
+
 /// Run `jobs` (pre-deduplicated, keyed) across `workers` threads with
 /// work stealing. Each worker checks the persistent tier first, executes
-/// on miss, and publishes the result back to the tier before reporting
-/// completion. `on_done` runs on the calling thread once per job, in
-/// completion order. Returns the reports in batch order plus counters.
+/// on miss (`Job::execute`), and publishes the result back to the tier
+/// before reporting completion. A job whose config sets `trace_sample`
+/// treats an entry stored without spans as a miss, so the traced run
+/// replaces it (upgrade-on-miss). `on_done` runs on the calling thread
+/// once per job, in completion order. Returns the reports in batch order
+/// plus counters.
 pub fn run_batch(
     jobs: &[(u128, Job)],
     tier: Option<&DiskTier>,
@@ -75,14 +93,17 @@ pub fn run_batch(
 
     let run_one = |idx: usize| -> Done {
         let (key, job) = &jobs[idx];
-        if let Some(r) = tier.and_then(|t| t.load(*key)) {
+        if let Some(r) = tier
+            .and_then(|t| t.load(*key))
+            .filter(|r| satisfies(job.cfg.trace_sample, r))
+        {
             return Done { idx, source: Source::DiskHit, wall_s: 0.0, report: r };
         }
         let t0 = Instant::now();
-        let report = run_sim_parts(&job.cfg, &job.mix, job.kind, job.parts);
+        let report = job.execute();
         if let Some(t) = tier {
             if let Err(e) = t.store(*key, &report) {
-                eprintln!("[h2 sweep] store write failed for {key:032x}: {e}");
+                eprintln!("[h2] run store write failed for {key:032x}: {e}");
             }
         }
         Done { idx, source: Source::Executed, wall_s: t0.elapsed().as_secs_f64(), report }

@@ -710,7 +710,7 @@ impl SweepSpec {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn grid_spec() -> SweepSpec {
@@ -851,7 +851,7 @@ mod tests {
         .contains("unknown search kind"));
     }
 
-    fn scenario_spec() -> SweepSpec {
+    pub(crate) fn scenario_spec() -> SweepSpec {
         SweepSpec::parse(
             r#"{
               "name": "sc",

@@ -15,7 +15,7 @@ use h2_sim_core::SeededRng;
 /// Snapshot of a policy's partitioning parameters (Hydrogen's `(bw, cap,
 /// tok)` triple; baselines report fixed equivalents). Used for logging and
 /// the Fig 8 search-landscape experiment.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PolicyParams {
     /// Fast channels dedicated to the CPU (`bw`).
     pub bw: usize,

@@ -100,7 +100,7 @@ impl PartialEq for TenantSlo {
 }
 
 /// The result of one simulation run (measured window only).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RunReport {
     /// Policy label.
     pub policy: String,
@@ -276,11 +276,6 @@ mod tests {
             cpu_instr,
             gpu_instr,
             weights: (12.0 / 13.0, 1.0 / 13.0),
-            hmc: HmcStats::default(),
-            fast: MemStats::default(),
-            slow: MemStats::default(),
-            fast_energy: EnergyBreakdown::default(),
-            slow_energy: EnergyBreakdown::default(),
             remap_hit_rate: 0.9,
             final_params: PolicyParams {
                 bw: 1,
@@ -288,18 +283,7 @@ mod tests {
                 tok: 3,
                 label: "t".into(),
             },
-            epoch_trace: vec![],
-            events_processed: 0,
-            wall_s: 0.0,
-            events_per_sec: 0.0,
-            clamped_events: 0,
-            avg_cpu_read_latency: 0.0,
-            avg_gpu_read_latency: 0.0,
-            fast_channel_bytes: vec![],
-            slow_channel_bytes: vec![],
-            telemetry: None,
-            trace: None,
-            tenants: vec![],
+            ..RunReport::default()
         }
     }
 
