@@ -2,7 +2,8 @@
 //!
 //! The model tracks tags, valid/dirty bits, and recency only; data payloads
 //! are never simulated. Writes allocate and mark dirty; evicted dirty lines
-//! are reported to the caller so it can generate write-back traffic.
+//! are reported to the caller so it can generate write-back traffic. Each
+//! line is 16 bytes of host memory (see `Line`).
 
 use h2_sim_core::units::Cycles;
 
@@ -47,12 +48,43 @@ pub enum AccessOutcome {
     },
 }
 
+/// One line's state in 16 bytes: `key` packs the tag with the valid and
+/// dirty flags (`tag << 2 | dirty << 1 | valid`), so the hit test is one
+/// compare, and `stamp` is the LRU recency. Aligned to 16 bytes, a line
+/// never straddles two 64-byte host cache lines, and a 16-way set spans
+/// four or five of them.
 #[derive(Debug, Clone, Copy, Default)]
+#[repr(C, align(16))]
 struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
+    key: u64,
     stamp: u64,
+}
+
+const VALID: u64 = 1;
+const DIRTY: u64 = 2;
+
+impl Line {
+    /// The `key` of a valid, clean line holding `tag`; a resident line
+    /// matches it once its dirty bit is masked off.
+    #[inline]
+    fn valid_key(tag: u64) -> u64 {
+        tag << 2 | VALID
+    }
+
+    #[inline]
+    fn holds(&self, key: u64) -> bool {
+        self.key & !DIRTY == key
+    }
+
+    #[inline]
+    fn valid(&self) -> bool {
+        self.key & VALID != 0
+    }
+
+    #[inline]
+    fn dirty(&self) -> bool {
+        self.key & DIRTY != 0
+    }
 }
 
 /// Running hit/miss statistics.
@@ -106,10 +138,17 @@ impl SetAssocCache {
             "line size must be a power of two (got {})",
             cfg.line_bytes
         );
+        let (line_shift, set_shift) = (cfg.line_bytes.trailing_zeros(), sets.trailing_zeros());
+        // A tag has `64 - line_shift - set_shift` bits; `Line::key` needs
+        // two spare ones for the flags.
+        assert!(
+            line_shift + set_shift >= 2,
+            "line size x sets must be at least 4 to leave room for the line flags"
+        );
         let lines = vec![Line::default(); (sets * cfg.ways as u64) as usize];
         Self {
-            line_shift: cfg.line_bytes.trailing_zeros(),
-            set_shift: sets.trailing_zeros(),
+            line_shift,
+            set_shift,
             cfg,
             sets,
             lines,
@@ -151,15 +190,17 @@ impl SetAssocCache {
         self.tick += 1;
         let (set, tag) = self.index(addr);
         let range = self.set_range(set);
+        let key = Line::valid_key(tag);
+        let dirty = if is_write { DIRTY } else { 0 };
 
         // MRU short-circuit: re-references of the last-hit way (the common
         // case on streaming and tight loops) skip the associative scan.
         let hinted = range.start + self.mru[set as usize] as usize;
         {
             let l = &mut self.lines[hinted];
-            if l.valid && l.tag == tag {
+            if l.holds(key) {
                 l.stamp = self.tick;
-                l.dirty |= is_write;
+                l.key |= dirty;
                 self.stats.hits += 1;
                 return AccessOutcome::Hit;
             }
@@ -168,9 +209,9 @@ impl SetAssocCache {
         // Hit path.
         for i in range.clone() {
             let l = &mut self.lines[i];
-            if l.valid && l.tag == tag {
+            if l.holds(key) {
                 l.stamp = self.tick;
-                l.dirty |= is_write;
+                l.key |= dirty;
                 self.stats.hits += 1;
                 self.mru[set as usize] = (i - range.start) as u32;
                 return AccessOutcome::Hit;
@@ -184,7 +225,7 @@ impl SetAssocCache {
         let mut found_invalid = false;
         for i in range.clone() {
             let l = &self.lines[i];
-            if !l.valid {
+            if !l.valid() {
                 victim_idx = i;
                 found_invalid = true;
                 break;
@@ -199,17 +240,15 @@ impl SetAssocCache {
             None
         } else {
             let l = self.lines[victim_idx];
-            let victim_line = l.tag * self.sets + set;
-            if l.dirty {
+            let victim_line = (l.key >> 2) * self.sets + set;
+            if l.dirty() {
                 self.stats.writebacks += 1;
             }
-            Some((victim_line * self.cfg.line_bytes, l.dirty))
+            Some((victim_line * self.cfg.line_bytes, l.dirty()))
         };
 
         self.lines[victim_idx] = Line {
-            tag,
-            valid: true,
-            dirty: is_write,
+            key: key | dirty,
             stamp: self.tick,
         };
         self.mru[set as usize] = (victim_idx - range.start) as u32;
@@ -219,29 +258,25 @@ impl SetAssocCache {
     /// Check presence without disturbing LRU or stats.
     pub fn probe(&self, addr: u64) -> bool {
         let (set, tag) = self.index(addr);
-        self.set_range(set)
-            .any(|i| self.lines[i].valid && self.lines[i].tag == tag)
+        let key = Line::valid_key(tag);
+        self.lines[self.set_range(set)].iter().any(|l| l.holds(key))
     }
 
     /// Invalidate `addr` if present; returns `Some(dirty)` when a line was
     /// dropped (dirty means the caller owes a write-back).
     pub fn invalidate(&mut self, addr: u64) -> Option<bool> {
         let (set, tag) = self.index(addr);
-        for i in self.set_range(set) {
-            let l = &mut self.lines[i];
-            if l.valid && l.tag == tag {
-                l.valid = false;
-                let dirty = l.dirty;
-                l.dirty = false;
-                return Some(dirty);
-            }
-        }
-        None
+        let key = Line::valid_key(tag);
+        let range = self.set_range(set);
+        let l = self.lines[range].iter_mut().find(|l| l.holds(key))?;
+        let dirty = l.dirty();
+        l.key = 0;
+        Some(dirty)
     }
 
     /// Number of valid lines (occupancy) — used by tests and warm-up checks.
     pub fn occupancy(&self) -> usize {
-        self.lines.iter().filter(|l| l.valid).count()
+        self.lines.iter().filter(|l| l.valid()).count()
     }
 }
 
@@ -375,6 +410,154 @@ mod tests {
             latency: 38,
         };
         assert_eq!(llc.num_sets(), 16384);
+    }
+
+    /// The plain LRU `SetAssocCache` must reproduce: per way a `(tag,
+    /// valid, dirty, stamp)` tuple, filled into the first invalid way or
+    /// else the least recently used one.
+    struct RefCache {
+        sets: u64,
+        ways: usize,
+        line_bytes: u64,
+        lines: Vec<(u64, bool, bool, u64)>,
+        tick: u64,
+        stats: CacheStats,
+    }
+
+    impl RefCache {
+        fn new(sets: u64, ways: usize, line_bytes: u64) -> Self {
+            Self {
+                sets,
+                ways,
+                line_bytes,
+                lines: vec![(0, false, false, 0); sets as usize * ways],
+                tick: 0,
+                stats: CacheStats::default(),
+            }
+        }
+
+        /// `(set, tag, way range)` of `addr`.
+        fn locate(&self, addr: u64) -> (u64, u64, std::ops::Range<usize>) {
+            let line = addr / self.line_bytes;
+            let set = line % self.sets;
+            let base = set as usize * self.ways;
+            (set, line / self.sets, base..base + self.ways)
+        }
+
+        fn find(&self, addr: u64) -> Option<usize> {
+            let (_, tag, r) = self.locate(addr);
+            r.into_iter()
+                .find(|&i| self.lines[i].1 && self.lines[i].0 == tag)
+        }
+
+        fn access(&mut self, addr: u64, is_write: bool) -> AccessOutcome {
+            self.tick += 1;
+            if let Some(i) = self.find(addr) {
+                let l = &mut self.lines[i];
+                l.2 |= is_write;
+                l.3 = self.tick;
+                self.stats.hits += 1;
+                return AccessOutcome::Hit;
+            }
+            self.stats.misses += 1;
+            let (set, tag, r) = self.locate(addr);
+            let i = match r.clone().find(|&i| !self.lines[i].1) {
+                Some(i) => i,
+                None => r.min_by_key(|&i| self.lines[i].3).unwrap(),
+            };
+            let (old_tag, valid, dirty, _) = self.lines[i];
+            let victim = valid.then(|| ((old_tag * self.sets + set) * self.line_bytes, dirty));
+            if valid && dirty {
+                self.stats.writebacks += 1;
+            }
+            self.lines[i] = (tag, true, is_write, self.tick);
+            AccessOutcome::Miss { victim }
+        }
+
+        fn invalidate(&mut self, addr: u64) -> Option<bool> {
+            let i = self.find(addr)?;
+            let l = &mut self.lines[i];
+            let dirty = l.2;
+            (l.1, l.2) = (false, false);
+            Some(dirty)
+        }
+
+        fn occupancy(&self) -> usize {
+            self.lines.iter().filter(|l| l.1).count()
+        }
+    }
+
+    /// Seeded churn against the reference LRU at 1, 2, 8 and 16 ways:
+    /// reads, writes, probes and invalidations over a footprint three
+    /// times the capacity plus addresses within 4 KiB of `u64::MAX` (the
+    /// largest tags), comparing every outcome (victim address and
+    /// dirtiness included), the stats and the occupancy after each
+    /// operation. The 1-set, 4-byte-line geometry leaves tags exactly the
+    /// two spare bits the packed key needs, so any wider packing loses
+    /// tag bits there.
+    #[test]
+    fn packed_lines_match_reference_lru_under_churn() {
+        for (sets, line_bytes) in [(4u64, 64u64), (1, 4)] {
+            for ways in [1usize, 2, 8, 16] {
+                for seed in 0..3u64 {
+                    let mut c = SetAssocCache::new(CacheConfig {
+                        name: "t".into(),
+                        size_bytes: sets * line_bytes * ways as u64,
+                        ways,
+                        line_bytes,
+                        latency: 1,
+                    });
+                    let mut r = RefCache::new(sets, ways, line_bytes);
+                    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ ways as u64;
+                    let footprint = 3 * sets * ways as u64;
+                    for step in 0..4000 {
+                        state = state
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        let x = state >> 11;
+                        let addr = if x & 3 == 0 {
+                            u64::MAX - (x >> 2) % 4096
+                        } else {
+                            ((x >> 2) % footprint) * line_bytes + (x >> 20) % line_bytes
+                        };
+                        let at = format!(
+                            "{sets} sets of {ways} {line_bytes}-byte lines, seed {seed}, \
+                             step {step}, addr {addr:#x}"
+                        );
+                        match (x >> 40) % 10 {
+                            0 => assert_eq!(c.probe(addr), r.find(addr).is_some(), "{at}"),
+                            1 => assert_eq!(c.invalidate(addr), r.invalidate(addr), "{at}"),
+                            op => {
+                                let is_write = op < 4;
+                                assert_eq!(
+                                    c.access(addr, is_write),
+                                    r.access(addr, is_write),
+                                    "{at}"
+                                );
+                            }
+                        }
+                        assert_eq!(c.stats(), r.stats, "{at}");
+                        assert_eq!(c.occupancy(), r.occupancy(), "{at}");
+                    }
+                    assert!(
+                        r.stats.writebacks > 0 && r.occupancy() > 0,
+                        "{sets} sets of {ways} ways: churn too mild"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "room for the line flags")]
+    fn geometry_without_room_for_flags_rejected() {
+        SetAssocCache::new(CacheConfig {
+            name: "bad".into(),
+            size_bytes: 2,
+            ways: 1,
+            line_bytes: 1,
+            latency: 1,
+        });
     }
 
     #[test]

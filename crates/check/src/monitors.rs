@@ -158,8 +158,9 @@ impl InvariantMonitor<SimProbe> for MonotoneCounters {
 }
 
 /// Device-level consistency on both tiers: per-channel in-flight command
-/// counts stay within the DRAM pipeline depth, and each channel's
-/// pending-command ring is consistent (`MemDevice::check_invariants`).
+/// counts stay within the DRAM pipeline depth, each channel's
+/// pending-command ring is consistent, and every queued command's row-hit
+/// bit matches its bank's open row (`MemDevice::check_invariants`).
 pub struct MemDeviceInvariants;
 
 impl InvariantMonitor<SimProbe> for MemDeviceInvariants {

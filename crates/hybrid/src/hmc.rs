@@ -18,9 +18,9 @@ use crate::remap::RemapTable;
 use crate::types::{HybridConfig, Mode, ReqClass, Tier};
 use h2_cache::remap::{RemapCache, RemapLookup};
 use h2_mem::MemCmd;
-use h2_sim_core::prof;
 use h2_sim_core::trace_span::{BlameClass, SpanId, TraceTag};
 use h2_sim_core::units::Cycles;
+use h2_sim_core::{hint, prof};
 use h2_sim_core::{CounterId, GaugeId, MetricsRegistry, SeededRng};
 
 /// Token value for fire-and-forget commands not tied to a transaction
@@ -459,10 +459,13 @@ impl Hmc {
         // Metadata probe: remap cache first. Entries are marked dirty
         // because LRU/fill updates must eventually persist to the table.
         let _prof_remap = prof::scope("hmc.remap");
+        self.prefetch_meta(set);
         let mut probes = [set / META_SETS_PER_LINE, 0];
         let mut nprobes = 1;
         if self.cfg.chaining {
-            let chained = self.cfg.chain_set(set) / META_SETS_PER_LINE;
+            let chain_set = self.cfg.chain_set(set);
+            self.prefetch_meta(chain_set);
+            let chained = chain_set / META_SETS_PER_LINE;
             if chained != probes[0] {
                 probes[1] = chained;
                 nprobes = 2;
@@ -521,6 +524,18 @@ impl Hmc {
             delay: self.rcache.latency() + self.cfg.extra_tag_latency + spec_penalty,
             token: self.token(idx, STEP_META),
         });
+    }
+
+    /// Start loading the host cache lines that `proceed_meta` reads for
+    /// `set` — its remap-table ways and its alloc-mask memo entry — so
+    /// they arrive during the remap-cache latency that separates `access`
+    /// from that probe instead of stalling it. A host hint only.
+    #[inline]
+    fn prefetch_meta(&self, set: u64) {
+        hint::prefetch(self.table.set_view(set));
+        if let Some(e) = self.mask_memo.get(set as usize) {
+            hint::prefetch(std::slice::from_ref(e));
+        }
     }
 
     /// Decompose a command token: the owning transaction (if any) and its

@@ -20,13 +20,18 @@
 //! Queued commands live in a per-channel arrival-ordered ring
 //! (`CmdRing`): a command's slot is its per-channel arrival position
 //! modulo a power-of-two capacity, so bit order starting from `head` (the
-//! oldest queued position) is age order. The fields the scheduler reads
-//! (priority, arrival time) sit in their own dense arrays, while
-//! decode-only fields (bank/row — precomputed once at enqueue — bytes,
-//! token, tracing context) are touched only when a command starts. Slot
-//! bitmaps record occupancy, the current row-hit status (refreshed
-//! incrementally through per-bank slot bitmaps whenever a bank's open row
-//! changes) and membership of each distinct priority level.
+//! oldest queued position) is age order. The one per-slot field the pick
+//! reads, the arrival time, has its own dense array. Everything else a
+//! command carries (bank and row, precomputed once at enqueue; token,
+//! bytes, priority, direction, requester class) is one 32-byte record per
+//! slot, so queueing, dequeueing and starting a command each read one host
+//! cache line of it. Tracing context sits in a third array that exists
+//! only while the device traces. Slot bitmaps record occupancy, the
+//! current row-hit status and membership of each distinct priority level
+//! (found through a priority-indexed table). The row-hit bits are
+//! refreshed through flat, bank-major per-bank slot bitmaps, and only when
+//! a start changes a bank's open row while that bank still has queued
+//! commands: a row hit leaves every bit as it was.
 //!
 //! Enqueue times never decrease along a channel, so the commands older
 //! than [`AGE_CAP`] form a prefix of the ring; its end is cached as a
@@ -82,6 +87,9 @@ pub struct StartedCmd {
     pub token: u64,
     /// Channel that served it (for the caller's bookkeeping).
     pub channel: usize,
+    /// Requester class it was enqueued with; hand it back to
+    /// [`MemDevice::on_complete_traced`] when the command completes.
+    pub class: BlameClass,
 }
 
 /// Address → (bank, row) decomposition, strength-reduced to shifts and
@@ -148,6 +156,21 @@ struct TracedInfo {
     ahead: [u64; 3],
 }
 
+/// What a queued command needs when it starts (and what the scheduler's
+/// bookkeeping needs when it is queued or dequeued), packed into one
+/// 32-byte record: starting a command reads one host cache line.
+#[derive(Debug, Clone, Copy, Default)]
+#[repr(align(32))]
+struct CmdRec {
+    row: u64,
+    token: u64,
+    bank: u32,
+    bytes: u32,
+    prio: u8,
+    write: bool,
+    class: BlameClass,
+}
+
 /// The queued commands of one priority level: a slot bitmap over the ring
 /// and its population count.
 #[derive(Debug)]
@@ -165,31 +188,35 @@ struct PrioLevel {
 /// started ahead of an older one): `head` is the oldest queued position and
 /// `tail` the next one to assign. A slot is queued iff its `occ` bit is
 /// set; `hit` mirrors `occ` with the slot's current row-hit status,
-/// `bank_slots` holds one slot bitmap per bank so `hit` can be refreshed
+/// `bank_bits` holds one slot bitmap per bank so `hit` can be refreshed
 /// incrementally whenever a bank's open row changes, and `levels` holds
 /// one slot bitmap per priority present, highest priority first.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct CmdRing {
-    // Scheduler arrays.
-    prio: Vec<u8>,
+    /// Arrival cycle per slot: the only per-slot field the pick reads.
     arrival_time: Vec<Cycles>,
-    // Decode arrays (read once, when a command starts).
-    bank: Vec<u32>,
-    row: Vec<u64>,
-    bytes: Vec<u32>,
-    write: Vec<bool>,
-    token: Vec<u64>,
-    class: Vec<BlameClass>,
+    /// Per-slot decode record, read when a command is queued, dequeued
+    /// or started.
+    cmds: Vec<CmdRec>,
+    /// Per-slot tracing context: one entry per slot while the device
+    /// traces, empty otherwise; written and read only while tracing.
     trace: Vec<Option<TracedInfo>>,
     /// Slot occupancy, one bit per slot.
     occ: Vec<u64>,
     /// Row-hit status per slot (`hit ⊆ occ`).
     hit: Vec<u64>,
-    /// Per-bank slot bitmaps (`bank_slots[b] ⊆ occ`).
-    bank_slots: Vec<Vec<u64>>,
+    /// Per-bank slot bitmaps, bank-major: bank `b`'s words are
+    /// `bank_bits[b * w..(b + 1) * w]` with `w = occ.len()`. They
+    /// partition `occ`.
+    bank_bits: Vec<u64>,
+    /// Queued commands per bank (population count of its bitmap).
+    bank_len: Vec<u32>,
     /// Per-priority slot bitmaps, in descending priority; they partition
     /// `occ`.
     levels: Vec<PrioLevel>,
+    /// `level_at[p]` is the index into `levels` of priority `p` whenever
+    /// that priority has a level; other entries are stale.
+    level_at: [u8; 256],
     /// Oldest queued position (`== tail` when empty).
     head: u64,
     /// Next position to assign.
@@ -207,25 +234,26 @@ impl CmdRing {
         let words = 1;
         let slots = words * 64;
         Self {
-            prio: vec![0; slots],
             arrival_time: vec![0; slots],
-            bank: vec![0; slots],
-            row: vec![0; slots],
-            bytes: vec![0; slots],
-            write: vec![false; slots],
-            token: vec![0; slots],
-            class: vec![BlameClass::Background; slots],
-            trace: vec![None; slots],
+            cmds: vec![CmdRec::default(); slots],
+            trace: Vec::new(),
             occ: vec![0; words],
             hit: vec![0; words],
-            bank_slots: vec![vec![0; words]; banks],
-            ..Self::default()
+            bank_bits: vec![0; banks * words],
+            bank_len: vec![0; banks],
+            levels: Vec::new(),
+            level_at: [0; 256],
+            head: 0,
+            tail: 0,
+            frontier: 0,
+            frontier_at: 0,
+            len: 0,
         }
     }
 
     #[inline]
     fn capacity(&self) -> u64 {
-        self.prio.len() as u64
+        self.cmds.len() as u64
     }
 
     #[inline]
@@ -251,25 +279,37 @@ impl CmdRing {
         None
     }
 
+    /// Start or stop keeping per-slot tracing context.
+    fn set_tracing(&mut self, on: bool) {
+        self.trace = if on {
+            vec![None; self.cmds.len()]
+        } else {
+            Vec::new()
+        };
+    }
+
     /// Double the capacity, laying `[head, tail)` out again at the new
     /// slot positions (holes included). Called only when the span fills
     /// the ring; steady state never grows.
     fn grow(&mut self) {
         let (head, tail) = (self.head, self.tail);
-        spread(&mut self.prio, 0, head, tail);
         spread(&mut self.arrival_time, 0, head, tail);
-        spread(&mut self.bank, 0, head, tail);
-        spread(&mut self.row, 0, head, tail);
-        spread(&mut self.bytes, 0, head, tail);
-        spread(&mut self.write, false, head, tail);
-        spread(&mut self.token, 0, head, tail);
-        spread(&mut self.class, BlameClass::Background, head, tail);
-        spread(&mut self.trace, None, head, tail);
+        spread(&mut self.cmds, CmdRec::default(), head, tail);
+        if !self.trace.is_empty() {
+            spread(&mut self.trace, None, head, tail);
+        }
+        let words = self.occ.len();
+        let mut bank_bits = vec![0; self.bank_bits.len() * 2];
+        for (old, new) in self
+            .bank_bits
+            .chunks_exact(words)
+            .zip(bank_bits.chunks_exact_mut(2 * words))
+        {
+            spread_bits_into(old, new, head, tail);
+        }
+        self.bank_bits = bank_bits;
         spread_bits(&mut self.occ, head, tail);
         spread_bits(&mut self.hit, head, tail);
-        for b in &mut self.bank_slots {
-            spread_bits(b, head, tail);
-        }
         for l in &mut self.levels {
             spread_bits(&mut l.bits, head, tail);
         }
@@ -290,32 +330,44 @@ impl CmdRing {
 
     /// Index into `levels` of priority `prio`, adding an empty level in
     /// descending order when it is new.
+    #[inline]
     fn level_of(&mut self, prio: u8) -> usize {
-        match self.levels.iter().position(|l| l.prio <= prio) {
-            Some(i) if self.levels[i].prio == prio => i,
-            at => {
-                let i = at.unwrap_or(self.levels.len());
-                let words = self.occ.len();
-                self.levels.insert(
-                    i,
-                    PrioLevel {
-                        prio,
-                        bits: vec![0; words],
-                        len: 0,
-                    },
-                );
-                i
-            }
+        let i = self.level_at[prio as usize] as usize;
+        if self.levels.get(i).is_some_and(|l| l.prio == prio) {
+            i
+        } else {
+            self.add_level(prio)
         }
+    }
+
+    /// [`Self::level_of`] for a priority without a level yet.
+    #[cold]
+    fn add_level(&mut self, prio: u8) -> usize {
+        let i = self.levels.partition_point(|l| l.prio > prio);
+        let words = self.occ.len();
+        self.levels.insert(
+            i,
+            PrioLevel {
+                prio,
+                bits: vec![0; words],
+                len: 0,
+            },
+        );
+        for (j, l) in self.levels.iter().enumerate() {
+            self.level_at[l.prio as usize] = j as u8;
+        }
+        i
     }
 
     #[inline]
     fn set_occupied(&mut self, slot: usize, hit: bool) {
         let (w, b) = (slot / 64, slot % 64);
+        let CmdRec { bank, prio, .. } = self.cmds[slot];
         self.occ[w] |= 1 << b;
         self.hit[w] = (self.hit[w] & !(1 << b)) | ((hit as u64) << b);
-        self.bank_slots[self.bank[slot] as usize][w] |= 1 << b;
-        let l = self.level_of(self.prio[slot]);
+        self.bank_bits[bank as usize * self.occ.len() + w] |= 1 << b;
+        self.bank_len[bank as usize] += 1;
+        let l = self.level_of(prio);
         self.levels[l].bits[w] |= 1 << b;
         self.levels[l].len += 1;
         self.len += 1;
@@ -327,13 +379,14 @@ impl CmdRing {
     fn clear(&mut self, pos: u64) {
         let slot = self.slot(pos);
         let (w, b) = (slot / 64, slot % 64);
+        let CmdRec { bank, prio, .. } = self.cmds[slot];
         self.occ[w] &= !(1 << b);
         self.hit[w] &= !(1 << b);
-        self.bank_slots[self.bank[slot] as usize][w] &= !(1 << b);
-        let l = self.level_of(self.prio[slot]);
+        self.bank_bits[bank as usize * self.occ.len() + w] &= !(1 << b);
+        self.bank_len[bank as usize] -= 1;
+        let l = self.level_of(prio);
         self.levels[l].bits[w] &= !(1 << b);
         self.levels[l].len -= 1;
-        self.trace[slot] = None;
         self.len -= 1;
         if pos == self.head {
             self.head = self
@@ -346,13 +399,13 @@ impl CmdRing {
     /// open row changed to `row`.
     #[inline]
     fn rehit_bank(&mut self, bank: usize, row: u64) {
-        for (w, &word) in self.bank_slots[bank].iter().enumerate() {
-            let mut bits = word;
+        let words = self.occ.len();
+        for w in 0..words {
+            let mut bits = self.bank_bits[bank * words + w];
             while bits != 0 {
                 let b = bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                let slot = w * 64 + b;
-                let hit = (self.row[slot] == row) as u64;
+                let hit = (self.cmds[w * 64 + b].row == row) as u64;
                 self.hit[w] = (self.hit[w] & !(1 << b)) | (hit << b);
             }
         }
@@ -437,7 +490,7 @@ impl CmdRing {
                 let slot = w * 64 + b;
                 let pos = self.head + ((slot as u64).wrapping_sub(self.head) & mask);
                 let aged = now.saturating_sub(self.arrival_time[slot]) > AGE_CAP;
-                let prio = if aged { u8::MAX } else { self.prio[slot] };
+                let prio = if aged { u8::MAX } else { self.cmds[slot].prio };
                 let key = (((prio as u128) << 65)
                     | (((self.hit[w] >> b) & 1) as u128) << 64
                     | (u64::MAX - pos) as u128)
@@ -452,11 +505,12 @@ impl CmdRing {
     }
 
     /// The ring's bookkeeping invariants: the bitmaps agree with each
-    /// other and with `len`; `[head, tail)` fits the capacity, starts at a
-    /// queued command and holds every queued command; the priority levels
-    /// partition the queue in descending order with exact counts; and
-    /// arrival times never decrease in ring order (the aged prefix relies
-    /// on it).
+    /// other and with `len`, and each bank's count with its bitmap;
+    /// `[head, tail)` fits the capacity, starts at a queued command and
+    /// holds every queued command; the priority levels partition the queue
+    /// in descending order with exact counts, each found where the level
+    /// table says; and arrival times never decrease in ring order (the
+    /// aged prefix relies on it).
     fn check(&self) -> Result<(), String> {
         let pop: usize = self.occ.iter().map(|w| w.count_ones() as usize).sum();
         if pop != self.len {
@@ -469,9 +523,19 @@ impl CmdRing {
             if self.hit[w] & !word != 0 {
                 return Err(format!("hit bit set on free slot (word {w})"));
             }
-            if self.bank_slots.iter().fold(0, |u, b| u | b[w]) != word {
+            let banks = self.bank_bits.chunks_exact(self.occ.len());
+            if banks.fold(0, |u, b| u | b[w]) != word {
                 return Err(format!(
                     "bank slot bitmaps disagree with occupancy (word {w})"
+                ));
+            }
+        }
+        let banks = self.bank_bits.chunks_exact(self.occ.len());
+        for (b, (bits, &n)) in banks.zip(&self.bank_len).enumerate() {
+            let pop: u32 = bits.iter().map(|w| w.count_ones()).sum();
+            if pop != n {
+                return Err(format!(
+                    "bank {b} counts {n} queued commands but its bitmap holds {pop}"
                 ));
             }
         }
@@ -527,6 +591,15 @@ impl CmdRing {
                 ));
             }
         }
+        for (i, l) in self.levels.iter().enumerate() {
+            let at = self.level_at[l.prio as usize];
+            if at as usize != i {
+                return Err(format!(
+                    "level table sends priority {} to level {at}, not {i}",
+                    l.prio
+                ));
+            }
+        }
         let mut prev: Option<Cycles> = None;
         for pos in (head..tail).filter(|&p| queued(p)) {
             let t = self.arrival_time[self.slot(pos)];
@@ -555,17 +628,23 @@ fn spread<T: Copy>(v: &mut Vec<T>, fill: T, head: u64, tail: u64) {
 
 /// [`spread`] for a slot bitmap.
 fn spread_bits(words: &mut Vec<u64>, head: u64, tail: u64) {
-    let old_mask = words.len() as u64 * 64 - 1;
     let mut out = vec![0u64; words.len() * 2];
-    let new_mask = out.len() as u64 * 64 - 1;
+    spread_bits_into(words, &mut out, head, tail);
+    *words = out;
+}
+
+/// Copy the bits of ring positions `[head, tail)` of the slot bitmap `old`
+/// to their positions in `new`, a zeroed bitmap twice as long.
+fn spread_bits_into(old: &[u64], new: &mut [u64], head: u64, tail: u64) {
+    let old_mask = old.len() as u64 * 64 - 1;
+    let new_mask = new.len() as u64 * 64 - 1;
     for pos in head..tail {
         let o = (pos & old_mask) as usize;
-        if words[o / 64] >> (o % 64) & 1 == 1 {
+        if old[o / 64] >> (o % 64) & 1 == 1 {
             let n = (pos & new_mask) as usize;
-            out[n / 64] |= 1 << (n % 64);
+            new[n / 64] |= 1 << (n % 64);
         }
     }
-    *words = out;
 }
 
 #[derive(Debug)]
@@ -589,11 +668,8 @@ struct Channel {
     /// Queued commands per [`BlameClass`] (kept in lockstep with the ring
     /// so traced enqueues snapshot queue composition in O(1)).
     queued_by_class: [u64; 3],
-    // Tracing-only state (empty when tracing is off).
-    /// `(token, class)` of every in-flight command, for queue-composition
-    /// snapshots. Completions remove the first matching token.
-    live: Vec<(u64, BlameClass)>,
-    /// In-flight commands per class (mirrors `live`).
+    // Tracing-only state (untouched when tracing is off).
+    /// In-flight commands per class, for queue-composition snapshots.
     live_by_class: [u64; 3],
     /// Blame decompositions of traced commands started since the last
     /// [`MemDevice::take_cmd_traces`] drain.
@@ -627,7 +703,6 @@ impl Channel {
             max_queue: 0,
             depth_sum: 0,
             queued_by_class: [0; 3],
-            live: Vec::new(),
             live_by_class: [0; 3],
             records: Vec::new(),
         }
@@ -652,28 +727,27 @@ impl Channel {
             "channel enqueue times must never decrease (enqueue at {now})"
         );
         let (bank, row) = amap.map(cmd.addr);
-        let trace = if tracing {
-            tag.map(|tag| {
+        let slot = self.ring.push();
+        if tracing {
+            self.ring.trace[slot] = tag.map(|tag| {
                 let mut ahead = [0u64; 3];
                 for (i, a) in ahead.iter_mut().enumerate() {
                     *a = self.queued_by_class[i] + self.live_by_class[i];
                 }
                 TracedInfo { tag, ahead }
-            })
-        } else {
-            None
-        };
-        let slot = self.ring.push();
+            });
+        }
         let s = &mut self.ring;
-        s.prio[slot] = if demand_first { cmd.priority } else { 0 };
         s.arrival_time[slot] = now;
-        s.bank[slot] = bank;
-        s.row[slot] = row;
-        s.bytes[slot] = cmd.bytes;
-        s.write[slot] = cmd.is_write;
-        s.token[slot] = cmd.token;
-        s.class[slot] = class;
-        s.trace[slot] = trace;
+        s.cmds[slot] = CmdRec {
+            row,
+            token: cmd.token,
+            bank,
+            bytes: cmd.bytes,
+            prio: if demand_first { cmd.priority } else { 0 },
+            write: cmd.is_write,
+            class,
+        };
         let hit = self.banks[bank as usize].open_row == Some(row);
         s.set_occupied(slot, hit);
         self.queued_by_class[class.idx()] += 1;
@@ -704,35 +778,62 @@ impl Channel {
                 "ring pick diverged from the reference scan at cycle {now}"
             );
             let Some(pos) = picked else { break };
-            let (done_at, token) = self.start(timing, tracing, iv_pool, now, pos);
+            let (done_at, token, class) = self.start(timing, tracing, iv_pool, now, pos);
             self.in_flight += 1;
             out.push(StartedCmd {
                 done_at,
                 token,
                 channel: ch,
+                class,
             });
         }
     }
 
-    /// Retire one in-flight command (with its token when tracing, so the
-    /// queue-composition bookkeeping can drop its live entry).
-    fn complete(&mut self, tracing: bool, token: u64) {
+    /// Retire one in-flight command of requester `class` (counted out of
+    /// the queue-composition bookkeeping when tracing).
+    fn complete(&mut self, tracing: bool, class: BlameClass) {
         debug_assert!(self.in_flight > 0, "completion without in-flight command");
         self.in_flight -= 1;
         if tracing {
-            if let Some(i) = self.live.iter().position(|&(t, _)| t == token) {
-                let (_, class) = self.live.swap_remove(i);
-                self.live_by_class[class.idx()] -= 1;
-            }
+            self.live_by_class[class.idx()] -= 1;
         }
     }
 
+    /// The channel's invariants beyond its ring's own: every queued
+    /// command's row-hit bit says whether its bank has its row open (the
+    /// pick trusts the bits, and `start` refreshes them only when an open
+    /// row changes).
+    fn check(&self) -> Result<(), String> {
+        self.ring.check()?;
+        let r = &self.ring;
+        for (w, &word) in r.occ.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let b = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let slot = w * 64 + b;
+                let CmdRec { bank, row, .. } = r.cmds[slot];
+                let open = self.banks[bank as usize].open_row;
+                let hit = r.hit[w] >> b & 1 == 1;
+                if hit != (open == Some(row)) {
+                    let pos = r.head + ((slot as u64).wrapping_sub(r.head) & (r.capacity() - 1));
+                    return Err(format!(
+                        "hit bit {} at position {pos} disagrees with bank {bank} \
+                         (open row {open:?}, command row {row})",
+                        hit as u8
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Compute timing for the picked ring position, dequeue it, mutate
-    /// bank/bus state, return `(completion, token)`. When tracing, also records the
-    /// command's blame decomposition: queue wait split across the classes
-    /// ahead of it, bank-busy wait charged to the bank's previous occupant,
-    /// row-conflict penalty, bus wait, and intrinsic service time — tiling
-    /// `[arrival, data_end)` exactly.
+    /// bank/bus state, return `(completion, token, class)`. When tracing,
+    /// also records the command's blame decomposition: queue wait split
+    /// across the classes ahead of it, bank-busy wait charged to the
+    /// bank's previous occupant, row-conflict penalty, bus wait, and
+    /// intrinsic service time — tiling `[arrival, data_end)` exactly.
     fn start(
         &mut self,
         timing: &DramTiming,
@@ -740,16 +841,19 @@ impl Channel {
         iv_pool: &mut Vec<Vec<SpanInterval>>,
         now: Cycles,
         pos: u64,
-    ) -> (Cycles, u64) {
+    ) -> (Cycles, u64, BlameClass) {
         let s = &self.ring;
         let slot = s.slot(pos);
-        let bank_idx = s.bank[slot] as usize;
-        let row = s.row[slot];
-        let cmd_bytes = s.bytes[slot];
-        let is_write = s.write[slot];
-        let token = s.token[slot];
-        let class = s.class[slot];
-        let trace = s.trace[slot];
+        let CmdRec {
+            row,
+            token,
+            bank,
+            bytes: cmd_bytes,
+            write: is_write,
+            class,
+            ..
+        } = s.cmds[slot];
+        let bank_idx = bank as usize;
         let arrival_time = s.arrival_time[slot];
         let burst = timing.burst_cycles(cmd_bytes);
         let bank = self.banks[bank_idx];
@@ -768,7 +872,7 @@ impl Channel {
         let data_end = data_start + burst;
 
         if tracing {
-            if let Some(info) = trace {
+            if let Some(info) = self.ring.trace[slot] {
                 let mut iv: Vec<SpanInterval> =
                     iv_pool.pop().unwrap_or_else(|| Vec::with_capacity(6));
                 if now > arrival_time {
@@ -817,7 +921,6 @@ impl Channel {
                 self.records.push(CmdTrace { span: info.tag.span, intervals: iv });
             }
             self.banks[bank_idx].last_class = class;
-            self.live.push((token, class));
             self.live_by_class[class.idx()] += 1;
         }
 
@@ -826,9 +929,12 @@ impl Channel {
         self.banks[bank_idx].open_row = Some(row);
         self.banks[bank_idx].ready_at = col_time + burst;
         self.bus_free_at = data_end;
-        // The open row changed (or was confirmed): refresh row-hit bits of
-        // everything still queued on this bank.
-        self.ring.rehit_bank(bank_idx, row);
+        // A new open row flips the row-hit bits of the commands still
+        // queued on this bank; a row hit confirmed the old one, which
+        // leaves every bit as it was.
+        if !row_hit && self.ring.bank_len[bank_idx] > 0 {
+            self.ring.rehit_bank(bank_idx, row);
+        }
 
         if is_write {
             self.writes += 1;
@@ -849,7 +955,7 @@ impl Channel {
         }
         self.busy_cycles += burst;
 
-        (data_end, token)
+        (data_end, token, class)
     }
 }
 
@@ -944,8 +1050,19 @@ impl MemDevice {
 
     /// Enable or disable span tracing. Tracing never alters command
     /// timing — it only records a blame decomposition for traced commands.
+    /// Set it before the first command is enqueued: the queue-composition
+    /// bookkeeping counts only commands started while tracing.
     pub fn set_tracing(&mut self, on: bool) {
+        debug_assert!(
+            self.channels
+                .iter()
+                .all(|c| c.ring.len == 0 && c.in_flight == 0),
+            "tracing must be set on an idle device"
+        );
         self.tracing = on;
+        for c in &mut self.channels {
+            c.ring.set_tracing(on);
+        }
     }
 
     /// Number of channels.
@@ -965,9 +1082,10 @@ impl MemDevice {
 
     /// Device-level consistency check for invariant monitors: per-channel
     /// in-flight occupancy must respect the pipeline depth (release-build
-    /// counterpart of the `debug_assert` in [`Self::on_complete`]), and each
+    /// counterpart of the `debug_assert` in [`Self::on_complete`]), each
     /// channel's pending-command ring must be consistent (see
-    /// `CmdRing::check`).
+    /// `CmdRing::check`), and every queued command's row-hit bit must match
+    /// its bank's open row (see `Channel::check`).
     pub fn check_invariants(&self) -> Result<(), String> {
         for (ch, c) in self.channels.iter().enumerate() {
             if c.in_flight > PIPELINE_DEPTH {
@@ -976,7 +1094,7 @@ impl MemDevice {
                     c.in_flight
                 ));
             }
-            c.ring.check().map_err(|e| format!("channel {ch}: {e}"))?;
+            c.check().map_err(|e| format!("channel {ch}: {e}"))?;
         }
         Ok(())
     }
@@ -1018,14 +1136,15 @@ impl MemDevice {
     /// Notify the device that a previously started command on `ch` finished.
     /// Follow with [`Self::pump`] to start successors.
     pub fn on_complete(&mut self, ch: usize) {
-        self.channels[ch].complete(false, 0);
+        self.channels[ch].complete(false, BlameClass::Background);
     }
 
-    /// [`Self::on_complete`] with the finished command's token, so the
-    /// tracing queue-composition bookkeeping can retire it.
-    pub fn on_complete_traced(&mut self, ch: usize, token: u64) {
+    /// [`Self::on_complete`] with the finished command's
+    /// [`StartedCmd::class`], so the tracing queue-composition bookkeeping
+    /// can retire it.
+    pub fn on_complete_traced(&mut self, ch: usize, class: BlameClass) {
         let tracing = self.tracing;
-        self.channels[ch].complete(tracing, token);
+        self.channels[ch].complete(tracing, class);
     }
 
     /// Drain the blame decompositions of traced commands started on `ch`
@@ -1447,10 +1566,16 @@ mod tests {
             "decomposition must tile [5, {done}): {:?}",
             recs[0].intervals
         );
-        // Second drain is empty; completions retire live entries.
+        // Second drain is empty; completions hand back the classes the
+        // commands were enqueued with and retire them.
         assert!(d.take_cmd_traces(0).is_empty());
-        d.on_complete_traced(0, 0);
-        d.on_complete_traced(0, 9);
+        let classes = [out[0].class, out[1].class];
+        assert_eq!(classes, [BlameClass::GpuDemand, BlameClass::CpuDemand]);
+        assert_eq!(d.channels[0].live_by_class, [1, 1, 0]);
+        for class in classes {
+            d.on_complete_traced(0, class);
+        }
+        assert_eq!(d.channels[0].live_by_class, [0; 3]);
         // Cycle-identical to the untraced path.
         let mut plain = dev(TimingPreset::Ddr4, 1);
         plain.enqueue(0, rd(0, 256), 0);
@@ -1560,11 +1685,12 @@ mod tests {
                 if s.occ[slot / 64] >> (slot % 64) & 1 == 0 {
                     continue;
                 }
-                let hit = c.banks[s.bank[slot] as usize].open_row == Some(s.row[slot]);
+                let CmdRec { bank, row, prio, .. } = s.cmds[slot];
+                let hit = c.banks[bank as usize].open_row == Some(row);
                 let prio = if now.saturating_sub(s.arrival_time[slot]) > AGE_CAP {
                     u8::MAX
                 } else {
-                    s.prio[slot]
+                    prio
                 };
                 let key = (prio, hit, u64::MAX - pos);
                 if best.is_none_or(|(b, _)| key > b) {
@@ -1614,7 +1740,7 @@ mod tests {
                     deepest = deepest.max(d.queue_len(0));
                     let c = &mut d.channels[0];
                     for _ in 0..(lcg(&mut state) % 8).min(c.in_flight as u64) {
-                        c.complete(false, 0);
+                        c.complete(false, BlameClass::Background);
                     }
                     while c.in_flight < PIPELINE_DEPTH {
                         let picked = c.ring.pick(now);
@@ -1755,6 +1881,31 @@ mod tests {
         assert_eq!(
             corrupted(|r| r.levels.swap(0, 1)),
             "channel 0: priority levels are not in descending order"
+        );
+    }
+
+    #[test]
+    fn check_flags_level_table() {
+        assert_eq!(
+            corrupted(|r| r.level_at[1] = 0),
+            "channel 0: level table sends priority 1 to level 0, not 1"
+        );
+    }
+
+    /// The state `start` relies on to skip refreshing the hit bits: the
+    /// bits match the open rows, and the per-bank counts match the bank
+    /// bitmaps. All four queued commands sit in row 0 of bank 0, where
+    /// the pipeline left row 188 open.
+    #[test]
+    fn check_flags_stale_hit_bits_and_bank_counts() {
+        assert_eq!(
+            corrupted(|r| r.hit[0] ^= 1 << 49),
+            "channel 0: hit bit 1 at position 49 disagrees with bank 0 \
+             (open row Some(188), command row 0)"
+        );
+        assert_eq!(
+            corrupted(|r| r.bank_len[0] += 1),
+            "channel 0: bank 0 counts 5 queued commands but its bitmap holds 4"
         );
     }
 

@@ -6,6 +6,7 @@
 //! the substrate the simulator is built on.
 
 pub mod event;
+pub mod hint;
 pub mod json;
 pub mod metrics;
 pub mod monitor;

@@ -23,7 +23,7 @@ use h2_mem::device::{MemMetricHandles, MemStats, StartedCmd};
 use h2_mem::{EnergyBreakdown, MemDevice, TimingPreset};
 use h2_hybrid::TokenFlows;
 use h2_sim_core::prof;
-use h2_sim_core::trace_span::{BlameCause, CmdTrace, SpanCollector, SpanId};
+use h2_sim_core::trace_span::{BlameCause, BlameClass, CmdTrace, SpanCollector, SpanId};
 use h2_sim_core::units::{Cycles, MIB};
 use h2_sim_core::{
     CounterId, EventQueue, GaugeId, HeapQueue, HistId, LogHistogram, MetricsRegistry,
@@ -63,6 +63,9 @@ enum Ev {
     HmcSram(u64),
     MemDone {
         tier: Tier,
+        /// The command's requester class, handed back to the device on
+        /// completion (tracing bookkeeping).
+        class: BlameClass,
         channel: usize,
         token: u64,
     },
@@ -105,7 +108,8 @@ pub struct SimProbe {
     pub token_flows: Option<TokenFlows>,
     /// Policy-internal consistency (token-bucket conservation).
     pub policy_invariants: Result<(), String>,
-    /// Device-level consistency (pipeline occupancy), fast then slow.
+    /// Device-level consistency (pipeline occupancy, command rings,
+    /// row-hit bits), fast then slow.
     pub mem_invariants: Result<(), String>,
     /// Memoised alloc-mask coherence: every live memo entry matches a
     /// direct `policy.alloc_mask` call — the "masks change only at
@@ -507,6 +511,7 @@ impl<Q: Queue<Ev>> Sim<Q> {
                 s.done_at,
                 Ev::MemDone {
                     tier,
+                    class: s.class,
                     channel: s.channel,
                     token: s.token,
                 },
@@ -1091,6 +1096,7 @@ impl<Q: Queue<Ev>> Sim<Q> {
                 }
                 Ev::MemDone {
                     tier,
+                    class,
                     channel,
                     token,
                 } => {
@@ -1098,7 +1104,7 @@ impl<Q: Queue<Ev>> Sim<Q> {
                     // The span (if any) owning this demand completion must
                     // be read *before* `handle` retires the transaction.
                     let done_span = if traced {
-                        self.dev(tier).on_complete_traced(channel, token);
+                        self.dev(tier).on_complete_traced(channel, class);
                         self.hmc.demand_trace(token).map(|t| t.span)
                     } else {
                         self.dev(tier).on_complete(channel);
@@ -1124,6 +1130,7 @@ impl<Q: Queue<Ev>> Sim<Q> {
                             s.done_at,
                             Ev::MemDone {
                                 tier,
+                                class: s.class,
                                 channel: s.channel,
                                 token: s.token,
                             },
