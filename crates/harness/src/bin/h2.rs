@@ -19,9 +19,9 @@
 //! ```
 //!
 //! `--jobs N` sizes the one worker pool (default: every CPU). `h2 run` and
-//! `h2 all` plan each experiment and run its distinct jobs on the pool as
-//! one batch; `h2 sweep` runs its points on it. Tables and CSVs do not
-//! depend on `N`.
+//! `h2 all` plan every requested experiment together and run their
+//! distinct jobs on the pool as one batch; `h2 sweep` runs its points on
+//! it. Tables and CSVs do not depend on `N`.
 //!
 //! The global flags apply to these subcommands only, and any other
 //! subcommand exits with status 2 when given one: `--jobs` to `run
@@ -55,7 +55,7 @@
 //! 1, a frame's allocation count also includes what other workers
 //! allocated meanwhile, since the counter is process-wide.
 
-use h2_harness::{run_experiment, validate_run_ids, Profile, RunCache, Table, ALL_EXPERIMENTS};
+use h2_harness::{run_experiments, validate_run_ids, Profile, RunCache, Table, ALL_EXPERIMENTS};
 use h2_sim_core::prof;
 use std::path::{Path, PathBuf};
 
@@ -266,22 +266,19 @@ fn run_ids(
     }
     let t0 = std::time::Instant::now();
     let results_dir = Path::new("results");
+    let announce = |jobs: usize| {
+        eprintln!("[h2] plan: {} experiments request {jobs} distinct jobs", ids.len());
+    };
+    let experiments = run_experiments(ids, profile, &mut cache, announce)
+        .expect("experiment ids are validated before they run");
     let mut failed = Vec::new();
-    for id in ids {
-        match run_experiment(id, profile, &mut cache) {
-            Some(tables) => {
-                failed.extend(failed_claims(&tables));
-                for t in tables {
-                    println!("{}", t.render());
-                    match t.write_csv(results_dir) {
-                        Ok(p) => println!("csv: {}\n", p.display()),
-                        Err(e) => eprintln!("csv write failed: {e}"),
-                    }
-                }
-            }
-            None => {
-                eprintln!("unknown experiment '{id}' (see `h2 list`)");
-                std::process::exit(2);
+    for tables in experiments {
+        failed.extend(failed_claims(&tables));
+        for t in tables {
+            println!("{}", t.render());
+            match t.write_csv(results_dir) {
+                Ok(p) => println!("csv: {}\n", p.display()),
+                Err(e) => eprintln!("csv write failed: {e}"),
             }
         }
     }

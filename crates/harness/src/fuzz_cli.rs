@@ -11,7 +11,7 @@ use crate::persist;
 use h2_check::{diff_reports, parse_repro, repro_json, run_battery, FuzzCase, OracleHooks};
 use h2_system::{Participants, SystemConfig};
 use h2_trace::Mix;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -111,6 +111,9 @@ pub fn oracle_hooks() -> OracleHooks {
 /// one process.
 static SCRATCH_ID: AtomicU64 = AtomicU64::new(0);
 
+/// Request-trace sampling rate of the cached-replay oracle's traced jobs.
+const REPLAY_TRACE_SAMPLE: u64 = 16;
+
 /// The run-cache oracle: execute a small job through a fresh persistent
 /// cache (execute + store), then replay it from a second cache sharing
 /// the same directory. The replay must come from the disk tier and must
@@ -120,6 +123,11 @@ static SCRATCH_ID: AtomicU64 = AtomicU64::new(0);
 /// window, not the case's own workload list — `Job`s are mix-shaped — so
 /// this oracle sweeps the real CLI cache path (job keys, the atomic
 /// store, tag validation, decode) across seeds and policies.
+///
+/// Two case seeds in five trace the job (5 is coprime to the 12 mixes, so
+/// every mix is traced within 60 seeds) and replay it twice more: through
+/// caches without a trace dir, where both reports must hold no spans, and
+/// through caches that dump traces, where both must hold the run's spans.
 fn cached_replay(case: &FuzzCase) -> Result<Option<String>, String> {
     let mixes = Mix::all();
     let mix = mixes[(case.case_seed % mixes.len() as u64) as usize].clone();
@@ -129,6 +137,10 @@ fn cached_replay(case: &FuzzCase) -> Result<Option<String>, String> {
     cfg.faucet_cycles = 5_000;
     cfg.warmup_cycles = 40_000;
     cfg.measure_cycles = 60_000;
+    let traced = case.case_seed % 5 < 2;
+    if traced {
+        cfg.trace_sample = Some(REPLAY_TRACE_SAMPLE);
+    }
     let job = Job {
         cfg,
         mix,
@@ -142,20 +154,46 @@ fn cached_replay(case: &FuzzCase) -> Result<Option<String>, String> {
         std::process::id(),
         SCRATCH_ID.fetch_add(1, Ordering::Relaxed)
     ));
+    let dumps = dir.join("traces");
+    let trace_dirs: &[Option<&Path>] = if traced { &[None, Some(&dumps)] } else { &[None] };
     let result = (|| {
-        let fresh = {
-            let mut cache = RunCache::with_disk_dir(&dir).map_err(|e| e.to_string())?;
-            cache.run(&job)
-        };
-        let mut cache = RunCache::with_disk_dir(&dir).map_err(|e| e.to_string())?;
-        let replayed = cache.run(&job);
-        if cache.disk_hits != 1 {
-            return Ok(Some(format!(
-                "replay missed the persistent tier (disk_hits {}, executed {})",
-                cache.disk_hits, cache.executed
-            )));
+        for (i, trace_dir) in trace_dirs.iter().enumerate() {
+            let store = dir.join(format!("store-{i}"));
+            let open = || -> Result<RunCache, String> {
+                let mut cache = RunCache::with_disk_dir(&store).map_err(|e| e.to_string())?;
+                if let Some(d) = trace_dir {
+                    cache.set_trace_dir(d, REPLAY_TRACE_SAMPLE).map_err(|e| e.to_string())?;
+                }
+                Ok(cache)
+            };
+            let fresh = open()?.run(&job);
+            let mut cache = open()?;
+            let replayed = cache.run(&job);
+            if cache.disk_hits != 1 {
+                return Ok(Some(format!(
+                    "replay missed the persistent tier (disk_hits {}, executed {})",
+                    cache.disk_hits, cache.executed
+                )));
+            }
+            // Without a trace dir a traced run keeps its trace but no
+            // spans; a cache that dumps serves them. The diff below holds
+            // the replay to the same.
+            let spans = fresh.trace.as_ref().map(|t| t.spans.len());
+            let served_right = match trace_dir {
+                None => spans == traced.then_some(0),
+                Some(_) => spans.is_some_and(|n| n > 0),
+            };
+            if !served_right {
+                return Ok(Some(format!(
+                    "a cache with{} a trace dir served a fresh report holding {spans:?} spans",
+                    if trace_dir.is_some() { "" } else { "out" }
+                )));
+            }
+            if let Some(diff) = diff_reports(&fresh, &replayed) {
+                return Ok(Some(diff));
+            }
         }
-        Ok(diff_reports(&fresh, &replayed))
+        Ok(None)
     })();
     let _ = std::fs::remove_dir_all(&dir);
     result
@@ -306,7 +344,9 @@ mod tests {
 
     #[test]
     fn cached_replay_oracle_is_clean_on_a_generated_case() {
-        let case = FuzzCase::generate(0);
-        assert_eq!(cached_replay(&case).unwrap(), None);
+        // Case 0 runs untraced, case 1 traced.
+        for seed in [0, 1] {
+            assert_eq!(cached_replay(&FuzzCase::generate(seed)).unwrap(), None, "seed {seed}");
+        }
     }
 }

@@ -158,7 +158,8 @@ impl Engine<'_> {
         }
 
         let mut dones: Vec<(usize, Source, f64)> = Vec::with_capacity(batch.len());
-        let (reports, stats) = scheduler::run_batch(&batch, self.tier, self.workers, |done| {
+        // A sweep never dumps traces, so its store hits skip the spans.
+        let (reports, stats) = scheduler::run_batch(&batch, self.tier, self.workers, false, |done| {
             // Emitting from inside the callback would need &mut self while
             // `batch` is borrowed; stash completion order and stream the
             // events from the returned reports once the pool drains.

@@ -307,9 +307,18 @@ impl ShardedStore {
     /// quarantined (renamed to `*.bad`) and reads as a miss, so the
     /// caller re-executes and re-publishes a good entry over it.
     pub fn load(&self, key: u128) -> Option<RunReport> {
+        self.load_with(key, true)
+    }
+
+    /// [`ShardedStore::load`], decoding the entry's request spans only
+    /// when `spans` is set. Without them a traced report keeps its trace's
+    /// `sample` and `dropped` but no spans, and the span section is checked
+    /// for structure only: a damaged cause byte, which serves nothing
+    /// here, is left for a full load to find.
+    pub fn load_with(&self, key: u128, spans: bool) -> Option<RunReport> {
         let path = self.entry_path(key);
         let bytes = fs::read(&path).ok()?;
-        match decode_report(&bytes, &self.tag) {
+        match decode_report(&bytes, &self.tag, spans) {
             Some(report) => {
                 self.index_touch(key, bytes.len() as u64);
                 Some(report)
