@@ -291,6 +291,12 @@ impl RunCache {
         RunReport::default()
     }
 
+    /// Whether a plan is being recorded: requests that miss memory are
+    /// then answered with placeholder reports ([`RunCache::run_planned`]).
+    pub(crate) fn planning(&self) -> bool {
+        self.planned.is_some()
+    }
+
     /// Record the jobs `experiment` requests without running any: every
     /// request that misses memory is answered with `RunReport::default()`,
     /// and the distinct misses come back in first-request order.

@@ -10,6 +10,7 @@
 //! to the full configuration.
 
 use crate::cache::{Job, RunCache};
+use crate::experiments::telemetry;
 use crate::profile::Profile;
 use crate::table::{f2, f3, Table};
 use h2_system::{Participants, PolicyKind};
@@ -130,11 +131,13 @@ pub fn run(profile: &Profile, cache: &mut RunCache) -> Vec<Table> {
     );
     for mix in profile.headline_mixes() {
         let r = cache.run(&Job::new(&cfg, &mix, PolicyKind::NoPart));
-        let Some(t) = &r.telemetry else { continue };
-        let (Some(hc), Some(hg)) = (t.totals.hist("lat.cpu_read"), t.totals.hist("lat.gpu_demand"))
-        else {
-            continue;
+        let Some(t) = telemetry(cache, &r, "fig2e", mix.name) else { continue };
+        let hist = |name: &str| {
+            t.totals.hist(name).unwrap_or_else(|| {
+                panic!("fig2e: the telemetry for mix {} has no {name} histogram", mix.name)
+            })
         };
+        let (hc, hg) = (hist("lat.cpu_read"), hist("lat.gpu_demand"));
         te.row(vec![
             mix.name.to_string(),
             f2(hc.mean()),

@@ -6,7 +6,7 @@
 //! (10 M-cycle epochs, 500 M-cycle phases) alongside the rest of the system.
 
 use crate::cache::{Job, RunCache};
-use crate::experiments::gm;
+use crate::experiments::{gm, telemetry};
 use crate::profile::Profile;
 use crate::table::{f3, Table};
 use h2_system::{PolicyKind, SystemConfig};
@@ -80,7 +80,7 @@ pub fn run(profile: &Profile, cache: &mut RunCache) -> Vec<Table> {
     );
     for m in &mixes {
         let r = cache.run(&Job::new(&base_cfg, m, PolicyKind::HydrogenFull));
-        let Some(t) = &r.telemetry else { continue };
+        let Some(t) = telemetry(cache, &r, "fig9c", m.name) else { continue };
         let reconfigs = t
             .epochs
             .iter()

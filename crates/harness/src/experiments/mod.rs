@@ -26,9 +26,43 @@ pub mod table1;
 pub mod table2;
 pub mod verify;
 
+use crate::cache::RunCache;
 use h2_sim_core::stats::geomean;
+use h2_system::{RunReport, RunTelemetry};
 
 /// Geomean helper shared by the figure modules.
 pub(crate) fn gm(xs: &[f64]) -> f64 {
     geomean(xs)
+}
+
+/// The telemetry of `r`, which `table` reads for `mix`. Every job the cache
+/// runs records telemetry, so a report without it lost it in the run store
+/// or its codec: panic, naming the table and the mix, rather than print
+/// the table without that row. While `cache` plans, its answers are
+/// placeholders without telemetry, and this is `None`.
+pub(crate) fn telemetry<'r>(
+    cache: &RunCache,
+    r: &'r RunReport,
+    table: &str,
+    mix: &str,
+) -> Option<&'r RunTelemetry> {
+    if cache.planning() {
+        return None;
+    }
+    let lost = || panic!("{table}: the report for mix {mix} has no telemetry");
+    Some(r.telemetry.as_ref().unwrap_or_else(lost))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    #[should_panic(expected = "fig2e: the report for mix C1 has no telemetry")]
+    fn a_report_without_telemetry_fails_its_table() {
+        let mut cache = RunCache::new();
+        // Plan-pass answers are placeholders: they pass without a row.
+        cache.plan(|c| assert!(telemetry(c, &RunReport::default(), "fig2e", "C1").is_none()));
+        telemetry(&cache, &RunReport::default(), "fig2e", "C1");
+    }
 }

@@ -9,18 +9,34 @@
 //! `H2RC` magic + tag header (no serde — the workspace builds with zero
 //! external dependencies).
 //!
+//! Telemetry is the largest part of most entries, and its metric names
+//! repeat: a run's registries hold one of a few layouts (the counter, gauge
+//! and histogram names), and the entries of one configuration and policy
+//! hold the same ones. So each layout is written once, as one
+//! length-prefixed *name block*. Every registry, the totals and then each
+//! epoch frame, starts with one byte: its layout is the previous
+//! registry's, or a new block follows. After that byte come its values
+//! only. A store's loads share decoded layouts through its memo of blocks,
+//! keyed by a block's exact bytes (`LayoutMemo` in
+//! [`crate::sweep::store`]).
+//!
+//! Every count the decoder reserves memory for is bounded by the bytes left
+//! in the entry, at the smallest encoding of one element, so a damaged
+//! count fails before it allocates more than the entry could hold.
+//!
 //! Invalidation rule: the tag couples a hand-bumped schema number with the
 //! crate version. When the directory's `VERSION` (or an entry's header)
 //! does not match the running binary's tag, the stale entries are removed
 //! wholesale and the cache restarts cold. Bump [`SCHEMA_VERSION`] whenever
 //! simulator behaviour or this encoding changes.
 
-use crate::sweep::store::ShardedStore;
+use crate::sweep::store::{LayoutMemo, ShardedStore};
 use h2_sim_core::metrics::HIST_BUCKETS;
 use h2_sim_core::trace_span::{BlameCause, Span, SpanInterval, MAX_SPANS};
 use h2_sim_core::{LogHistogram, MetricLayout, MetricsRegistry};
 use h2_system::report::{EpochFrame, EpochRecord, RunReport, RunTelemetry, RunTrace, TenantSlo};
 use std::io;
+use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -30,7 +46,10 @@ const MAGIC: [u8; 4] = *b"H2RC";
 /// Bump on any change to simulator results or to the encoding below.
 /// v3: the optional request-span trace section (`RunTrace`).
 /// v4: the per-tenant SLO section (`RunReport::tenants`).
-pub const SCHEMA_VERSION: u32 = 4;
+/// v5: metric names move into name blocks, written once per layout and
+/// referenced by a one-byte layout tag per registry; the tenant count
+/// widens to a u64.
+pub const SCHEMA_VERSION: u32 = 5;
 
 /// The full cache tag: schema + code revision (crate version).
 pub fn cache_tag() -> String {
@@ -60,6 +79,16 @@ impl Enc {
     fn str(&mut self, s: &str) {
         self.u64(s.len() as u64);
         self.buf.extend_from_slice(s.as_bytes());
+    }
+    /// A length-prefixed byte string that `write` appends; returns where
+    /// its bytes lie in the buffer.
+    fn bytes_with(&mut self, write: impl FnOnce(&mut Self)) -> Range<usize> {
+        let at = self.buf.len();
+        self.u64(0);
+        write(self);
+        let len = (self.buf.len() - at - 8) as u64;
+        self.buf[at..at + 8].copy_from_slice(&len.to_le_bytes());
+        at + 8..self.buf.len()
     }
     fn arr2(&mut self, v: [u64; 2]) {
         self.u64(v[0]);
@@ -103,34 +132,63 @@ impl<'a> Dec<'a> {
     fn f64(&mut self) -> Option<f64> {
         Some(f64::from_bits(self.u64()?))
     }
+    /// A length-prefixed byte string, borrowed from the entry bytes.
+    fn bytes(&mut self) -> Option<&'a [u8]> {
+        let n = self.count(1)?;
+        self.take(n)
+    }
     /// A length-prefixed UTF-8 string, borrowed from the entry bytes.
     fn str_ref(&mut self) -> Option<&'a str> {
-        let n = self.u64()? as usize;
-        std::str::from_utf8(self.take(n)?).ok()
+        std::str::from_utf8(self.bytes()?).ok()
     }
     fn str(&mut self) -> Option<String> {
         self.str_ref().map(str::to_owned)
+    }
+    /// Whether `n` elements of at least `min_bytes` each fit in the bytes
+    /// left.
+    fn fits(&self, n: usize, min_bytes: usize) -> bool {
+        n <= (self.b.len() - self.pos) / min_bytes
     }
     /// An element count, rejected when that many elements of at least
     /// `min_bytes` each cannot fit in the bytes left.
     fn count(&mut self, min_bytes: usize) -> Option<usize> {
         let n = self.u64()? as usize;
-        (n <= (self.b.len() - self.pos) / min_bytes).then_some(n)
+        self.fits(n, min_bytes).then_some(n)
+    }
+    /// `n` consecutive u64 words, read as one slice.
+    fn words(&mut self, n: usize) -> Option<impl Iterator<Item = u64> + 'a> {
+        let raw = self.take(n.checked_mul(8)?)?;
+        Some(raw.chunks_exact(8).map(|w| u64::from_le_bytes(w.try_into().expect("8-byte chunk"))))
     }
     fn arr2(&mut self) -> Option<[u64; 2]> {
         Some([self.u64()?, self.u64()?])
     }
     fn vec_u64(&mut self) -> Option<Vec<u64>> {
-        let n = self.u64()? as usize;
-        if n.checked_mul(8)? > self.b.len() {
-            return None;
-        }
-        (0..n).map(|_| self.u64()).collect()
+        let n = self.count(8)?;
+        Some(self.words(n)?.collect())
     }
     fn done(&self) -> bool {
         self.pos == self.b.len()
     }
 }
+
+/// Bytes of an encoded epoch record: epoch, IPC, bw, cap, tok and the
+/// reconfigured flag.
+const EPOCH_RECORD: usize = 5 * 8 + 1;
+
+/// Bytes of the smallest encoded registry histogram: count, sum and a
+/// bucket count.
+const HIST_VALUES: usize = 3 * 8;
+
+/// Bytes of the smallest encoded tenant: an empty name, the priority and
+/// two empty histograms (count, sum and a u32 bucket count each).
+const TENANT: usize = 8 + 1 + 2 * (8 + 8 + 4);
+
+/// A registry's leading byte: it has the previous registry's layout...
+const SAME_LAYOUT: u8 = 0;
+
+/// ...or a name block follows, holding its own.
+const NEW_LAYOUT: u8 = 1;
 
 fn encode_epoch_record(e: &mut Enc, ep: &EpochRecord) {
     e.u64(ep.epoch);
@@ -152,76 +210,108 @@ fn decode_epoch_record(d: &mut Dec) -> Option<EpochRecord> {
     })
 }
 
-fn encode_registry(e: &mut Enc, reg: &MetricsRegistry) {
-    let counters: Vec<_> = reg.counters().collect();
-    e.u64(counters.len() as u64);
-    for (n, v) in counters {
-        e.str(n);
-        e.u64(v);
+/// Write a registry's names as a name block's contents: for counters,
+/// gauges and histograms in turn, a count and that many length-prefixed
+/// names.
+fn encode_names(e: &mut Enc, reg: &MetricsRegistry) {
+    let [nc, ng, nh] = reg.layout().lens();
+    e.u64(nc as u64);
+    reg.counters().for_each(|(n, _)| e.str(n));
+    e.u64(ng as u64);
+    reg.gauges().for_each(|(n, _)| e.str(n));
+    e.u64(nh as u64);
+    reg.hists().for_each(|(n, _)| e.str(n));
+}
+
+/// The layout a name block holds, or `None` when the block is damaged: it
+/// is not exactly three counted lists of names, or a name repeats within
+/// one kind (the encoder never writes one).
+fn parse_name_block(block: &[u8]) -> Option<MetricLayout> {
+    let mut d = Dec::new(block);
+    let mut kinds: [Vec<&str>; 3] = Default::default();
+    for names in &mut kinds {
+        // The smallest name is its length prefix.
+        let n = d.count(8)?;
+        names.reserve_exact(n);
+        for _ in 0..n {
+            names.push(d.str_ref()?);
+        }
     }
-    let gauges: Vec<_> = reg.gauges().collect();
-    e.u64(gauges.len() as u64);
-    for (n, v) in gauges {
-        e.str(n);
-        e.f64(v);
+    let [c, g, h] = &kinds;
+    d.done().then(|| MetricLayout::from_names(c, g, h))?
+}
+
+/// What [`encode_registry`] remembers of the registry before: its layout,
+/// and where in the entry the last name block lies (empty before the
+/// first; a block never is).
+#[derive(Default)]
+struct LastLayout<'r> {
+    layout: Option<&'r Arc<MetricLayout>>,
+    block: Range<usize>,
+}
+
+/// Encode one registry: the layout byte, a name block when its names
+/// differ from the last block's, then its values in layout order.
+fn encode_registry<'r>(e: &mut Enc, reg: &'r MetricsRegistry, last: &mut LastLayout<'r>) {
+    if last.layout.is_some_and(|l| Arc::ptr_eq(l, reg.layout())) {
+        e.u8(SAME_LAYOUT);
+    } else {
+        // Equal names can sit behind two layouts: write the block, and take
+        // it back when it repeats the last one.
+        let at = e.buf.len();
+        e.u8(NEW_LAYOUT);
+        let block = e.bytes_with(|e| encode_names(e, reg));
+        if e.buf[block.clone()] == e.buf[last.block.clone()] {
+            e.buf.truncate(at);
+            e.u8(SAME_LAYOUT);
+        } else {
+            last.block = block;
+        }
     }
-    let hists: Vec<_> = reg.hists().collect();
-    e.u64(hists.len() as u64);
-    for (n, h) in hists {
-        e.str(n);
+    last.layout = Some(reg.layout());
+    reg.counters().for_each(|(_, v)| e.u64(v));
+    reg.gauges().for_each(|(_, v)| e.f64(v));
+    for (_, h) in reg.hists() {
         e.u64(h.count());
         e.u64(h.sum());
-        let nz: Vec<_> = h.nonzero_buckets().collect();
-        e.u64(nz.len() as u64);
-        for (b, c) in nz {
+        e.u64(h.nonzero_buckets().count() as u64);
+        for (b, c) in h.nonzero_buckets() {
             e.u8(b as u8);
             e.u64(c);
         }
     }
 }
 
-/// Decode one registry. Names are read in place into `names` (scratch
-/// shared by a run's registries). When they equal `prev`'s names the
-/// registry shares `prev`, so only a run's totals and its first frame build
-/// a layout and every later frame with the same names reuses the last one.
-/// A name repeated within a kind is damage (the encoder never writes one):
-/// the entry is rejected.
-fn decode_registry<'a>(
-    d: &mut Dec<'a>,
-    names: &mut Vec<&'a str>,
-    prev: Option<&Arc<MetricLayout>>,
+/// Decode one registry. Its layout is the previous registry's (`layout`,
+/// `None` before the first), or a name block follows: `layouts` shares
+/// the layout of a block with the same bytes that it has already
+/// validated, and parses the others. Then come its values, as many of
+/// each kind as the layout names.
+fn decode_registry(
+    d: &mut Dec,
+    layouts: &LayoutMemo,
+    layout: &mut Option<Arc<MetricLayout>>,
 ) -> Option<MetricsRegistry> {
-    names.clear();
-    // Smallest encodings: a name length and a value (counters, gauges);
-    // a name length, count, sum and bucket count (histograms).
-    let nc = d.count(16)?;
-    let mut counters = Vec::with_capacity(nc);
-    for _ in 0..nc {
-        names.push(d.str_ref()?);
-        counters.push(d.u64()?);
+    match d.u8()? {
+        SAME_LAYOUT => {}
+        NEW_LAYOUT => *layout = Some(layouts.layout(d.bytes()?, parse_name_block)?),
+        _ => return None,
     }
-    let ng = d.count(16)?;
-    let mut gauges = Vec::with_capacity(ng);
-    for _ in 0..ng {
-        names.push(d.str_ref()?);
-        gauges.push(d.f64()?);
+    let layout = layout.as_ref()?;
+    let [nc, ng, nh] = layout.lens();
+    let counters = d.words(nc)?.collect();
+    let gauges = d.words(ng)?.map(f64::from_bits).collect();
+    if !d.fits(nh, HIST_VALUES) {
+        return None;
     }
-    let nh = d.count(32)?;
     let mut hists = Vec::with_capacity(nh);
     for _ in 0..nh {
-        names.push(d.str_ref()?);
         let count = d.u64()?;
         let sum = d.u64()?;
         let nb = d.u64()? as usize;
         hists.push(decode_buckets(d, count, sum, nb)?);
     }
-    let (c, rest) = names.split_at(nc);
-    let (g, h) = rest.split_at(ng);
-    let layout = match prev {
-        Some(l) if l.has_names(c, g, h) => Arc::clone(l),
-        _ => Arc::new(MetricLayout::from_names(c, g, h)?),
-    };
-    Some(MetricsRegistry::from_parts(layout, counters, gauges, hists))
+    Some(MetricsRegistry::from_parts(Arc::clone(layout), counters, gauges, hists))
 }
 
 /// A histogram's `nb` encoded `(bucket, count)` pairs, read through a
@@ -320,11 +410,12 @@ pub(crate) fn encode_report(r: &RunReport, tag: &str) -> Vec<u8> {
         None => e.u8(0),
         Some(t) => {
             e.u8(1);
-            encode_registry(&mut e, &t.totals);
+            let mut last = LastLayout::default();
+            encode_registry(&mut e, &t.totals, &mut last);
             e.u64(t.epochs.len() as u64);
             for f in &t.epochs {
                 encode_epoch_record(&mut e, &f.record);
-                encode_registry(&mut e, &f.metrics);
+                encode_registry(&mut e, &f.metrics, &mut last);
             }
         }
     }
@@ -352,7 +443,7 @@ pub(crate) fn encode_report(r: &RunReport, tag: &str) -> Vec<u8> {
     }
 
     // v4: per-tenant SLO section (empty for classic untagged runs).
-    e.u32(r.tenants.len() as u32);
+    e.u64(r.tenants.len() as u64);
     for t in &r.tenants {
         e.str(&t.name);
         e.u8(t.priority);
@@ -391,15 +482,16 @@ const INTERVAL: usize = 1 + 8 + 8;
 fn decode_trace(d: &mut Dec, spans: bool) -> Option<RunTrace> {
     let sample = d.u64()?;
     let dropped = d.u64()?;
-    let n = d.u64()? as usize;
+    // The smallest span is its head and an interval count.
+    let n = d.count(SPAN_HEAD + 8)?;
     if n > MAX_SPANS {
         return None;
     }
     if !spans {
         for _ in 0..n {
             d.take(SPAN_HEAD)?;
-            let ni = d.u64()? as usize;
-            d.take(ni.checked_mul(INTERVAL)?)?;
+            let ni = d.count(INTERVAL)?;
+            d.take(ni * INTERVAL)?;
         }
         return Some(RunTrace { sample, dropped, spans: Vec::new() });
     }
@@ -409,11 +501,7 @@ fn decode_trace(d: &mut Dec, spans: bool) -> Option<RunTrace> {
         let class = d.u8()?;
         let start = d.u64()?;
         let end = d.u64()?;
-        let ni = d.u64()? as usize;
-        // Each encoded interval is 17 bytes; bound against corruption.
-        if ni > d.b.len() {
-            return None;
-        }
+        let ni = d.count(INTERVAL)?;
         let mut intervals = Vec::with_capacity(ni);
         for _ in 0..ni {
             let cause = BlameCause::from_u8(d.u8()?)?;
@@ -424,10 +512,23 @@ fn decode_trace(d: &mut Dec, spans: bool) -> Option<RunTrace> {
     Some(RunTrace { sample, dropped, spans })
 }
 
+/// Decode one entry on its own: [`decode_report_with`] over a memo that
+/// starts empty, so every name block is parsed.
+pub(crate) fn decode_report(bytes: &[u8], tag: &str, spans: bool) -> Option<RunReport> {
+    decode_report_with(bytes, tag, spans, &LayoutMemo::default())
+}
+
 /// Decode one entry; `None` when any of it is damaged. Without `spans`, a
 /// traced report comes back with its trace section walked but its spans
-/// left out (see [`decode_trace`]).
-pub(crate) fn decode_report(bytes: &[u8], tag: &str, spans: bool) -> Option<RunReport> {
+/// left out (see [`decode_trace`]). Name blocks go through `layouts`, so
+/// the entry shares the layout of every block the memo has validated
+/// before, and a new block that parses joins the memo.
+pub(crate) fn decode_report_with(
+    bytes: &[u8],
+    tag: &str,
+    spans: bool,
+    layouts: &LayoutMemo,
+) -> Option<RunReport> {
     let mut d = Dec::new(bytes);
     if d.take(4)? != MAGIC || d.u32()? != SCHEMA_VERSION || d.str()? != tag {
         return None;
@@ -491,10 +592,7 @@ pub(crate) fn decode_report(bytes: &[u8], tag: &str, spans: bool) -> Option<RunR
         label: d.str()?,
     };
 
-    let n_epochs = d.u64()? as usize;
-    if n_epochs > bytes.len() {
-        return None;
-    }
+    let n_epochs = d.count(EPOCH_RECORD)?;
     let mut epoch_trace = Vec::with_capacity(n_epochs);
     for _ in 0..n_epochs {
         epoch_trace.push(decode_epoch_record(&mut d)?);
@@ -512,18 +610,14 @@ pub(crate) fn decode_report(bytes: &[u8], tag: &str, spans: bool) -> Option<RunR
     let telemetry = match d.u8()? {
         0 => None,
         1 => {
-            let mut names = Vec::new();
-            let totals = decode_registry(&mut d, &mut names, None)?;
-            let n = d.u64()? as usize;
-            // Sanity bound against corrupt length prefixes.
-            if n > bytes.len() {
-                return None;
-            }
+            let mut layout = None;
+            let totals = decode_registry(&mut d, layouts, &mut layout)?;
+            // The smallest frame is its record and a layout byte.
+            let n = d.count(EPOCH_RECORD + 1)?;
             let mut epochs = Vec::with_capacity(n);
             for _ in 0..n {
                 let record = decode_epoch_record(&mut d)?;
-                let prev = epochs.last().map(|f: &EpochFrame| f.metrics.layout());
-                let metrics = decode_registry(&mut d, &mut names, prev)?;
+                let metrics = decode_registry(&mut d, layouts, &mut layout)?;
                 epochs.push(EpochFrame { record, metrics });
             }
             Some(RunTelemetry { totals, epochs })
@@ -537,10 +631,7 @@ pub(crate) fn decode_report(bytes: &[u8], tag: &str, spans: bool) -> Option<RunR
         _ => return None,
     };
 
-    let nt = d.u32()? as usize;
-    if nt > bytes.len() {
-        return None;
-    }
+    let nt = d.count(TENANT)?;
     let mut tenants = Vec::with_capacity(nt);
     for _ in 0..nt {
         let name = d.str()?;
@@ -639,8 +730,57 @@ mod tests {
     use super::*;
     use h2_system::{run_sim, PolicyKind, SystemConfig};
     use h2_trace::Mix;
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
     use std::fs;
     use std::path::PathBuf;
+
+    /// This test binary's allocator: the system's, noting the largest
+    /// request each thread makes, so a test can bound what a decode
+    /// reserves.
+    struct NoteLargest;
+
+    thread_local! {
+        static LARGEST: Cell<usize> = const { Cell::new(0) };
+    }
+
+    fn note(size: usize) {
+        let _ = LARGEST.try_with(|l| l.set(l.get().max(size)));
+    }
+
+    // SAFETY: every method passes its caller's arguments on to `System`
+    // unchanged, so `System`'s guarantees are this allocator's; `note` only
+    // touches a `const`-initialised thread-local cell and never allocates.
+    unsafe impl GlobalAlloc for NoteLargest {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            note(layout.size());
+            System.alloc(layout)
+        }
+
+        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            note(layout.size());
+            System.alloc_zeroed(layout)
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            note(new_size);
+            System.realloc(ptr, layout, new_size)
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            System.dealloc(ptr, layout)
+        }
+    }
+
+    #[global_allocator]
+    static ALLOC: NoteLargest = NoteLargest;
+
+    /// What `f` returns, and the largest allocation it made.
+    fn largest_alloc<R>(f: impl FnOnce() -> R) -> (R, usize) {
+        LARGEST.with(|l| l.set(0));
+        let r = f();
+        (r, LARGEST.with(Cell::get))
+    }
 
     fn tmp_dir(name: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!(
@@ -737,6 +877,118 @@ mod tests {
         let at = bytes.windows(5).position(|w| w == b"dup.b").expect("name encoded");
         bytes[at + 4] = b'a';
         assert!(decode_report(&bytes, "tagX", true).is_none(), "a repeated name is damage");
+    }
+
+    /// `bytes` with the one occurrence of `from` replaced by `to`, a name
+    /// of the same length.
+    fn renamed(bytes: &[u8], from: &[u8], to: &[u8]) -> Vec<u8> {
+        let mut at = bytes.windows(from.len()).enumerate().filter(|(_, w)| *w == from);
+        let (i, _) = at.next().expect("name encoded");
+        assert!(at.next().is_none(), "name encoded once");
+        let mut out = bytes.to_vec();
+        out[i..i + to.len()].copy_from_slice(to);
+        out
+    }
+
+    /// Write `bytes` as the entry of `key` (a key below 2^120, so shard 00).
+    fn plant(tier: &DiskTier, key: u128, bytes: &[u8]) {
+        let shard = tier.dir().join("00");
+        fs::create_dir_all(&shard).unwrap();
+        fs::write(shard.join(format!("{key:032x}.h2r")), bytes).unwrap();
+    }
+
+    /// `sample_report` with two extra totals counters, `probe.a` and
+    /// `probe.b`, for tests that edit one name in place.
+    fn probed_report() -> RunReport {
+        let mut r = sample_report();
+        let totals = &mut r.telemetry.as_mut().expect("telemetry on").totals;
+        totals.inc("probe.a", 1);
+        totals.inc("probe.b", 2);
+        r
+    }
+
+    #[test]
+    fn loads_from_one_store_share_each_layout() {
+        let dir = tmp_dir("shared-layouts");
+        let tier = DiskTier::open(&dir).unwrap();
+        let mut cfg = SystemConfig::tiny();
+        cfg.warmup_cycles = 50_000;
+        cfg.measure_cycles = 100_000;
+        cfg.seed = 7;
+        let other_seed = run_sim(&cfg, &Mix::by_name("C1").unwrap(), PolicyKind::HydrogenFull);
+        tier.store(1, &sample_report()).unwrap();
+        tier.store(2, &other_seed).unwrap();
+        let telemetry = |key| tier.load(key).expect("hit").telemetry.expect("telemetry on");
+        let (a, b) = (telemetry(1), telemetry(2));
+        assert!(shares_layout(&a.totals, &b.totals));
+        let frame = &a.epochs[0].metrics;
+        assert!(!shares_layout(&a.totals, frame), "totals and frames have layouts of their own");
+        assert!(a.epochs.iter().chain(&b.epochs).all(|f| shares_layout(&f.metrics, frame)));
+        // The layouts belong to the store handle: a second one parses its own.
+        let apart = DiskTier::open(&dir).unwrap().load(1).unwrap().telemetry.unwrap();
+        assert!(!shares_layout(&apart.totals, &a.totals));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_block_with_a_duplicate_name_is_quarantined_and_never_memoised() {
+        let dir = tmp_dir("dup-block");
+        let tier = DiskTier::open(&dir).unwrap();
+        let r = probed_report();
+        let intact = encode_report(&r, &cache_tag());
+        let damaged = renamed(&intact, b"probe.b", b"probe.a");
+        // The second entry carries the same block: a memo that had admitted
+        // it would serve this one.
+        for key in [1, 2] {
+            plant(&tier, key, &damaged);
+            assert!(tier.load(key).is_none(), "entry {key} is damaged");
+            assert_eq!(tier.sharded().quarantined(), key as u64);
+        }
+        plant(&tier, 3, &intact);
+        assert_reports_equal(&r, &tier.load(3).expect("the intact entry loads"));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_block_one_byte_off_misses_the_memo() {
+        let dir = tmp_dir("near-block");
+        let tier = DiskTier::open(&dir).unwrap();
+        let r = probed_report();
+        let known = encode_report(&r, &cache_tag());
+        let near = renamed(&known, b"probe.b", b"probe.c");
+        assert_eq!(known.len(), near.len());
+        plant(&tier, 1, &known);
+        plant(&tier, 2, &near);
+        assert_reports_equal(&r, &tier.load(1).expect("hit"));
+        let back = tier.load(2).expect("hit");
+        let totals = &back.telemetry.as_ref().expect("telemetry on").totals;
+        assert_eq!((totals.counter("probe.b"), totals.counter("probe.c")), (0, 2));
+        let alone = decode_report(&near, &cache_tag(), true).expect("decodes");
+        assert_eq!(back.telemetry_json_string(), alone.telemetry_json_string());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn frames_that_change_layout_mid_run_round_trip() {
+        let mut r = sample_report();
+        let t = r.telemetry.as_mut().expect("telemetry on");
+        let first = t.epochs[0].clone();
+        // Two frames gain a name, each copying the layout for itself, then
+        // the last frame goes back to the first one's names.
+        let mut late = [first.clone(), first.clone()];
+        for (f, v) in late.iter_mut().zip(1..) {
+            f.metrics.inc("late.metric", v);
+        }
+        assert!(!shares_layout(&late[0].metrics, &late[1].metrics));
+        t.epochs = [first.clone()].into_iter().chain(late).chain([first]).collect();
+        let bytes = encode_report(&r, "t");
+        let blocks = bytes.windows(11).filter(|w| *w == b"late.metric").count();
+        assert_eq!(blocks, 1, "equal names behind two layouts are written once");
+        let back = decode_report(&bytes, "t", true).expect("decodes");
+        assert_reports_equal(&r, &back);
+        let frames = &back.telemetry.as_ref().expect("telemetry on").epochs;
+        let share = |i: usize, j: usize| shares_layout(&frames[i].metrics, &frames[j].metrics);
+        assert!(share(1, 2) && share(0, 3) && !share(0, 1));
     }
 
     /// `sample_report` traced at rate `sample`, with telemetry on or off.
@@ -857,6 +1109,47 @@ mod tests {
             for cut in (start..=end).step_by(7).chain(end - 16..=end) {
                 let decoded = decode_report(&bytes[..cut], "t", spans);
                 assert!(decoded.is_none(), "cut={cut} spans={spans}");
+            }
+        }
+    }
+
+    #[test]
+    fn damaged_counts_reserve_less_than_the_entry() {
+        let r = traced_report(64, true);
+        assert!(r.tenants.is_empty() && !r.epoch_trace.is_empty());
+        let bytes = encode_report(&r, "t");
+        // Where `bytes` first differs from `other`'s entry: the low byte of
+        // the count of what `other` left out.
+        let count_at = |other: RunReport| {
+            let other = encode_report(&other, "t");
+            bytes.iter().zip(&other).position(|(a, b)| a != b).expect("entries differ")
+        };
+        let mut no_frames = r.clone();
+        no_frames.telemetry.as_mut().unwrap().epochs.clear();
+        let mut no_spans = r.clone();
+        no_spans.trace.as_mut().unwrap().spans.clear();
+        let counts = [
+            ("epoch records", count_at(RunReport { epoch_trace: Vec::new(), ..r.clone() })),
+            ("telemetry frames", count_at(no_frames)),
+            ("spans", count_at(no_spans)),
+            ("intervals", first_cause_at(&r, "t") - 8),
+            // The tenant count closes an entry without tenants.
+            ("tenants", bytes.len() - 8),
+        ];
+        // The largest count that bounds by the entry's length or by
+        // `MAX_SPANS` alone let through.
+        let lie = bytes.len().min(MAX_SPANS) as u64;
+        for (what, at) in counts {
+            let mut bad = bytes.clone();
+            bad[at..at + 8].copy_from_slice(&lie.to_le_bytes());
+            for spans in [true, false] {
+                let (decoded, largest) = largest_alloc(|| decode_report(&bad, "t", spans));
+                assert!(decoded.is_none(), "{what}, spans={spans}");
+                assert!(
+                    largest < bytes.len(),
+                    "{what}, spans={spans}: reserved {largest} B for a {} B entry",
+                    bytes.len()
+                );
             }
         }
     }

@@ -38,18 +38,22 @@
 //!   temp files.
 //!
 //! The binary entry codec and the `VERSION` invalidation rule are
-//! unchanged from [`crate::persist`]; this module only owns the on-disk
-//! *layout* and its concurrency story. [`crate::persist::DiskTier`] wraps
-//! this store so every existing `RunCache` user gets the sharded layout
-//! transparently (flat-layout entries are migrated on open).
+//! unchanged from [`crate::persist`]; this module owns the on-disk
+//! *layout* and its concurrency story, and the memo of decoded metric
+//! layouts that a store's loads share (`LayoutMemo`).
+//! [`crate::persist::DiskTier`] wraps this store so every existing
+//! `RunCache` user gets the sharded layout transparently (flat-layout
+//! entries are migrated on open).
 
-use crate::persist::{cache_tag, decode_report, encode_report};
+use crate::persist::{cache_tag, decode_report_with, encode_report};
+use h2_sim_core::MetricLayout;
 use h2_system::RunReport;
+use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 /// Number of key-prefix shards (top byte of the u128 key).
@@ -181,6 +185,70 @@ static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 /// One shard's index line: key, entry size, last-used unix seconds.
 type IndexEntry = (u128, u64, u64);
 
+/// How many name blocks a [`LayoutMemo`] keeps.
+const LAYOUT_SLOTS: usize = 16;
+
+/// A name block's bytes and the layout parsed from them.
+type LayoutSlot = (Box<[u8]>, Arc<MetricLayout>);
+
+/// A bounded memo from a metric-name block's exact bytes to its parsed
+/// layout, most recently used first (see [`crate::persist`] for the
+/// blocks). The entries of one configuration and policy carry the same
+/// blocks, so a load whose block equals one this memo holds shares that
+/// layout after one comparison, instead of parsing the names and
+/// building their name map again. A block joins only after it parsed
+/// and passed the duplicate-name check, and only equal bytes hit: equal
+/// lengths or hashes never share a layout.
+#[derive(Default)]
+pub(crate) struct LayoutMemo {
+    slots: Mutex<Vec<LayoutSlot>>,
+}
+
+impl LayoutMemo {
+    /// The layout `block` holds: shared when the memo holds the same
+    /// bytes, else `parse`d and, if that succeeds, admitted in place of
+    /// the least recently used block once [`LAYOUT_SLOTS`] are taken.
+    /// `None`, admitting nothing, when `parse` rejects the block.
+    pub(crate) fn layout(
+        &self,
+        block: &[u8],
+        parse: impl FnOnce(&[u8]) -> Option<MetricLayout>,
+    ) -> Option<Arc<MetricLayout>> {
+        if let Some(hit) = Self::hit(&mut self.slots(), block) {
+            return Some(hit);
+        }
+        // Parsed unlocked, so a worker's new block does not hold up the
+        // others' hits.
+        let layout = Arc::new(parse(block)?);
+        let mut slots = self.slots();
+        // Another worker may have admitted the same block meanwhile.
+        if let Some(hit) = Self::hit(&mut slots, block) {
+            return Some(hit);
+        }
+        slots.insert(0, (block.into(), Arc::clone(&layout)));
+        slots.truncate(LAYOUT_SLOTS);
+        Some(layout)
+    }
+
+    fn slots(&self) -> MutexGuard<'_, Vec<LayoutSlot>> {
+        self.slots.lock().expect("no thread panics holding the layout memo")
+    }
+
+    /// The layout of the slot holding exactly `block`, moved to the front.
+    fn hit(slots: &mut [LayoutSlot], block: &[u8]) -> Option<Arc<MetricLayout>> {
+        let i = slots.iter().position(|(b, _)| **b == *block)?;
+        slots[..=i].rotate_right(1);
+        Some(Arc::clone(&slots[0].1))
+    }
+}
+
+impl fmt::Debug for LayoutMemo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let blocks = self.slots.try_lock().map(|s| s.len()).ok();
+        f.debug_struct("LayoutMemo").field("blocks", &blocks).finish()
+    }
+}
+
 /// The sharded store rooted at one directory.
 #[derive(Debug)]
 pub struct ShardedStore {
@@ -188,6 +256,8 @@ pub struct ShardedStore {
     tag: String,
     fault: Mutex<CommitFault>,
     quarantined: AtomicU64,
+    /// The metric layouts of the name blocks this handle has loaded.
+    layouts: LayoutMemo,
 }
 
 impl ShardedStore {
@@ -207,6 +277,7 @@ impl ShardedStore {
             tag,
             fault: Mutex::new(CommitFault::None),
             quarantined: AtomicU64::new(0),
+            layouts: LayoutMemo::default(),
         };
         let version_file = root.join("VERSION");
         let current = fs::read_to_string(&version_file).is_ok_and(|v| v == store.tag)
@@ -314,11 +385,13 @@ impl ShardedStore {
     /// when `spans` is set. Without them a traced report keeps its trace's
     /// `sample` and `dropped` but no spans, and the span section is checked
     /// for structure only: a damaged cause byte, which serves nothing
-    /// here, is left for a full load to find.
+    /// here, is left for a full load to find. Telemetry shares the
+    /// layouts of name blocks this handle has loaded before (the store's
+    /// `LayoutMemo`).
     pub fn load_with(&self, key: u128, spans: bool) -> Option<RunReport> {
         let path = self.entry_path(key);
         let bytes = fs::read(&path).ok()?;
-        match decode_report(&bytes, &self.tag, spans) {
+        match decode_report_with(&bytes, &self.tag, spans, &self.layouts) {
             Some(report) => {
                 self.index_touch(key, bytes.len() as u64);
                 Some(report)
@@ -729,6 +802,21 @@ mod tests {
         contender.join().unwrap().unwrap();
         assert!(t0.elapsed().unwrap() < LOCK_TIMEOUT);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn layout_memo_keeps_the_most_recently_used_blocks() {
+        let memo = LayoutMemo::default();
+        let parse = |b: &[u8]| MetricLayout::from_names(&[std::str::from_utf8(b).ok()?], &[], &[]);
+        let layout = |name: &str| memo.layout(name.as_bytes(), parse).unwrap();
+        let (first, second) = (layout("m0"), layout("m1"));
+        assert!(Arc::ptr_eq(&first, &layout("m0")), "a hit shares the layout");
+        for i in 2..=LAYOUT_SLOTS {
+            layout(&format!("m{i}"));
+        }
+        assert_eq!(memo.slots().len(), LAYOUT_SLOTS);
+        assert!(Arc::ptr_eq(&first, &layout("m0")), "used since m1, so kept");
+        assert!(!Arc::ptr_eq(&second, &layout("m1")), "the least recently used went");
     }
 
     #[test]

@@ -313,12 +313,11 @@ impl MetricLayout {
         })
     }
 
-    /// Whether this layout holds exactly these names, in this order.
-    pub fn has_names(&self, counters: &[&str], gauges: &[&str], hists: &[&str]) -> bool {
-        self.names
-            .iter()
-            .zip([counters, gauges, hists])
-            .all(|(names, given)| names.iter().eq(given.iter().copied()))
+    /// How many counters, gauges and histograms the layout names, in that
+    /// order (persistence codecs: a registry over it holds that many
+    /// values of each kind).
+    pub fn lens(&self) -> [usize; 3] {
+        self.names.each_ref().map(Names::len)
     }
 }
 
