@@ -12,7 +12,6 @@
 //! h2 all                            # run everything (Tables I-II, Figs 2, 5-11)
 //! h2 fuzz --seeds 500               # deterministic simulation fuzzer (h2-check)
 //! h2 fuzz --replay repro.json       # replay a committed reproducer
-//! h2 bench [--gate|--baseline]      # hot-path bench / regression gate
 //! h2 sweep spec.json [--jobs 4]     # run a sweep campaign (see DESIGN.md §16)
 //! h2 cache stats                    # inspect the persistent run store
 //! h2 cache gc --max-bytes 512M      # LRU-evict the store down to a budget
@@ -51,21 +50,12 @@
 //! `profile.folded` into the directory (see DESIGN.md §17). The profile
 //! covers *executed* simulations only — cache replays spend no simulator
 //! time, so a fully warm run produces a near-empty profile. Simulations on
-//! every worker are profiled; in an `alloc-count` build with `--jobs` above
-//! 1, a frame's allocation count also includes what other workers
-//! allocated meanwhile, since the counter is process-wide.
+//! every worker are profiled. The profile's allocation columns read 0: `h2`
+//! has no counting allocator.
 
 use h2_harness::{run_experiments, validate_run_ids, Profile, RunCache, Table, ALL_EXPERIMENTS};
 use h2_sim_core::prof;
 use std::path::{Path, PathBuf};
-
-// With the `alloc-count` feature, every allocation in the process goes
-// through the counting wrapper so `h2 bench` can report steady-state
-// allocations per simulated event.
-#[cfg(feature = "alloc-count")]
-#[global_allocator]
-static GLOBAL: h2_harness::alloc_count::CountingAlloc =
-    h2_harness::alloc_count::CountingAlloc;
 
 /// Default request-trace sampling rate: every 64th demand read.
 const DEFAULT_TRACE_SAMPLE: u64 = 64;
@@ -100,14 +90,7 @@ fn main() {
 
     let telemetry_dir = take_flag(&mut args, "--telemetry").map(PathBuf::from);
     let trace_dir = take_flag(&mut args, "--trace").map(PathBuf::from);
-    // `--profile` is value-taking here (`h2 run --profile <dir>`) but a
-    // plain boolean for `h2 bench --profile`; leave it for cmd_bench to
-    // parse when the bench subcommand is present.
-    let profile_dir = if args.iter().any(|a| a == "bench") {
-        None
-    } else {
-        take_flag(&mut args, "--profile").map(PathBuf::from)
-    };
+    let profile_dir = take_flag(&mut args, "--profile").map(PathBuf::from);
     let trace_sample = match take_flag(&mut args, "--trace-sample") {
         Some(v) => match v.parse::<u64>() {
             Ok(n) => Some(n),
@@ -200,9 +183,6 @@ fn main() {
         Some("fuzz") => {
             std::process::exit(h2_harness::fuzz_cli::cmd_fuzz(&args[1..]));
         }
-        Some("bench") => {
-            std::process::exit(h2_harness::hotbench::cmd_bench(&args[1..]));
-        }
         Some("sweep") => {
             std::process::exit(h2_harness::sweep::cmd_sweep(&args[1..], jobs));
         }
@@ -211,7 +191,7 @@ fn main() {
         }
         _ => {
             eprintln!(
-                "usage: h2 list | h2 [--telemetry <dir>] [--trace <dir> [--trace-sample N]] [--profile <dir>] [--jobs N] run <experiment>.. | h2 all | h2 fuzz [--seeds N] [--time-budget SECS] [--replay FILE] | h2 bench [--gate|--baseline] [--iters N] [--profile] [--profile-out DIR] [--profile-snapshot] | h2 sweep <spec.json> [--out FILE] [--jobs N] | h2 cache stats|gc [--max-bytes N[K|M|G]] [--dir D]"
+                "usage: h2 list | h2 [--telemetry <dir>] [--trace <dir> [--trace-sample N]] [--profile <dir>] [--jobs N] run <experiment>.. | h2 all | h2 fuzz [--seeds N] [--time-budget SECS] [--replay FILE] | h2 sweep <spec.json> [--out FILE] [--jobs N] | h2 cache stats|gc [--max-bytes N[K|M|G]] [--dir D]"
             );
             eprintln!("experiments: {}", ALL_EXPERIMENTS.join(" "));
             std::process::exit(2);
@@ -244,7 +224,6 @@ fn run_ids(
     jobs: Option<usize>,
 ) {
     if profile_dir.is_some() {
-        prof::set_alloc_probe(h2_harness::alloc_count::allocs);
         prof::reset();
         prof::arm();
     }

@@ -15,11 +15,9 @@
 //! `quick` (sanity, a few mixes), `default` (all headline mixes, scaled
 //! windows), `full` (longer windows). Select with `H2_PROFILE=quick|full`.
 
-pub mod alloc_count;
 pub mod cache;
 pub mod experiments;
 pub mod fuzz_cli;
-pub mod hotbench;
 pub mod key;
 pub mod persist;
 pub mod profile;

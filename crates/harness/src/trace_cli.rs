@@ -320,7 +320,6 @@ pub fn cmd_run_trace(
     profile_dir: Option<&Path>,
 ) -> i32 {
     if profile_dir.is_some() {
-        prof::set_alloc_probe(crate::alloc_count::allocs);
         prof::reset();
         prof::arm();
     }

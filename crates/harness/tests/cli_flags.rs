@@ -29,13 +29,15 @@ fn h2(work: &PathBuf, args: &[&str]) -> Output {
 fn flags_a_subcommand_ignores_exit_2_and_name_the_flag() {
     let work = scratch("reject");
     fs::write(work.join("sc.json"), "{}").unwrap();
-    let cases: [(&[&str], &str); 8] = [
+    let cases: [(&[&str], &str); 9] = [
         (&["--telemetry", "tel", "--trace", "tr", "sweep", "sc.json"], "--telemetry"),
         (&["--trace", "tr", "sweep", "sc.json"], "--trace"),
         (&["--jobs", "3", "fuzz", "--seeds", "1"], "--jobs"),
         (&["--jobs", "2", "run", "--scenario", "sc.json"], "--jobs"),
         (&["--trace", "tr", "--trace-sample", "4", "run", "--replay", "t.h2trace"], "--trace"),
         (&["--profile", "prof", "sweep", "sc.json"], "--profile"),
+        // An argument that reads `bench` does not switch off `--profile`.
+        (&["--profile", "prof", "bench"], "--profile"),
         (&["--telemetry", "tel", "cache", "stats"], "--telemetry"),
         (&["--jobs", "2", "list"], "--jobs"),
     ];

@@ -7,6 +7,7 @@
 //! a cold sweep followed by a warm rerun that executes nothing and prints
 //! a byte-identical table, and two processes racing one store.
 
+use h2_harness::sweep::store::ShardedStore;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
@@ -46,6 +47,23 @@ fn h2(work: &Path, cache_dir: &Path, args: &[&str]) -> Output {
         String::from_utf8_lossy(&out.stderr)
     );
     out
+}
+
+/// Files with extension `ext` anywhere under `dir` (shard dirs included).
+fn files_with_ext(dir: &Path, ext: &str) -> Vec<PathBuf> {
+    let mut found = Vec::new();
+    let mut stack = vec![dir.to_path_buf()];
+    while let Some(d) = stack.pop() {
+        for entry in fs::read_dir(&d).into_iter().flatten().flatten() {
+            let p = entry.path();
+            if p.is_dir() {
+                stack.push(p);
+            } else if p.extension().is_some_and(|x| x == ext) {
+                found.push(p);
+            }
+        }
+    }
+    found
 }
 
 /// The deterministic part of `h2 sweep` stdout: everything before the
@@ -118,8 +136,14 @@ fn concurrent_sweeps_share_the_store_without_damage() {
     assert_eq!(table_text(&outputs[0]), table_text(&outputs[1]));
 
     // Between them the children executed each job at least once (6 unique
-    // jobs; benign same-key races may duplicate work but never lose it),
-    // and a warm rerun proves all 6 results are in the store intact.
+    // jobs; benign same-key races may duplicate work but never lose it):
+    // the store holds exactly those 6 entries, with no abandoned temp
+    // file or quarantined entry left, and a warm rerun proves all 6
+    // results are intact.
+    let store = ShardedStore::open(&cache_dir).unwrap();
+    assert_eq!(store.entries(), 6);
+    assert!(files_with_ext(&cache_dir, "tmp").is_empty(), "no abandoned temps");
+    assert!(files_with_ext(&cache_dir, "bad").is_empty(), "no quarantined files");
     let warm = h2(&work, &cache_dir, &["sweep", "spec.json"]);
     let warm_err = String::from_utf8_lossy(&warm.stderr);
     assert!(warm_err.contains("0 executed"), "{warm_err}");

@@ -11,8 +11,9 @@
 //!
 //! - **Zero-cost when disarmed.** Every probe starts with one relaxed
 //!   atomic load and a branch; nothing else happens until [`arm`] is
-//!   called. The `h2 bench --gate` job keeps this honest (<2% on the
-//!   gated bench with probes compiled in but disarmed).
+//!   called. The repository benchmark times every production path with
+//!   the probes compiled in and disarmed, so their cost is part of what
+//!   it measures.
 //! - **Thread-local scope stacks.** [`scope`] returns an RAII guard that
 //!   pushes a frame onto the calling thread's stack and pops it on drop,
 //!   accumulating inclusive nanoseconds, entry counts, and allocation
@@ -23,10 +24,11 @@
 //!   [`take_report`] flushes the calling thread, drains the graveyard,
 //!   and returns a [`ProfReport`] with exclusive times computed by
 //!   tiling: `excl = incl - Σ children incl` (clamped at zero).
-//! - **Allocation attribution.** The harness registers a probe via
-//!   [`set_alloc_probe`] pointing at its counting global allocator; each
-//!   frame records the delta. The counter is process-wide, so under
-//!   concurrency the attribution is approximate (documented, not hidden).
+//! - **Allocation attribution.** A program with a counting global
+//!   allocator (the repository benchmark) registers it via
+//!   [`set_alloc_probe`]; each frame records the delta. The counter is
+//!   process-wide, so under concurrency the attribution is approximate
+//!   (documented, not hidden). Without a probe the columns read 0.
 //!
 //! Reports render three ways: a text tree with exclusive-time
 //! percentages ([`ProfReport::render_text`]), a canonical-JSON document
@@ -48,9 +50,8 @@ use std::sync::{Mutex, OnceLock};
 /// region in every caller.
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// Process-wide allocation probe (set once by the binary; defaults to a
-/// function returning 0 so the profiler works without the counting
-/// allocator, just with empty alloc columns).
+/// Process-wide allocation probe (set once by a program that counts its
+/// allocations; unset, the profiler works with empty alloc columns).
 static ALLOC_PROBE: OnceLock<fn() -> u64> = OnceLock::new();
 
 /// Timestamp source. On x86_64 probes read the raw TSC (~10 ns versus
@@ -134,9 +135,9 @@ fn probe_allocs() -> u64 {
 }
 
 /// Register the allocation counter the profiler samples at scope entry and
-/// exit. Called once at process start by the `h2` binary (which owns the
-/// counting global allocator); later calls are ignored. The function must
-/// be cheap — it runs twice per armed scope.
+/// exit. Called once by the program that owns the counting global
+/// allocator (the repository benchmark); later calls are ignored. The
+/// function must be cheap — it runs twice per armed scope.
 pub fn set_alloc_probe(f: fn() -> u64) {
     let _ = ALLOC_PROBE.set(f);
 }
