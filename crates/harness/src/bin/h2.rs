@@ -50,8 +50,8 @@
 //! `profile.folded` into the directory (see DESIGN.md §17). The profile
 //! covers *executed* simulations only — cache replays spend no simulator
 //! time, so a fully warm run produces a near-empty profile. Simulations on
-//! every worker are profiled. The profile's allocation columns read 0: `h2`
-//! has no counting allocator.
+//! every worker are profiled. `h2` has no counting allocator, so the
+//! profile has no allocation column.
 
 use h2_harness::{run_experiments, validate_run_ids, Profile, RunCache, Table, ALL_EXPERIMENTS};
 use h2_sim_core::prof;

@@ -17,7 +17,7 @@
 //! `off`/`0` → memory-only.
 
 use crate::key::job_key;
-use crate::persist::DiskTier;
+use crate::persist::{DiskTier, LoadMode};
 use crate::sweep::scheduler::{self, Source};
 use h2_system::{run_scenario, run_sim_parts, Participants, PolicyKind, RunReport, SystemConfig};
 use h2_trace::{Mix, TenantScenario};
@@ -336,13 +336,17 @@ impl RunCache {
     /// scheduler. Its workers serve store hits, or simulate and publish to
     /// the store; here each report is dumped and admitted to memory.
     /// Request spans are read only by the trace dump: without a trace dir
-    /// store hits skip decoding them, and executed reports drop them on
-    /// admission (their store entries keep them), so a hit equals a fresh
-    /// run.
+    /// store hits skip the span section, and executed reports drop their
+    /// spans on admission (their store entries keep them), so a hit equals
+    /// a fresh run. Telemetry is always read, since experiments read it
+    /// from the reports they request.
     fn run_misses(&mut self, batch: &[(u128, Job)]) {
         let workers = self.jobs.unwrap_or_else(scheduler::default_workers);
-        let (tier, spans) = (self.disk.as_ref(), self.trace_dir.is_some());
-        let (reports, stats) = scheduler::run_batch(batch, tier, workers, spans, |done| {
+        let mode = match self.trace_dir {
+            Some(_) => LoadMode::Full,
+            None => LoadMode::Spanless,
+        };
+        let (reports, stats) = scheduler::run_batch(batch, self.disk.as_ref(), workers, mode, |done| {
             if done.source != Source::Executed {
                 return;
             }
@@ -366,7 +370,7 @@ impl RunCache {
         for ((key, _), mut report) in batch.iter().zip(reports) {
             self.dump_telemetry(*key, &report);
             self.dump_trace(*key, &report);
-            if let (false, Some(trace)) = (spans, &mut report.trace) {
+            if let (LoadMode::Spanless, Some(trace)) = (mode, &mut report.trace) {
                 trace.spans = Vec::new();
             }
             self.map.insert(*key, report);

@@ -7,9 +7,9 @@
 //! `process::exit` directly.
 
 use crate::cache::{Job, RunCache};
-use crate::persist;
+use crate::persist::{self, LoadMode};
 use h2_check::{diff_reports, parse_repro, repro_json, run_battery, FuzzCase, OracleHooks};
-use h2_system::{Participants, SystemConfig};
+use h2_system::{Participants, RunReport, SystemConfig};
 use h2_trace::Mix;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -128,6 +128,8 @@ const REPLAY_TRACE_SAMPLE: u64 = 16;
 /// every mix is traced within 60 seeds) and replay it twice more: through
 /// caches without a trace dir, where both reports must hold no spans, and
 /// through caches that dump traces, where both must hold the run's spans.
+/// Each stored entry is also loaded core-only, as the sweep engine loads
+/// it, which must give the fresh report without telemetry and spans.
 fn cached_replay(case: &FuzzCase) -> Result<Option<String>, String> {
     let mixes = Mix::all();
     let mix = mixes[(case.case_seed % mixes.len() as u64) as usize].clone();
@@ -191,6 +193,17 @@ fn cached_replay(case: &FuzzCase) -> Result<Option<String>, String> {
             }
             if let Some(diff) = diff_reports(&fresh, &replayed) {
                 return Ok(Some(diff));
+            }
+            let Some(core) = cache.disk_store().and_then(|s| s.load_with(job.key(), LoadMode::Core))
+            else {
+                return Ok(Some("a core-only load missed the entry the replay hit".into()));
+            };
+            let mut want = RunReport { telemetry: None, ..fresh };
+            if let Some(trace) = &mut want.trace {
+                trace.spans.clear();
+            }
+            if let Some(diff) = diff_reports(&want, &core) {
+                return Ok(Some(format!("core-only load: {diff}")));
             }
         }
         Ok(None)

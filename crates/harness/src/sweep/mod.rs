@@ -20,7 +20,7 @@ pub mod spec;
 pub mod store;
 
 use crate::cache::Job;
-use crate::persist::DiskTier;
+use crate::persist::{DiskTier, LoadMode};
 use crate::table::Table;
 use h2_system::RunReport;
 use scheduler::{PoolStats, Source};
@@ -67,13 +67,17 @@ impl SweepOutcome {
 }
 
 /// Shared state threaded through expansion: accumulated reports by key,
-/// pool counters, and the JSONL progress sink.
+/// each evaluated point's job keys, pool counters, and the JSONL progress
+/// sink.
 struct Engine<'a> {
     spec: &'a SweepSpec,
     tier: Option<&'a DiskTier>,
     workers: usize,
     metric: String,
     results: HashMap<u128, RunReport>,
+    /// The job keys of every point evaluated so far, in evaluation order,
+    /// which is the order `SweepSpec::expand` returns the points in.
+    point_keys: Vec<Vec<u128>>,
     stats: PoolStats,
     jobs: usize,
     deduped: usize,
@@ -132,11 +136,12 @@ impl Engine<'_> {
     }
 
     /// Run every job of `points` that is not already in `results`, one
-    /// work-stealing batch, and return the per-point mean of the target
-    /// metric (the hill-climb objective; ignored for grid/random).
+    /// work-stealing batch, record each point's keys, and return the
+    /// per-point mean of the target metric (the hill-climb objective;
+    /// ignored for grid/random).
     fn run_points(&mut self, points: &[SweepPoint]) -> Result<Vec<f64>, String> {
         // Per-point job lists, then one deduplicated dispatch batch.
-        let mut point_keys: Vec<Vec<u128>> = Vec::with_capacity(points.len());
+        let first = self.point_keys.len();
         let mut batch: Vec<(u128, Job)> = Vec::new();
         let mut batch_point: Vec<usize> = Vec::new(); // batch idx → point idx
         let mut pending: std::collections::HashSet<u128> = std::collections::HashSet::new();
@@ -154,12 +159,14 @@ impl Engine<'_> {
                     batch_point.push(pi);
                 }
             }
-            point_keys.push(keys);
+            self.point_keys.push(keys);
         }
 
         let mut dones: Vec<(usize, Source, f64)> = Vec::with_capacity(batch.len());
-        // A sweep never dumps traces, so its store hits skip the spans.
-        let (reports, stats) = scheduler::run_batch(&batch, self.tier, self.workers, false, |done| {
+        // A sweep reads only a report's scalars and tenants, so its store
+        // hits read the core of each entry.
+        let (tier, workers) = (self.tier, self.workers);
+        let (reports, stats) = scheduler::run_batch(&batch, tier, workers, LoadMode::Core, |done| {
             // Emitting from inside the callback would need &mut self while
             // `batch` is borrowed; stash completion order and stream the
             // events from the returned reports once the pool drains.
@@ -178,7 +185,7 @@ impl Engine<'_> {
         }
 
         // Per-point objective: mean of the metric over its mix×policy jobs.
-        point_keys
+        self.point_keys[first..]
             .iter()
             .map(|keys| {
                 let mut sum = 0.0;
@@ -216,6 +223,7 @@ pub fn run_sweep(
         workers,
         metric: metric.clone(),
         results: HashMap::new(),
+        point_keys: Vec::new(),
         stats: PoolStats::default(),
         jobs: 0,
         deduped: 0,
@@ -242,7 +250,9 @@ pub fn run_sweep(
         points
     };
 
-    // Deterministic summary table, in expansion order.
+    // Deterministic summary table, in expansion order, from the keys the
+    // evaluation computed.
+    assert_eq!(engine.point_keys.len(), points.len(), "expand returns the points it evaluated");
     let axes: Vec<&str> = spec.search.params().iter().map(|a| a.name.as_str()).collect();
     let mut header: Vec<&str> = axes.clone();
     header.extend(["mix", "policy", "key", "weighted_ipc"]);
@@ -255,9 +265,8 @@ pub fn run_sweep(
         &header,
     );
     let mut unique: std::collections::HashSet<u128> = std::collections::HashSet::new();
-    for point in &points {
-        for job in spec.jobs_for_point(point)? {
-            let key = job.key();
+    for (point, keys) in points.iter().zip(&engine.point_keys) {
+        for &key in keys {
             unique.insert(key);
             let r = &engine.results[&key];
             let mut row: Vec<String> =

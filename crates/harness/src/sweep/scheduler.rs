@@ -18,7 +18,7 @@
 //! `RunCache::run` to an experiment's whole planned job set.
 
 use crate::cache::Job;
-use crate::persist::DiskTier;
+use crate::persist::{DiskTier, LoadMode};
 use h2_system::RunReport;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -76,9 +76,9 @@ pub(crate) fn satisfies(trace_sample: Option<u64>, report: &RunReport) -> bool {
 /// on miss (`Job::execute`), and publishes the result back to the tier
 /// before reporting completion. A job whose config sets `trace_sample`
 /// treats an entry stored without spans as a miss, so the traced run
-/// replaces it (upgrade-on-miss). Tier hits decode their request spans
-/// only when `spans` is set ([`ShardedStore::load_with`]); an executed
-/// report keeps its spans, and so does the entry it publishes. `on_done`
+/// replaces it (upgrade-on-miss). Tier hits read only the entry sections
+/// `mode` names ([`ShardedStore::load_with`]); an executed report keeps
+/// its telemetry and spans, and so does the entry it publishes. `on_done`
 /// runs on the calling thread once per job, in completion order. Returns
 /// the reports in batch order plus counters.
 ///
@@ -87,7 +87,7 @@ pub fn run_batch(
     jobs: &[(u128, Job)],
     tier: Option<&DiskTier>,
     workers: usize,
-    spans: bool,
+    mode: LoadMode,
     mut on_done: impl FnMut(&Done),
 ) -> (Vec<RunReport>, PoolStats) {
     let mut stats = PoolStats::default();
@@ -99,7 +99,7 @@ pub fn run_batch(
     let run_one = |idx: usize| -> Done {
         let (key, job) = &jobs[idx];
         if let Some(r) = tier
-            .and_then(|t| t.sharded().load_with(*key, spans))
+            .and_then(|t| t.sharded().load_with(*key, mode))
             .filter(|r| satisfies(job.cfg.trace_sample, r))
         {
             return Done { idx, source: Source::DiskHit, wall_s: 0.0, report: r };
@@ -196,7 +196,7 @@ mod tests {
 
     #[test]
     fn empty_batch_is_a_noop() {
-        let (rs, stats) = run_batch(&[], None, 4, true, |_| {});
+        let (rs, stats) = run_batch(&[], None, 4, LoadMode::Full, |_| {});
         assert!(rs.is_empty());
         assert_eq!(stats.executed, 0);
     }
@@ -204,12 +204,12 @@ mod tests {
     #[test]
     fn results_come_back_in_batch_order_regardless_of_workers() {
         let batch = jobs(6);
-        let (seq, s1) = run_batch(&batch, None, 1, true, |_| {});
+        let (seq, s1) = run_batch(&batch, None, 1, LoadMode::Full, |_| {});
         assert_eq!(s1.executed, 6);
         assert_eq!(s1.steals, 0);
         for workers in [2, 4, 6] {
             let mut seen = 0;
-            let (par, sp) = run_batch(&batch, None, workers, true, |_| seen += 1);
+            let (par, sp) = run_batch(&batch, None, workers, LoadMode::Full, |_| seen += 1);
             assert_eq!(seen, 6, "on_done fires once per job");
             assert_eq!(sp.executed, 6);
             for (a, b) in seq.iter().zip(&par) {
@@ -226,14 +226,14 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let tier = DiskTier::open(&dir).unwrap();
         let batch = jobs(3);
-        let (_, cold) = run_batch(&batch, Some(&tier), 2, true, |d| {
+        let (_, cold) = run_batch(&batch, Some(&tier), 2, LoadMode::Full, |d| {
             // Durability invariant: a completed executed job is already
             // loadable from the tier by anyone else.
             assert!(tier.load(batch[d.idx].0).is_some());
         });
         assert_eq!(cold.executed, 3);
         assert_eq!(cold.disk_hits, 0);
-        let (warm_reports, warm) = run_batch(&batch, Some(&tier), 2, true, |d| {
+        let (warm_reports, warm) = run_batch(&batch, Some(&tier), 2, LoadMode::Full, |d| {
             assert_eq!(d.source, Source::DiskHit);
             assert_eq!(d.wall_s, 0.0);
         });

@@ -45,7 +45,7 @@
 //! `RunCache` user gets the sharded layout transparently (flat-layout
 //! entries are migrated on open).
 
-use crate::persist::{cache_tag, decode_report_with, encode_report};
+use crate::persist::{cache_tag, encode_report, read_report, LoadMode};
 use h2_sim_core::MetricLayout;
 use h2_system::RunReport;
 use std::fmt;
@@ -378,22 +378,22 @@ impl ShardedStore {
     /// quarantined (renamed to `*.bad`) and reads as a miss, so the
     /// caller re-executes and re-publishes a good entry over it.
     pub fn load(&self, key: u128) -> Option<RunReport> {
-        self.load_with(key, true)
+        self.load_with(key, LoadMode::Full)
     }
 
-    /// [`ShardedStore::load`], decoding the entry's request spans only
-    /// when `spans` is set. Without them a traced report keeps its trace's
-    /// `sample` and `dropped` but no spans, and the span section is checked
-    /// for structure only: a damaged cause byte, which serves nothing
-    /// here, is left for a full load to find. Telemetry shares the
-    /// layouts of name blocks this handle has loaded before (the store's
-    /// `LayoutMemo`).
-    pub fn load_with(&self, key: u128, spans: bool) -> Option<RunReport> {
+    /// [`ShardedStore::load`], reading only the sections of the entry that
+    /// `mode` serves (see [`crate::persist`]). A section the load skips is
+    /// checked by its length only: damage inside it, which serves nothing
+    /// here, is left for the next load that reads it to find and
+    /// quarantine. Telemetry shares the layouts of name blocks this handle
+    /// has loaded before (the store's `LayoutMemo`). The shard index is
+    /// touched with the file's length, whatever the load read of it.
+    pub fn load_with(&self, key: u128, mode: LoadMode) -> Option<RunReport> {
         let path = self.entry_path(key);
-        let bytes = fs::read(&path).ok()?;
-        match decode_report_with(&bytes, &self.tag, spans, &self.layouts) {
-            Some(report) => {
-                self.index_touch(key, bytes.len() as u64);
+        let mut file = fs::File::open(&path).ok()?;
+        match read_report(&mut file, &self.tag, mode, &self.layouts).ok()? {
+            Some((report, len)) => {
+                self.index_touch(key, len);
                 Some(report)
             }
             None => {
@@ -632,6 +632,8 @@ impl ShardedStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::{Job, RunCache};
+    use crate::persist::sections;
     use h2_system::{run_sim, PolicyKind, SystemConfig};
     use h2_trace::Mix;
 
@@ -763,10 +765,55 @@ mod tests {
             assert!(dir.join(".store.lock").exists(), "open left the held lock alone");
             warm
         };
+        // A load that reads part of an entry touches the index with the
+        // file's length too, so its line matches and nothing is rewritten.
+        for mode in [LoadMode::Core, LoadMode::Spanless] {
+            assert!(warm.load_with(1, mode).is_some(), "{mode:?}");
+        }
+        assert!(warm.load_with(2, LoadMode::Core).is_some());
         assert!(warm.load(1).is_some() && warm.load(2).is_some());
         let stamp = |key| ShardedStore::read_index(&shard).iter().find(|e| e.0 == key).map(|e| e.2);
         assert_eq!(stamp(1), Some(now - 60), "a recent stamp is left alone");
         assert!(stamp(2) >= Some(now), "a stamp TOUCH_INTERVAL old is refreshed");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_core_load_never_reads_the_sections_it_skips() {
+        let dir = tmp_dir("skipped");
+        let mut cfg = SystemConfig::tiny();
+        cfg.warmup_cycles = 50_000;
+        cfg.measure_cycles = 100_000;
+        cfg.trace_sample = Some(8);
+        let job = Job::new(&cfg, &Mix::by_name("C1").unwrap(), PolicyKind::HydrogenFull);
+        let (key, report) = (job.key(), job.execute());
+        assert!(report.telemetry.is_some());
+        assert!(report.trace.as_ref().is_some_and(|t| !t.spans.is_empty()));
+        let store = ShardedStore::open(&dir).unwrap();
+        store.store(key, &report).unwrap();
+        let path = store.entry_path(key);
+        let mut bytes = fs::read(&path).unwrap();
+        let [_, telemetry, spans] = sections(&bytes, &store.tag);
+        bytes[telemetry.start..spans.end].fill(0xA5);
+        fs::write(&path, &bytes).unwrap();
+
+        // The core alone serves the same scalars, trace header and tenants.
+        let core = store.load_with(key, LoadMode::Core).expect("a core load serves it");
+        let mut want = RunReport { telemetry: None, ..report.clone() };
+        want.trace.as_mut().unwrap().spans.clear();
+        assert!(encode_report(&core, &store.tag) == encode_report(&want, &store.tag));
+        assert_eq!(store.quarantined(), 0);
+        assert!(path.exists(), "the entry stays in place");
+
+        // `RunCache` reads the telemetry too: it quarantines the entry and
+        // runs the job again.
+        let mut cache = RunCache::with_disk_dir(&dir).unwrap();
+        cache.run(&job);
+        assert_eq!((cache.executed, cache.disk_hits), (1, 0));
+        assert_eq!(cache.disk_store().unwrap().quarantined(), 1);
+        assert!(path.with_extension("bad").exists());
+        let republished = store.load(key).expect("the run is published again");
+        assert_eq!(h2_check::diff_reports(&republished, &report), None);
         let _ = fs::remove_dir_all(&dir);
     }
 
