@@ -116,6 +116,16 @@ fn golden_fig9_hydrogen_c5() {
     );
 }
 
+/// Traced frames: full Hydrogen on C1 with 1-in-64 span sampling, so every
+/// frame from the first closed span on carries the `trace.*` scope (span
+/// and drop counts and the CPU/GPU blame matrix) beside the rest.
+#[test]
+fn golden_fig2_traced_c1() {
+    let mut cfg = SystemConfig::tiny();
+    cfg.trace_sample = Some(64);
+    check("fig2_hydrogen_c1_traced", &cfg, "C1", PolicyKind::HydrogenFull);
+}
+
 /// Zero-perturbation guard: enabling the tracing machinery at sample
 /// rate 0 (all hooks armed, nothing ever sampled) must leave the telemetry
 /// timeline byte-identical to the committed golden — i.e. tracing is pure
