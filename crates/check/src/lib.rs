@@ -12,7 +12,7 @@
 //!   probe hook, checked at every epoch/faucet boundary: token
 //!   conservation, fast-way occupancy bounds, remap-table coherence,
 //!   transaction accounting, counter monotonicity, device pipeline
-//!   limits, alloc-mask memo coherence, and interned-metric fidelity.
+//!   limits, and alloc-mask memo coherence.
 //! * **Differential oracles** ([`fuzz::OracleHooks`]) — calendar vs heap
 //!   engines ([`run_workloads_on_heap`], [`run_scenario_on_heap`]),
 //!   persistence-codec round-trips, and run-cache store/replay must all

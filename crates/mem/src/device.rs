@@ -51,7 +51,6 @@ use h2_sim_core::trace_span::{
     coalesce, split_queue_wait, BlameCause, BlameClass, CmdTrace, SpanInterval, TraceTag,
 };
 use h2_sim_core::units::Cycles;
-use h2_sim_core::{CounterId, GaugeId, MetricsRegistry};
 
 /// Waiting time after which a queued command is escalated past all
 /// priorities (starvation guard for priority schedulers).
@@ -982,30 +981,6 @@ pub struct MemStats {
     pub max_queue: u64,
 }
 
-/// Dense metric handles for one channel, interned once at system build
-/// (see [`MemDevice::intern_metrics`]).
-#[derive(Debug, Clone, Copy)]
-struct ChannelMetricHandles {
-    reads: CounterId,
-    writes: CounterId,
-    bytes: CounterId,
-    activations: CounterId,
-    row_hits: CounterId,
-    row_conflicts: CounterId,
-    busy_cycles: CounterId,
-    enqueued: CounterId,
-    queue_peak: GaugeId,
-    queue_avg: GaugeId,
-}
-
-/// Interned metric handles for a whole device: one
-/// `ChannelMetricHandles` per channel, in channel order. Produced by
-/// [`MemDevice::intern_metrics`], consumed by [`MemDevice::record_metrics`].
-#[derive(Debug, Clone)]
-pub struct MemMetricHandles {
-    channels: Vec<ChannelMetricHandles>,
-}
-
 /// A multi-channel DRAM device.
 #[derive(Debug)]
 pub struct MemDevice {
@@ -1236,59 +1211,6 @@ impl MemDevice {
                     bk.inc("row_conflicts", bank.row_conflicts);
                 }
             }
-        }
-    }
-
-    /// Intern this device's per-channel metric names (the `per_bank =
-    /// false` subset of [`Self::collect_metrics`], same names, same order)
-    /// under `prefix`, returning dense handles for
-    /// [`Self::record_metrics`]. Called once at system build; every
-    /// subsequent collection is an indexed store with no hashing or
-    /// formatting.
-    pub fn intern_metrics(&self, reg: &mut MetricsRegistry, prefix: &str) -> MemMetricHandles {
-        MemMetricHandles {
-            channels: (0..self.channels.len())
-                .map(|i| {
-                    let p = format!("{prefix}.ch{i}");
-                    ChannelMetricHandles {
-                        reads: reg.intern_counter(&format!("{p}.reads")),
-                        writes: reg.intern_counter(&format!("{p}.writes")),
-                        bytes: reg.intern_counter(&format!("{p}.bytes")),
-                        activations: reg.intern_counter(&format!("{p}.activations")),
-                        row_hits: reg.intern_counter(&format!("{p}.row_hits")),
-                        row_conflicts: reg.intern_counter(&format!("{p}.row_conflicts")),
-                        busy_cycles: reg.intern_counter(&format!("{p}.busy_cycles")),
-                        enqueued: reg.intern_counter(&format!("{p}.enqueued")),
-                        queue_peak: reg.intern_gauge(&format!("{p}.queue_peak")),
-                        queue_avg: reg.intern_gauge(&format!("{p}.queue_avg")),
-                    }
-                })
-                .collect(),
-        }
-    }
-
-    /// Store the current cumulative channel statistics through handles
-    /// interned by [`Self::intern_metrics`]. Value-identical to a fresh
-    /// `collect_metrics(_, false)` pass.
-    pub fn record_metrics(&self, reg: &mut MetricsRegistry, h: &MemMetricHandles) {
-        for (c, hc) in self.channels.iter().zip(h.channels.iter()) {
-            reg.set_counter(hc.reads, c.reads);
-            reg.set_counter(hc.writes, c.writes);
-            reg.set_counter(hc.bytes, c.bytes);
-            reg.set_counter(hc.activations, c.activations);
-            reg.set_counter(hc.row_hits, c.row_hits);
-            reg.set_counter(hc.row_conflicts, c.row_conflicts);
-            reg.set_counter(hc.busy_cycles, c.busy_cycles);
-            reg.set_counter(hc.enqueued, c.queued_total);
-            reg.set_gauge_id(hc.queue_peak, c.max_queue as f64);
-            reg.set_gauge_id(
-                hc.queue_avg,
-                if c.queued_total > 0 {
-                    c.depth_sum as f64 / c.queued_total as f64
-                } else {
-                    0.0
-                },
-            );
         }
     }
 

@@ -18,9 +18,7 @@ pub mod units;
 
 pub use event::{calendar::CalendarQueue, legacy::HeapQueue, EventQueue, Queue, Scheduled};
 pub use json::Json;
-pub use metrics::{
-    CounterId, GaugeId, HistId, LogHistogram, MetricLayout, MetricsRegistry, ScopedMetrics,
-};
+pub use metrics::{LogHistogram, MetricLayout, MetricsRegistry, ScopedMetrics};
 pub use monitor::{InvariantMonitor, MonitorSet, Violation};
 pub use trace_span::{BlameCause, BlameClass, Span, SpanCollector, SpanId, SpanInterval};
 pub use rng::{SeededRng, ZipfDraw};

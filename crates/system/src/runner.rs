@@ -16,19 +16,16 @@ use crate::frontend::{CoreBlock, CpuCore, GpuCtx};
 use crate::policies::PolicyKind;
 use crate::report::{EpochFrame, EpochRecord, RunReport, RunTelemetry, RunTrace, TenantSlo};
 use h2_cache::sram::{AccessOutcome, SetAssocCache};
-use h2_hybrid::hmc::{Hmc, HmcEvent, HmcMetricHandles, HmcOutput};
+use h2_hybrid::hmc::{Hmc, HmcEvent, HmcOutput};
 use h2_hybrid::types::{HybridConfig, ReqClass, Tier};
 use h2_hybrid::HmcStats;
-use h2_mem::device::{MemMetricHandles, MemStats, StartedCmd};
+use h2_mem::device::{MemStats, StartedCmd};
 use h2_mem::{EnergyBreakdown, MemDevice, TimingPreset};
 use h2_hybrid::TokenFlows;
 use h2_sim_core::prof;
 use h2_sim_core::trace_span::{BlameCause, BlameClass, CmdTrace, SpanCollector, SpanId};
 use h2_sim_core::units::{Cycles, MIB};
-use h2_sim_core::{
-    CounterId, EventQueue, GaugeId, HeapQueue, HistId, LogHistogram, MetricsRegistry,
-    MonitorSet, Queue,
-};
+use h2_sim_core::{EventQueue, HeapQueue, LogHistogram, MetricsRegistry, MonitorSet, Queue};
 use h2_trace::{Mix, RefSource, TenantInfo, TraceCapture, TraceRecord, WorkloadSpec};
 
 /// Local batching horizon: a front-end processes private-cache hits for at
@@ -118,69 +115,12 @@ pub struct SimProbe {
     /// probes take this verdict just *before* their boundary invalidates
     /// the memo, so it covers the whole interval since the last one.
     pub mask_memo: Result<usize, String>,
-    /// Interned-metric fidelity: the registry the handle path wrote at
-    /// this epoch boundary (the one epoch frames are cut from) against a
-    /// fresh string-path collection — names, per-kind order and values.
-    /// `Ok` carries the number of names compared: 0 at faucet and
-    /// end-of-run probes and with telemetry off.
-    pub interned_metrics: Result<usize, String>,
     /// Cumulative fast-device statistics.
     pub fast: MemStats,
     /// Cumulative slow-device statistics.
     pub slow: MemStats,
     /// Request spans closed so far (when tracing).
     pub spans_closed: u64,
-}
-
-/// Interned hit/miss/writeback counters for one cache level.
-#[derive(Debug, Clone, Copy)]
-struct CacheLevelHandles {
-    hits: CounterId,
-    misses: CounterId,
-    writebacks: CounterId,
-}
-
-/// Interned per-tenant SLO handles (`tenant.<name>.*`), present only on
-/// tenant-tagged runs.
-#[derive(Debug, Clone, Copy)]
-struct TenantHandles {
-    priority: GaugeId,
-    lat_cpu: HistId,
-    lat_gpu: HistId,
-}
-
-/// Interned `trace.*` counters, created lazily at the first collection
-/// where a span has closed (mirroring the string path, which emits the
-/// trace scope only once `spans_closed() > 0`).
-#[derive(Debug, Clone)]
-struct TraceHandles {
-    spans: CounterId,
-    dropped: CounterId,
-    /// `[victim class][BlameCause::ALL index]`.
-    blame: [[CounterId; 8]; 2],
-}
-
-/// Every metric name [`Sim::collect_registry`] emits, resolved once at
-/// system build into dense registry handles. Steady-state telemetry
-/// collection then runs through [`Sim::update_cum_registry`] — indexed
-/// stores with zero hashing or string formatting — while serialisation
-/// renders names only at flush, keeping output byte-identical to the
-/// string path of record, which monitored runs compare against at every
-/// epoch ([`SimProbe::interned_metrics`]).
-struct MetricsLayout {
-    cpu_instr: CounterId,
-    gpu_instr: CounterId,
-    lat_cpu: HistId,
-    lat_gpu: HistId,
-    /// `cpu_l1`, `cpu_l2`, `gpu_l1`, `llc` — in collection order.
-    cache: [CacheLevelHandles; 4],
-    llc_occupancy: GaugeId,
-    mem_fast: MemMetricHandles,
-    mem_slow: MemMetricHandles,
-    hmc: HmcMetricHandles,
-    /// One entry per tenant (empty on untagged runs).
-    tenant: Vec<TenantHandles>,
-    trace: Option<TraceHandles>,
 }
 
 struct Sim<Q: Queue<Ev>> {
@@ -225,7 +165,11 @@ struct Sim<Q: Queue<Ev>> {
     cpu_lat_hist: LogHistogram,
     gpu_lat_hist: LogHistogram,
     frames: Vec<EpochFrame>,
-    /// Registry snapshot at the previous epoch boundary (epoch deltas).
+    /// Every component's cumulative metrics, collected again at each
+    /// boundary (see [`Sim::recollect`]).
+    cum_reg: MetricsRegistry,
+    /// `cum_reg` as the previous boundary left it: frames are
+    /// `cum_reg - prev_reg`.
     prev_reg: MetricsRegistry,
     /// Registry snapshot at WarmupEnd (measured-window totals).
     warm_reg: MetricsRegistry,
@@ -233,13 +177,6 @@ struct Sim<Q: Queue<Ev>> {
     /// observation: sampling decisions ride along with events but never
     /// influence what is scheduled when.
     tracer: SpanCollector,
-    /// Interned metric handles (`None` with telemetry off). See
-    /// [`MetricsLayout`].
-    layout: Option<MetricsLayout>,
-    /// Persistent cumulative registry the handle path writes into; frames
-    /// are `cum - prev_reg` and `prev_reg` copies `cum` value-wise, so no
-    /// registry is ever rebuilt in steady state.
-    cum_reg: MetricsRegistry,
     /// Recycled buffers for the event hot path: controller outputs,
     /// started-command completions, and drained device trace records. Each
     /// is taken at use, drained, and put back — steady state allocates
@@ -276,18 +213,18 @@ impl<Q: Queue<Ev>> Sim<Q> {
         self.ctxs.iter().map(|c| c.retired).sum()
     }
 
-    /// Snapshot every component's cumulative metrics into one registry.
+    /// Collect every component's cumulative metrics into `reg`, adding to
+    /// the values it holds.
     ///
     /// The collection order is fixed (system, latency, caches, devices,
-    /// controller), which fixes the registry's insertion order and therefore
-    /// the serialised field order — the golden files depend on it.
-    /// `per_bank` adds per-bank device rows (totals only; too wide for
-    /// per-epoch frames).
-    fn collect_registry(&self, per_bank: bool) -> MetricsRegistry {
-        let mut reg = MetricsRegistry::new(self.telemetry);
-        if !self.telemetry {
-            return reg;
-        }
+    /// controller, tenants, trace), which fixes the registry's insertion
+    /// order and therefore the serialised field order — the golden files
+    /// depend on it. A name, once emitted, is emitted by every later
+    /// collection of the run, which [`Self::recollect`] relies on: tenants
+    /// and the policy's channel scopes are fixed at build, and the `trace`
+    /// scope, last, stays once a span has closed. `per_bank` adds per-bank
+    /// device rows (totals only; too wide for per-epoch frames).
+    fn collect(&self, reg: &mut MetricsRegistry, per_bank: bool) {
         reg.inc("sys.cpu_instr", self.cpu_instr_total());
         reg.inc("sys.gpu_instr", self.gpu_instr_total());
         reg.merge_hist("lat.cpu_read", &self.cpu_lat_hist);
@@ -331,152 +268,25 @@ impl<Q: Queue<Ev>> Sim<Q> {
                 }
             }
         }
+    }
+
+    /// A fresh collection with per-bank rows: the measured window's totals
+    /// are the difference of two.
+    fn collect_totals(&self) -> MetricsRegistry {
+        let mut reg = MetricsRegistry::new(true);
+        self.collect(&mut reg, true);
         reg
     }
 
-    /// Resolve every static metric name into dense handles (exactly the
-    /// names [`Self::collect_registry`] emits, in the same per-kind
-    /// insertion order) and seed the persistent cumulative/previous
-    /// registries. Called once at system build when telemetry is on.
-    fn init_metrics_layout(&mut self) {
-        let mut reg = MetricsRegistry::new(true);
-        let cpu_instr = reg.intern_counter("sys.cpu_instr");
-        let gpu_instr = reg.intern_counter("sys.gpu_instr");
-        let lat_cpu = reg.intern_hist("lat.cpu_read");
-        let lat_gpu = reg.intern_hist("lat.gpu_demand");
-        let cache = ["cache.cpu_l1", "cache.cpu_l2", "cache.gpu_l1", "cache.llc"].map(|p| {
-            CacheLevelHandles {
-                hits: reg.intern_counter(&format!("{p}.hits")),
-                misses: reg.intern_counter(&format!("{p}.misses")),
-                writebacks: reg.intern_counter(&format!("{p}.writebacks")),
-            }
-        });
-        let llc_occupancy = reg.intern_gauge("cache.llc.occupancy");
-        let mem_fast = self.fast.intern_metrics(&mut reg, "mem.fast");
-        let mem_slow = self.slow.intern_metrics(&mut reg, "mem.slow");
-        let hmc = self.hmc.intern_metrics(&mut reg, "hmc");
-        // The policy's own metric names are dynamic but stable per run
-        // (channel-token scopes are fixed at construction). A set-mode
-        // collect registers them now, right where a fresh string collection
-        // would put them — at the tail of the `hmc.policy` scope.
-        {
-            let mut pol = reg.scoped_set("hmc.policy");
-            self.hmc.collect_policy_metrics(&mut pol);
-        }
-        // Tenant names are dynamic but fixed at system build, so their
-        // handles intern eagerly — right where the string path emits the
-        // `tenant` scope (after `hmc`, before any lazy `trace` names).
-        let tenant = self
-            .tenants
-            .iter()
-            .map(|t| TenantHandles {
-                priority: reg.intern_gauge(&format!("tenant.{}.priority", t.name)),
-                lat_cpu: reg.intern_hist(&format!("tenant.{}.lat.cpu", t.name)),
-                lat_gpu: reg.intern_hist(&format!("tenant.{}.lat.gpu", t.name)),
-            })
-            .collect();
-        self.prev_reg = reg.clone();
-        self.cum_reg = reg;
-        self.layout = Some(MetricsLayout {
-            cpu_instr,
-            gpu_instr,
-            lat_cpu,
-            lat_gpu,
-            cache,
-            llc_occupancy,
-            mem_fast,
-            mem_slow,
-            hmc,
-            tenant,
-            trace: None,
-        });
-    }
-
-    fn intern_trace_handles(reg: &mut MetricsRegistry) -> TraceHandles {
-        let spans = reg.intern_counter("trace.spans");
-        let dropped = reg.intern_counter("trace.dropped");
-        let blame = ["cpu", "gpu"].map(|cname| {
-            BlameCause::ALL
-                .map(|cause| reg.intern_counter(&format!("trace.blame.{cname}.{}", cause.name())))
-        });
-        TraceHandles { spans, dropped, blame }
-    }
-
-    /// Handle-path equivalent of `collect_registry(false)`: store every
-    /// component's cumulative statistics into the persistent registry
-    /// through the interned handles. Value- and layout-identical to a fresh
-    /// string collection, which [`Self::check_interned_metrics`] verifies.
-    fn update_cum_registry(&mut self) {
-        let mut layout = self.layout.take().expect("handle path initialised");
+    /// Collect `cum_reg` again at a boundary: zero its values, keep its
+    /// names and collect into it. It then equals a fresh collection, and
+    /// it keeps the layout that `prev_reg` and the frames cut so far
+    /// share until the run emits a name for the first time.
+    fn recollect(&mut self) {
         let mut reg = std::mem::take(&mut self.cum_reg);
-        reg.set_counter(layout.cpu_instr, self.cpu_instr_total());
-        reg.set_counter(layout.gpu_instr, self.gpu_instr_total());
-        reg.set_hist(layout.lat_cpu, &self.cpu_lat_hist);
-        reg.set_hist(layout.lat_gpu, &self.gpu_lat_hist);
-        let levels: [&[SetAssocCache]; 4] = [
-            &self.l1s,
-            &self.l2s,
-            &self.gpu_l1s,
-            std::slice::from_ref(&self.llc),
-        ];
-        for (h, caches) in layout.cache.iter().zip(levels) {
-            let (mut hits, mut misses, mut wbs) = (0u64, 0u64, 0u64);
-            for c in caches {
-                let st = c.stats();
-                hits += st.hits;
-                misses += st.misses;
-                wbs += st.writebacks;
-            }
-            reg.set_counter(h.hits, hits);
-            reg.set_counter(h.misses, misses);
-            reg.set_counter(h.writebacks, wbs);
-        }
-        reg.set_gauge_id(layout.llc_occupancy, self.llc.occupancy() as f64);
-        self.fast.record_metrics(&mut reg, &layout.mem_fast);
-        self.slow.record_metrics(&mut reg, &layout.mem_slow);
-        self.hmc.record_metrics(&mut reg, &layout.hmc);
-        {
-            let mut pol = reg.scoped_set("hmc.policy");
-            self.hmc.collect_policy_metrics(&mut pol);
-        }
-        for (ti, h) in layout.tenant.iter().enumerate() {
-            reg.set_gauge_id(h.priority, self.tenants[ti].priority as f64);
-            reg.set_hist(h.lat_cpu, &self.tenant_cpu_hists[ti]);
-            reg.set_hist(h.lat_gpu, &self.tenant_gpu_hists[ti]);
-        }
-        if self.tracer.spans_closed() > 0 {
-            if layout.trace.is_none() {
-                // First collection with a closed span: append the trace
-                // names to both the cumulative and previous-boundary
-                // registries (prev values stay zero, so the first traced
-                // frame deltas from zero exactly like the string path).
-                layout.trace = Some(Self::intern_trace_handles(&mut reg));
-                Self::intern_trace_handles(&mut self.prev_reg);
-            }
-            let t = layout.trace.as_ref().expect("just interned");
-            reg.set_counter(t.spans, self.tracer.spans_closed());
-            reg.set_counter(t.dropped, self.tracer.dropped());
-            for (ci, row) in t.blame.iter().enumerate() {
-                for (k, cause) in BlameCause::ALL.iter().enumerate() {
-                    reg.set_counter(row[k], self.tracer.blame_cycles(ci as u8, *cause));
-                }
-            }
-        }
+        reg.clear_values();
+        self.collect(&mut reg, false);
         self.cum_reg = reg;
-        self.layout = Some(layout);
-    }
-
-    /// The [`SimProbe::interned_metrics`] verdict: the string path of
-    /// record, `collect_registry(false)`, against the registry
-    /// [`Self::update_cum_registry`] last wrote. Only meaningful right
-    /// after an epoch boundary refreshed it.
-    fn check_interned_metrics(&self) -> Result<usize, String> {
-        if !self.telemetry {
-            return Ok(0);
-        }
-        self.collect_registry(false)
-            .compare(&self.cum_reg)
-            .map_err(|e| format!("string path vs handle path: {e}"))
     }
 
     fn dev(&mut self, tier: Tier) -> &mut MemDevice {
@@ -917,19 +727,14 @@ impl<Q: Queue<Ev>> Sim<Q> {
             if self.telemetry {
                 // Per-epoch frame: counter/histogram deltas since the last
                 // boundary, gauges as sampled now (after adaptation).
-                self.update_cum_registry();
+                self.recollect();
                 self.frames.push(EpochFrame {
                     record: record.clone(),
-                    metrics: self.cum_reg.delta_from_indexed(&self.prev_reg),
+                    metrics: self.cum_reg.delta_from(&self.prev_reg),
                 });
-                self.prev_reg.copy_values_from(&self.cum_reg);
+                self.prev_reg.clone_from(&self.cum_reg);
             }
             self.epoch_trace.push(record);
-        } else if self.telemetry {
-            // Keep the boundary snapshot fresh during warm-up so the first
-            // measured frame covers exactly one epoch.
-            self.update_cum_registry();
-            self.prev_reg.copy_values_from(&self.cum_reg);
         }
     }
 
@@ -940,25 +745,20 @@ impl<Q: Queue<Ev>> Sim<Q> {
         self.warm_fast = self.fast.stats();
         self.warm_slow = self.slow.stats();
         if self.telemetry {
-            // Wide per-bank totals snapshot: taken twice per run, so it
-            // stays on the string path.
-            self.warm_reg = self.collect_registry(true);
-            self.update_cum_registry();
-            self.prev_reg.copy_values_from(&self.cum_reg);
+            // The measured window starts here: the baseline of its totals
+            // and the boundary its first frame deltas from.
+            self.warm_reg = self.collect_totals();
+            self.recollect();
+            self.prev_reg.clone_from(&self.cum_reg);
         }
         self.warm_tenant_cpu = self.tenant_cpu_hists.clone();
         self.warm_tenant_gpu = self.tenant_gpu_hists.clone();
         self.in_measurement = true;
     }
 
-    /// Snapshot the state invariant monitors inspect. The memo and metric
-    /// verdicts are the caller's: see [`SimProbe::mask_memo`] and
-    /// [`SimProbe::interned_metrics`] for when they are taken.
-    fn probe(
-        &self,
-        mask_memo: Result<usize, String>,
-        interned_metrics: Result<usize, String>,
-    ) -> SimProbe {
+    /// Snapshot the state invariant monitors inspect. The memo verdict is
+    /// the caller's: see [`SimProbe::mask_memo`] for when it is taken.
+    fn probe(&self, mask_memo: Result<usize, String>) -> SimProbe {
         let (occ_cpu, occ_gpu) = self.hmc.occupancy_by_class();
         let hc = self.hmc.config();
         let mem_invariants = self
@@ -983,7 +783,6 @@ impl<Q: Queue<Ev>> Sim<Q> {
             policy_invariants: self.hmc.policy().check_invariants(),
             mem_invariants,
             mask_memo,
-            interned_metrics,
             fast: self.fast.stats(),
             slow: self.slow.stats(),
             spans_closed: self.tracer.spans_closed(),
@@ -1025,26 +824,22 @@ impl<Q: Queue<Ev>> Sim<Q> {
         // Final check once the queue drains (or the horizon passes): the
         // end-of-run state must satisfy every invariant too.
         if let Some(m) = monitors {
-            m.check_all(self.q.now(), &self.probe(self.hmc.check_mask_memo(), Ok(0)));
+            m.check_all(self.q.now(), &self.probe(self.hmc.check_mask_memo()));
         }
     }
 
     /// Run an epoch or faucet boundary `hook`, then check the monitors.
     /// The memo verdict is taken *before* the hook: the hook invalidates
     /// every memo entry, so a verdict taken afterwards would check nothing.
-    /// The metric verdict is taken *after* an epoch hook, which refreshes
-    /// the handle path's registry.
     fn at_boundary(
         &mut self,
         monitors: &mut Option<&mut MonitorSet<SimProbe>>,
-        epoch: bool,
         hook: impl FnOnce(&mut Self),
     ) {
         let memo = monitors.is_some().then(|| self.hmc.check_mask_memo());
         hook(self);
         if let (Some(m), Some(memo)) = (monitors.as_deref_mut(), memo) {
-            let metrics = if epoch { self.check_interned_metrics() } else { Ok(0) };
-            m.check_all(self.q.now(), &self.probe(memo, metrics));
+            m.check_all(self.q.now(), &self.probe(memo));
         }
     }
 
@@ -1138,11 +933,11 @@ impl<Q: Queue<Ev>> Sim<Q> {
                     }
                     self.started_buf = started;
                 }
-                Ev::Epoch => self.at_boundary(monitors, true, |s| {
+                Ev::Epoch => self.at_boundary(monitors, |s| {
                     s.on_epoch();
                     s.q.schedule_in(s.cfg.epoch_cycles, Ev::Epoch);
                 }),
-                Ev::Faucet => self.at_boundary(monitors, false, |s| {
+                Ev::Faucet => self.at_boundary(monitors, |s| {
                     s.hmc.on_faucet();
                     s.q.schedule_in(s.cfg.faucet_cycles, Ev::Faucet);
                 }),
@@ -1435,11 +1230,10 @@ fn simulate<Q: Queue<Ev> + Default>(
         cpu_lat_hist: LogHistogram::new(),
         gpu_lat_hist: LogHistogram::new(),
         frames: Vec::new(),
+        cum_reg: MetricsRegistry::new(cfg.telemetry),
         prev_reg: MetricsRegistry::new(cfg.telemetry),
         warm_reg: MetricsRegistry::new(cfg.telemetry),
         tracer: SpanCollector::new(cfg.trace_sample),
-        layout: None,
-        cum_reg: MetricsRegistry::new(cfg.telemetry),
         out_buf: Vec::new(),
         started_buf: Vec::new(),
         trace_scratch: Vec::new(),
@@ -1456,10 +1250,6 @@ fn simulate<Q: Queue<Ev> + Default>(
         warm_tenant_cpu: vec![LogHistogram::new(); n_tenants],
         warm_tenant_gpu: vec![LogHistogram::new(); n_tenants],
     };
-    if cfg.telemetry {
-        sim.init_metrics_layout();
-    }
-
     // Stagger initial wake-ups so front-ends do not move in lockstep.
     for i in 0..sim.cores.len() {
         sim.q.schedule_at(1 + i as u64 * 7, Ev::CoreWake(i));
@@ -1483,7 +1273,7 @@ fn simulate<Q: Queue<Ev> + Default>(
 
     let telemetry = if sim.telemetry {
         Some(RunTelemetry {
-            totals: sim.collect_registry(true).delta_from(&sim.warm_reg),
+            totals: sim.collect_totals().delta_from(&sim.warm_reg),
             epochs: std::mem::take(&mut sim.frames),
         })
     } else {
@@ -1860,47 +1650,6 @@ mod tests {
         assert_eq!(a.slow, b.slow);
         assert_eq!(a.events_processed, b.events_processed);
         assert_eq!(a.epoch_trace, b.epoch_trace);
-    }
-
-    /// Run `kind` on `mix` monitored and assert that every epoch probe
-    /// compared a non-empty registry and found the handle path equal to
-    /// the string path; every other probe (faucet ticks, end of run)
-    /// compares nothing.
-    fn assert_metrics_match_at_every_epoch(cfg: &SystemConfig, mix: &Mix, kind: PolicyKind) {
-        let ctx = format!("{} trace={:?}", kind.label(), cfg.trace_sample);
-        let counts: Vec<usize> = monitored_probes(cfg, mix, kind)
-            .into_iter()
-            .map(|p| p.interned_metrics.unwrap_or_else(|e| panic!("{ctx}: {e}")))
-            .collect();
-        let epochs = cfg.total_cycles() / cfg.epoch_cycles;
-        assert!(epochs > 0, "{ctx}: no epoch boundary to probe");
-        let compared = counts.iter().filter(|&&n| n > 0).count() as u64;
-        assert_eq!(compared, epochs, "{ctx}: epoch probes that compared names: {counts:?}");
-    }
-
-    /// Acceptance check for the interned-handle telemetry path: at every
-    /// epoch boundary its registry equals the string path of record, with
-    /// the tracer armed (lazily interned `trace.*` names) and off.
-    #[test]
-    fn interned_metrics_match_string_path_at_every_epoch() {
-        let mix = Mix::by_name("C1").unwrap();
-        for trace in [None, Some(64)] {
-            let mut cfg = tiny();
-            cfg.trace_sample = trace;
-            assert_metrics_match_at_every_epoch(&cfg, &mix, PolicyKind::HydrogenFull);
-        }
-    }
-
-    /// The handle path must also hold across policies with different (and
-    /// dynamically named) policy metric sets.
-    #[test]
-    fn interned_metrics_match_string_path_across_policies() {
-        let mix = Mix::by_name("C2").unwrap();
-        for kind in [PolicyKind::NoPart, PolicyKind::HydrogenFull] {
-            let mut cfg = tiny();
-            cfg.trace_sample = Some(64);
-            assert_metrics_match_at_every_epoch(&cfg, &mix, kind);
-        }
     }
 
     #[test]
