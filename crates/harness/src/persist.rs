@@ -858,8 +858,9 @@ pub(crate) fn sections(bytes: &[u8], tag: &str) -> [Range<usize>; 3] {
 /// concurrent-safe store ([`crate::sweep::store::ShardedStore`]): entries
 /// live in 256 key-prefix shard directories, publishes are atomic with
 /// thread-unique temp names, damaged entries are quarantined as `*.bad`,
-/// and a per-shard index feeds the LRU evictor (`h2 cache gc`). The flat
-/// single-directory layout written by older revisions is migrated on open.
+/// and a per-shard index feeds the LRU evictor (`h2 cache gc`). Entries of
+/// the flat single-directory layout older revisions wrote carry an older
+/// `VERSION`, so opening such a directory wipes them.
 #[derive(Debug)]
 pub struct DiskTier {
     inner: ShardedStore,

@@ -42,8 +42,7 @@
 //! *layout* and its concurrency story, and the memo of decoded metric
 //! layouts that a store's loads share (`LayoutMemo`).
 //! [`crate::persist::DiskTier`] wraps this store so every existing
-//! `RunCache` user gets the sharded layout transparently (flat-layout
-//! entries are migrated on open).
+//! `RunCache` user gets the sharded layout transparently.
 
 use crate::persist::{cache_tag, encode_report, read_report, LoadMode};
 use h2_sim_core::MetricLayout;
@@ -261,14 +260,14 @@ pub struct ShardedStore {
 }
 
 impl ShardedStore {
-    /// Open (creating if needed) the store at `root`. Under the store
-    /// lock: wipes all entries if the directory's `VERSION` does not match
-    /// the running binary's [`cache_tag`], and migrates any flat-layout
-    /// entries (`<root>/<key>.h2r` from older revisions) into their
-    /// shards. Concurrent opens are safe: the lock serialises the wipe,
-    /// and migration renames are atomic. A store that already has the
-    /// binary's `VERSION` and no flat-layout entries has nothing to
-    /// change, so opening it takes no lock and writes nothing.
+    /// Open (creating if needed) the store at `root`. When the
+    /// directory's `VERSION` does not match the running binary's
+    /// [`cache_tag`], wipes every entry under the store lock, which
+    /// serialises concurrent opens. That includes `<root>/<key>.h2r`
+    /// files of the flat layout older revisions wrote: they all carry an
+    /// older `VERSION`. A store that already has the binary's `VERSION`
+    /// has nothing to change, so opening it takes no lock and writes
+    /// nothing.
     pub fn open(root: &Path) -> io::Result<Self> {
         fs::create_dir_all(root)?;
         let tag = cache_tag();
@@ -280,16 +279,13 @@ impl ShardedStore {
             layouts: LayoutMemo::default(),
         };
         let version_file = root.join("VERSION");
-        let current = fs::read_to_string(&version_file).is_ok_and(|v| v == store.tag)
-            && store.flat_entries().next().is_none();
-        if !current {
+        if !fs::read_to_string(&version_file).is_ok_and(|v| v == store.tag) {
             let _lock = acquire_lock(&root.join(".store.lock"))?;
             let on_disk = fs::read_to_string(&version_file).unwrap_or_default();
             if on_disk != store.tag {
                 store.wipe_entries();
                 fs::write(&version_file, &store.tag)?;
             }
-            store.migrate_flat_entries();
         }
         Ok(store)
     }
@@ -342,34 +338,6 @@ impl ShardedStore {
                 {
                     let _ = fs::remove_file(p);
                 }
-            }
-        }
-    }
-
-    /// Flat-layout entries (`<root>/<key>.h2r`) and their keys.
-    fn flat_entries(&self) -> impl Iterator<Item = (PathBuf, u128)> {
-        fs::read_dir(&self.root).into_iter().flatten().flatten().filter_map(|entry| {
-            let p = entry.path();
-            if p.extension().is_none_or(|e| e != "h2r") || !p.is_file() {
-                return None;
-            }
-            let key = p.file_stem()?.to_str().and_then(|s| u128::from_str_radix(s, 16).ok())?;
-            Some((p, key))
-        })
-    }
-
-    /// Move flat-layout entries (`<root>/<key>.h2r`) into their shards.
-    /// Renames are atomic; a concurrent process that already migrated an
-    /// entry wins and the duplicate source is dropped. Caller holds the
-    /// store lock.
-    fn migrate_flat_entries(&self) {
-        for (p, key) in self.flat_entries() {
-            let dest = self.entry_path(key);
-            if fs::create_dir_all(self.shard_dir(key)).is_err() {
-                continue;
-            }
-            if dest.exists() || fs::rename(&p, &dest).is_err() {
-                let _ = fs::remove_file(&p);
             }
         }
     }
@@ -663,26 +631,6 @@ mod tests {
         assert!(dir.join("ff").join(format!("{:032x}.h2r", u128::MAX)).exists());
         assert_eq!(store.entries(), 3);
         assert!(store.load(0xabu128 << 120 | 7).is_some());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn flat_layout_migrates_on_open() {
-        let dir = tmp_dir("migrate");
-        // Seed a flat-layout cache: entry + VERSION at the root.
-        let flat = {
-            let store = ShardedStore::open(&dir).unwrap();
-            let r = sample_report();
-            store.store(42, &r).unwrap();
-            // Flatten it back out to simulate the old layout.
-            let sharded = store.entry_path(42);
-            let flat = dir.join(format!("{:032x}.h2r", 42u128));
-            fs::rename(&sharded, &flat).unwrap();
-            flat
-        };
-        let store = ShardedStore::open(&dir).unwrap();
-        assert!(!flat.exists(), "flat entry migrated into its shard");
-        assert!(store.load(42).is_some(), "migrated entry still loads");
         let _ = fs::remove_dir_all(&dir);
     }
 
