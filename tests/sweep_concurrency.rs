@@ -143,7 +143,7 @@ fn gc_racing_writers_never_breaks_readers() {
 fn sweep_results_identical_sequential_vs_concurrent() {
     // The same spec, run sequentially cold, concurrently cold (fresh
     // store), and concurrently warm (shared store), must render the same
-    // summary bytes — worker count, steal order, and cache warmth are
+    // summary bytes — worker count, completion order, and cache warmth are
     // invisible in the output.
     let spec = SweepSpec::parse(SPEC_JSON).unwrap();
     let dir_seq = scratch("seq");
