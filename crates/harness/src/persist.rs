@@ -53,7 +53,7 @@ use h2_sim_core::metrics::HIST_BUCKETS;
 use h2_sim_core::trace_span::{BlameCause, Span, SpanInterval, MAX_SPANS};
 use h2_sim_core::{LogHistogram, MetricLayout, MetricsRegistry};
 use h2_system::report::{EpochFrame, EpochRecord, RunReport, RunTelemetry, RunTrace, TenantSlo};
-use std::fs::File;
+use std::fs::{File, Metadata};
 use std::io::{self, Read};
 use std::ops::Range;
 use std::path::Path;
@@ -808,20 +808,22 @@ pub(crate) fn decode_report(bytes: &[u8], tag: &str, mode: LoadMode) -> Option<R
 
 /// Read the entry open in `file` and decode the sections `mode` asks for,
 /// sharing name blocks through `layouts`. Returns the report and the
-/// file's length, `Ok(None)` when the entry is damaged, or the error that
-/// stopped the read. The length comes from the open handle, not from the
-/// path, so it is this entry's even while a writer publishes another
-/// over the path. After the open this reads the length, the header and
-/// the sections the mode needs: no more system calls than reading the
-/// whole file. Nothing is allocated for the sections before the header's
+/// file's metadata (its mtime is the store's last-used stamp),
+/// `Ok(None)` when the entry is damaged, or the error that stopped the
+/// read. The metadata comes from the open handle, not from the path, so
+/// it is this entry's even while a writer publishes another over the
+/// path. After the open this reads the metadata, the header and the
+/// sections the mode needs: no more system calls than reading the whole
+/// file. Nothing is allocated for the sections before the header's
 /// lengths have been checked against the file's.
 pub(crate) fn read_report(
     file: &mut File,
     tag: &str,
     mode: LoadMode,
     layouts: &LayoutMemo,
-) -> io::Result<Option<(RunReport, u64)>> {
-    let len = file.metadata()?.len();
+) -> io::Result<Option<(RunReport, Metadata)>> {
+    let meta = file.metadata()?;
+    let len = meta.len();
     let header_len = header_len(tag);
     let Some(body) = len.checked_sub(header_len as u64) else {
         return Ok(None);
@@ -833,7 +835,7 @@ pub(crate) fn read_report(
     };
     let mut sections = vec![0; lens[..mode.sections()].iter().sum()];
     file.read_exact(&mut sections)?;
-    Ok(decode_sections(&sections, lens, mode, layouts).map(|r| (r, len)))
+    Ok(decode_sections(&sections, lens, mode, layouts).map(|r| (r, meta)))
 }
 
 /// Where each section of an intact entry lies: the core, the telemetry
@@ -858,7 +860,7 @@ pub(crate) fn sections(bytes: &[u8], tag: &str) -> [Range<usize>; 3] {
 /// concurrent-safe store ([`crate::sweep::store::ShardedStore`]): entries
 /// live in 256 key-prefix shard directories, publishes are atomic with
 /// thread-unique temp names, damaged entries are quarantined as `*.bad`,
-/// and a per-shard index feeds the LRU evictor (`h2 cache gc`). Entries of
+/// and entry mtimes order the LRU evictor (`h2 cache gc`). Entries of
 /// the flat single-directory layout older revisions wrote carry an older
 /// `VERSION`, so opening such a directory wipes them.
 #[derive(Debug)]

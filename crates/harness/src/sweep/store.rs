@@ -20,18 +20,17 @@
 //!   `*.bad` instead of being served or silently deleted: the caller sees
 //!   a miss and re-executes, and the damaged bytes stick around for
 //!   post-mortem until the next `gc`.
-//! - **Per-shard lock files** (`<shard>/.lock`, created with `O_EXCL`,
-//!   stale-broken by age) serialise the *metadata* operations that rename
-//!   alone cannot make safe: index rewrites, eviction, and the open-time
-//!   wipe/migration. Entry reads and publishes themselves never block.
-//! - **Per-shard index files** record `(key, size, last-used)` so the LRU
-//!   evictor does not depend on filesystem atime (usually mounted
-//!   `relatime`). Index updates are best-effort: a missing or stale index
-//!   is rebuilt from the directory listing with file mtimes, so crashing
-//!   between an entry publish and its index line loses nothing. A load
-//!   refreshes its entry's last-used stamp only once the stamp is
-//!   [`TOUCH_INTERVAL`] old, so a hit on a recently used entry writes
-//!   nothing.
+//! - **Lock files** (`<shard>/.lock` and `<root>/.store.lock`, created
+//!   with `O_EXCL`, stale-broken by age) serialise what rename alone
+//!   cannot make safe: `gc`'s temp sweep against in-flight publishes, and
+//!   the open-time wipe. Entry reads never take a lock.
+//! - **Entry mtimes are the last-used stamps**, so the LRU evictor does
+//!   not depend on filesystem atime (usually mounted `relatime`) and the
+//!   store keeps no second record of what its directories hold. A publish
+//!   stamps its entry by writing it. A load refreshes the stamp, through
+//!   the handle it read the entry with, only once the stamp is
+//!   [`TOUCH_INTERVAL`] old or lies in the future, so a hit on a recently
+//!   used entry opens no file but its entry and writes nothing.
 //! - **LRU size-based eviction.** [`ShardedStore::gc`] (CLI:
 //!   `h2 cache gc --max-bytes N`) evicts least-recently-used entries
 //!   until the store fits the budget, and sweeps quarantine and stale
@@ -63,19 +62,19 @@ pub const SHARDS: usize = 256;
 pub const STALE_TMP: Duration = Duration::from_secs(60);
 
 /// How old a lock file must be before a contender may break it. Critical
-/// sections under these locks are index rewrites and directory scans —
-/// milliseconds — so a lock this old can only belong to a dead process.
+/// sections under these locks are an entry's temp write and rename, and
+/// directory scans — milliseconds — so a lock this old can only belong to
+/// a dead process.
 const STALE_LOCK: Duration = Duration::from_secs(10);
 
 /// How long to keep retrying a contended lock before giving up.
 const LOCK_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// How old an entry's last-used stamp must be before a load refreshes it.
-/// The stamp only orders `gc`'s evictions, for which an hour's resolution
-/// does as well as a second's; refreshing it on every load would make each
-/// hit take the shard lock and rewrite the shard index (two lock-file
-/// operations, a temp write and a rename), which costs more than reading
-/// and decoding the entry and makes the hit's time depend on the disk.
+/// How old an entry's mtime, its last-used stamp, must be before a load
+/// refreshes it. The stamp only orders `gc`'s evictions, for which an
+/// hour's resolution does as well as a second's; refreshing it on every
+/// load would make every hit write the entry's inode, so that a hit's
+/// time would depend on the disk.
 pub const TOUCH_INTERVAL: Duration = Duration::from_secs(3600);
 
 /// Fault-injection points for the crash-consistency tests: what a writer
@@ -170,19 +169,11 @@ fn acquire_lock(path: &Path) -> io::Result<LockGuard> {
     }
 }
 
-/// Seconds since the Unix epoch (recency stamps for the LRU index).
-fn now_secs() -> u64 {
-    SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_secs()).unwrap_or(0)
-}
-
 /// Process-wide temp-file sequence. Combined with the pid this makes temp
 /// names unique across *threads* as well as processes — the flat layout
 /// used the pid alone, so two worker threads publishing the same key
 /// could interleave writes into one temp file and rename a torn entry.
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// One shard's index line: key, entry size, last-used unix seconds.
-type IndexEntry = (u128, u64, u64);
 
 /// How many name blocks a [`LayoutMemo`] keeps.
 const LAYOUT_SLOTS: usize = 16;
@@ -323,8 +314,9 @@ impl ShardedStore {
         dirs
     }
 
-    /// Remove every entry (all shards plus any flat-layout leftovers).
-    /// Caller holds the store lock.
+    /// Remove every entry (all shards plus any flat-layout leftovers),
+    /// and the per-shard `index` files that stores kept before entry
+    /// mtimes became the last-used stamps. Caller holds the store lock.
     fn wipe_entries(&self) {
         let mut dirs = self.shard_dirs();
         dirs.push(self.root.clone());
@@ -354,14 +346,20 @@ impl ShardedStore {
     /// checked by its length only: damage inside it, which serves nothing
     /// here, is left for the next load that reads it to find and
     /// quarantine. Telemetry shares the layouts of name blocks this handle
-    /// has loaded before (the store's `LayoutMemo`). The shard index is
-    /// touched with the file's length, whatever the load read of it.
+    /// has loaded before (the store's `LayoutMemo`). A hit whose entry's
+    /// mtime is [`TOUCH_INTERVAL`] old or lies in the future sets it to
+    /// now through the open handle, best-effort: a failed touch leaves the
+    /// stamp as it was and the hit stands.
     pub fn load_with(&self, key: u128, mode: LoadMode) -> Option<RunReport> {
         let path = self.entry_path(key);
         let mut file = fs::File::open(&path).ok()?;
         match read_report(&mut file, &self.tag, mode, &self.layouts).ok()? {
-            Some((report, len)) => {
-                self.index_touch(key, len);
+            Some((report, meta)) => {
+                // `None` for a stamp in the future, which `elapsed` rejects.
+                let age = meta.modified().ok().and_then(|t| t.elapsed().ok());
+                if age.is_none_or(|age| age >= TOUCH_INTERVAL) {
+                    let _ = file.set_modified(SystemTime::now());
+                }
                 Some(report)
             }
             None => {
@@ -378,7 +376,8 @@ impl ShardedStore {
     /// identical entries and the last rename wins. The shard lock is held
     /// across write+rename so a concurrent `gc` (which sweeps temp files
     /// under the same lock) can never delete an in-flight temp between
-    /// the write and the rename.
+    /// the write and the rename. The write stamps the entry's mtime, its
+    /// first last-used stamp.
     pub fn store(&self, key: u128, report: &RunReport) -> io::Result<()> {
         let bytes = encode_report(report, &self.tag);
         let shard = self.shard_dir(key);
@@ -399,7 +398,6 @@ impl ShardedStore {
             let f = fs::OpenOptions::new().write(true).open(self.entry_path(key))?;
             f.set_len(n)?;
         }
-        Self::index_upsert_locked(&shard, key, bytes.len() as u64, now_secs());
         Ok(())
     }
 
@@ -434,96 +432,20 @@ impl ShardedStore {
         s
     }
 
-    // --- per-shard LRU index ---------------------------------------------
-
-    fn index_path(shard: &Path) -> PathBuf {
-        shard.join("index")
-    }
-
-    /// Parse a shard index. Unparseable lines are dropped (the index is a
-    /// recency hint, not a source of truth).
-    fn read_index(shard: &Path) -> Vec<IndexEntry> {
-        let Ok(text) = fs::read_to_string(Self::index_path(shard)) else {
-            return Vec::new();
-        };
-        text.lines()
-            .filter_map(|line| {
-                let mut it = line.split_whitespace();
-                Some((
-                    u128::from_str_radix(it.next()?, 16).ok()?,
-                    it.next()?.parse().ok()?,
-                    it.next()?.parse().ok()?,
-                ))
-            })
-            .collect()
-    }
-
-    /// Atomically rewrite a shard index (caller holds the shard lock).
-    fn write_index(shard: &Path, entries: &[IndexEntry]) -> io::Result<()> {
-        let mut text = String::new();
-        for (key, size, used) in entries {
-            use std::fmt::Write as _;
-            let _ = writeln!(text, "{key:032x} {size} {used}");
-        }
-        let tmp = shard.join(format!(
-            ".index.{}.{}.tmp",
-            std::process::id(),
-            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        fs::write(&tmp, text)?;
-        fs::rename(&tmp, Self::index_path(shard))
-    }
-
-    /// Upsert one index line; the caller must hold the shard lock.
-    /// Best-effort: on I/O error the index is simply left stale — `gc`
-    /// rebuilds recency from file mtimes, so nothing is lost but
-    /// precision.
-    fn index_upsert_locked(shard: &Path, key: u128, size: u64, used: u64) {
-        let mut entries = Self::read_index(shard);
-        match entries.iter_mut().find(|(k, _, _)| *k == key) {
-            Some(e) => *e = (key, size, used),
-            None => entries.push((key, size, used)),
-        }
-        let _ = Self::write_index(shard, &entries);
-    }
-
-    /// Refresh one entry's index line unless it already records `size`
-    /// and a last-used stamp younger than [`TOUCH_INTERVAL`]; only a
-    /// refresh takes the shard lock. Reading without the lock is safe
-    /// because the index is only ever replaced whole, by rename. On lock
-    /// timeout the index is left stale (same best-effort contract).
-    fn index_touch(&self, key: u128, size: u64) {
-        let shard = self.shard_dir(key);
-        let now = now_secs();
-        let recent = |&(k, s, used): &IndexEntry| {
-            k == key
-                && s == size
-                && now.checked_sub(used).is_some_and(|age| age < TOUCH_INTERVAL.as_secs())
-        };
-        if Self::read_index(&shard).iter().any(recent) {
-            return;
-        }
-        let Ok(_lock) = acquire_lock(&shard.join(".lock")) else { return };
-        Self::index_upsert_locked(&shard, key, size, now);
-    }
-
     // --- eviction ---------------------------------------------------------
 
     /// Evict least-recently-used entries until the store holds at most
     /// `max_bytes` of entries, and sweep quarantined files plus temp
-    /// files older than `tmp_ttl`. Recency comes from the shard indexes,
-    /// falling back to file mtimes; each shard's index is rebuilt
-    /// consistent with its directory on the way through.
+    /// files older than `tmp_ttl`. Recency is each entry's mtime, read
+    /// from the shard listings.
     pub fn gc(&self, max_bytes: u64, tmp_ttl: Duration) -> io::Result<GcReport> {
         let mut report = GcReport::default();
-        // (last_used, key, size): sortable LRU order, oldest first, with
-        // the key as a deterministic tiebreak.
+        // (mtime seconds, key, size): sortable LRU order, oldest first,
+        // with the key as a deterministic tiebreak.
         let mut all: Vec<(u64, u128, u64)> = Vec::new();
 
         for shard in self.shard_dirs() {
             let _lock = acquire_lock(&shard.join(".lock"))?;
-            let index = Self::read_index(&shard);
-            let mut fresh: Vec<IndexEntry> = Vec::new();
             for entry in fs::read_dir(&shard)?.flatten() {
                 let p = entry.path();
                 match p.extension().and_then(|e| e.to_str()) {
@@ -536,18 +458,12 @@ impl ShardedStore {
                             continue;
                         };
                         let meta = entry.metadata()?;
-                        let used = index
-                            .iter()
-                            .find(|(k, _, _)| *k == key)
-                            .map(|(_, _, u)| *u)
-                            .unwrap_or_else(|| {
-                                meta.modified()
-                                    .ok()
-                                    .and_then(|t| t.duration_since(UNIX_EPOCH).ok())
-                                    .map(|d| d.as_secs())
-                                    .unwrap_or(0)
-                            });
-                        fresh.push((key, meta.len(), used));
+                        let used = meta
+                            .modified()
+                            .ok()
+                            .and_then(|t| t.duration_since(UNIX_EPOCH).ok())
+                            .map_or(0, |d| d.as_secs());
+                        all.push((used, key, meta.len()));
                     }
                     Some("bad") => {
                         let _ = fs::remove_file(&p);
@@ -568,8 +484,6 @@ impl ShardedStore {
                     _ => {}
                 }
             }
-            Self::write_index(&shard, &fresh)?;
-            all.extend(fresh.iter().map(|&(k, s, u)| (u, k, s)));
         }
 
         report.examined = all.len();
@@ -584,12 +498,7 @@ impl ShardedStore {
             if report.bytes_after <= max_bytes {
                 break;
             }
-            let shard = self.shard_dir(key);
-            let _lock = acquire_lock(&shard.join(".lock"))?;
             let _ = fs::remove_file(self.entry_path(key));
-            let mut entries = Self::read_index(&shard);
-            entries.retain(|(k, _, _)| *k != key);
-            let _ = Self::write_index(&shard, &entries);
             report.evicted += 1;
             report.bytes_after -= size;
         }
@@ -662,6 +571,19 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// The mtime of `key`'s entry: its last-used stamp.
+    fn stamp(store: &ShardedStore, key: u128) -> SystemTime {
+        fs::metadata(store.entry_path(key)).and_then(|m| m.modified()).unwrap()
+    }
+
+    /// Set `key`'s last-used stamp to `age` ago through a read-only handle,
+    /// as a load does, and return it as the file records it.
+    fn backdate(store: &ShardedStore, key: u128, age: Duration) -> SystemTime {
+        let file = fs::File::open(store.entry_path(key)).unwrap();
+        file.set_modified(SystemTime::now() - age).unwrap();
+        stamp(store, key)
+    }
+
     #[test]
     fn gc_evicts_lru_until_under_budget() {
         let dir = tmp_dir("gc-lru");
@@ -670,13 +592,9 @@ mod tests {
         store.store(1, &r).unwrap();
         store.store(2, &r).unwrap();
         store.store(3, &r).unwrap();
-        // Backdate entries 1 and 2 in the index so 3 is the most recent.
-        let shard = store.shard_dir(1);
-        {
-            let _lock = acquire_lock(&shard.join(".lock")).unwrap();
-            ShardedStore::index_upsert_locked(&shard, 1, encode_len(&store, &r), 100);
-            ShardedStore::index_upsert_locked(&shard, 2, encode_len(&store, &r), 200);
-        }
+        // Backdate entries 1 and 2 so 3 is the most recent.
+        backdate(&store, 1, Duration::from_secs(300));
+        backdate(&store, 2, Duration::from_secs(200));
         let one = encode_len(&store, &r);
         let rep = store.gc(one + one / 2, Duration::from_secs(3600)).unwrap();
         assert_eq!(rep.examined, 3);
@@ -685,9 +603,35 @@ mod tests {
         assert!(store.load(3).is_some(), "most recent entry survives");
         assert!(store.load(1).is_none());
         assert!(store.load(2).is_none());
-        // Index is consistent with the directory after eviction.
-        let idx = ShardedStore::read_index(&shard);
-        assert!(idx.iter().all(|(k, _, _)| *k != 1));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_refreshed_entry_outlives_fresher_untouched_ones() {
+        let dir = tmp_dir("gc-touch");
+        let store = ShardedStore::open(&dir).unwrap();
+        let r = sample_report();
+        for key in 1..=3 {
+            store.store(key, &r).unwrap();
+        }
+        // Entry 1 is the least recently used until a load refreshes it;
+        // nothing touches 2 and 3 after they were written.
+        let old = backdate(&store, 1, 2 * TOUCH_INTERVAL);
+        backdate(&store, 2, Duration::from_secs(60));
+        backdate(&store, 3, Duration::from_secs(60));
+        assert!(store.load_with(1, LoadMode::Core).is_some());
+        assert!(stamp(&store, 1) > old, "a load refreshes a stamp TOUCH_INTERVAL old");
+        let one = encode_len(&store, &r);
+        let rep = store.gc(one, Duration::from_secs(3600)).unwrap();
+        assert_eq!(rep.evicted, 2, "the two untouched entries go");
+        assert!(store.load(1).is_some(), "the refreshed entry survives");
+        assert!(store.load(2).is_none() && store.load(3).is_none());
+        // A stamp in the future would outlive every other: a load pulls it
+        // back to now.
+        let file = fs::File::open(store.entry_path(1)).unwrap();
+        file.set_modified(SystemTime::now() + TOUCH_INTERVAL).unwrap();
+        assert!(store.load_with(1, LoadMode::Core).is_some());
+        assert!(stamp(&store, 1) <= SystemTime::now(), "a future stamp is refreshed");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -698,13 +642,8 @@ mod tests {
         let r = sample_report();
         store.store(1, &r).unwrap();
         store.store(2, &r).unwrap();
-        let shard = store.shard_dir(1);
-        let (size, now) = (encode_len(&store, &r), now_secs());
-        {
-            let _lock = acquire_lock(&shard.join(".lock")).unwrap();
-            ShardedStore::index_upsert_locked(&shard, 1, size, now - 60);
-            ShardedStore::index_upsert_locked(&shard, 2, size, now - TOUCH_INTERVAL.as_secs());
-        }
+        let recent = backdate(&store, 1, Duration::from_secs(60));
+        backdate(&store, 2, TOUCH_INTERVAL);
         // A current store opens without its lock, which is held elsewhere
         // (taking it would wait until it counts as stale and break it).
         let warm = {
@@ -713,16 +652,20 @@ mod tests {
             assert!(dir.join(".store.lock").exists(), "open left the held lock alone");
             warm
         };
-        // A load that reads part of an entry touches the index with the
-        // file's length too, so its line matches and nothing is rewritten.
         for mode in [LoadMode::Core, LoadMode::Spanless] {
             assert!(warm.load_with(1, mode).is_some(), "{mode:?}");
         }
         assert!(warm.load_with(2, LoadMode::Core).is_some());
         assert!(warm.load(1).is_some() && warm.load(2).is_some());
-        let stamp = |key| ShardedStore::read_index(&shard).iter().find(|e| e.0 == key).map(|e| e.2);
-        assert_eq!(stamp(1), Some(now - 60), "a recent stamp is left alone");
-        assert!(stamp(2) >= Some(now), "a stamp TOUCH_INTERVAL old is refreshed");
+        assert_eq!(stamp(&store, 1), recent, "a recent stamp is left alone");
+        let age = stamp(&store, 2).elapsed().expect("a stamp in the past");
+        assert!(age < Duration::from_secs(60), "a stamp TOUCH_INTERVAL old is refreshed");
+        let names: Vec<_> = fs::read_dir(store.shard_dir(1))
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        assert_eq!(names.len(), 2, "the shard holds only its entries: {names:?}");
+        assert!(names.iter().all(|n| n.ends_with(".h2r")), "{names:?}");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -779,14 +722,8 @@ mod tests {
             assert!(lock_path.exists());
         }
         assert!(!lock_path.exists(), "guard drop releases the lock");
-        // A stale lock (old mtime) is broken rather than waited out.
+        // A fresh foreign lock blocks contenders until its owner drops it.
         fs::write(&lock_path, b"999999").unwrap();
-        let old = SystemTime::now() - STALE_LOCK - Duration::from_secs(5);
-        // No mtime-setting in std: emulate staleness by checking the
-        // breaker path directly — a zero-age lock must NOT be broken,
-        // so acquisition must still be exclusive while fresh.
-        let _ = old;
-        let t0 = SystemTime::now();
         let contender = std::thread::spawn({
             let lock_path = lock_path.clone();
             move || acquire_lock(&lock_path)
@@ -794,8 +731,18 @@ mod tests {
         std::thread::sleep(Duration::from_millis(50));
         assert!(!contender.is_finished(), "fresh foreign lock blocks contenders");
         fs::remove_file(&lock_path).unwrap();
-        contender.join().unwrap().unwrap();
-        assert!(t0.elapsed().unwrap() < LOCK_TIMEOUT);
+        drop(contender.join().unwrap().unwrap());
+        // A foreign lock older than STALE_LOCK belongs to a dead owner: it
+        // is broken at once, not waited out until LOCK_TIMEOUT.
+        fs::write(&lock_path, b"999999").unwrap();
+        let planted = fs::File::open(&lock_path).unwrap();
+        planted.set_modified(SystemTime::now() - STALE_LOCK - Duration::from_secs(5)).unwrap();
+        let t0 = std::time::Instant::now();
+        let guard = acquire_lock(&lock_path).expect("a stale lock is broken");
+        assert!(t0.elapsed() < Duration::from_secs(1), "took {:?}", t0.elapsed());
+        let owner = fs::read_to_string(&lock_path).unwrap();
+        assert_eq!(owner, std::process::id().to_string(), "the lock is ours now");
+        drop(guard);
         let _ = fs::remove_dir_all(&dir);
     }
 
