@@ -36,6 +36,11 @@ pub const META_SPEC_PENALTY: h2_sim_core::units::Cycles = 4;
 /// sets hit the same on-chip remap-cache line.
 pub const META_SETS_PER_LINE: u64 = 8;
 
+/// Concurrent migration/swap transactions the controller can buffer;
+/// misses beyond this bypass (hardware backpressure on background
+/// traffic).
+pub const MIGRATION_BUFFERS: usize = 96;
+
 const STEP_META: u64 = 0;
 const STEP_DEMAND: u64 = 1;
 const STEP_BG: u64 = 2;
@@ -676,7 +681,7 @@ impl Hmc {
                 );
             }
             self.lazy_fixup(idx, set, way, out);
-        } else if self.bg_txns < self.cfg.migration_buffers {
+        } else if self.bg_txns < MIGRATION_BUFFERS {
             if let Some(target) = self.policy.swap_target(
                 set,
                 way,
@@ -788,7 +793,7 @@ impl Hmc {
             None => 0,
         };
 
-        let buffer_ok = self.bg_txns < self.cfg.migration_buffers;
+        let buffer_ok = self.bg_txns < MIGRATION_BUFFERS;
         if place.is_some() && !buffer_ok {
             self.stats.buffer_denied[class.idx()] += 1;
         }

@@ -67,10 +67,6 @@ pub struct HybridConfig {
     /// Suppress the DRAM traffic of fast-memory swaps (the `Ideal` swap
     /// variant of Fig 7a); metadata still moves.
     pub free_swaps: bool,
-    /// Concurrent migration/swap transactions the controller can buffer;
-    /// misses beyond this bypass (hardware backpressure on background
-    /// traffic).
-    pub migration_buffers: usize,
 }
 
 impl Default for HybridConfig {
@@ -86,7 +82,6 @@ impl Default for HybridConfig {
             chaining: false,
             extra_tag_latency: 0,
             free_swaps: false,
-            migration_buffers: 96,
         }
     }
 }

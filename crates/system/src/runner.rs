@@ -331,8 +331,8 @@ impl<Q: Queue<Ev>> Sim<Q> {
     }
 
     /// Move a channel's pending trace decompositions into the tracer using
-    /// the recycled record/interval buffers — the pooled equivalent of
-    /// `take_cmd_traces` + `absorb`.
+    /// the recycled record/interval buffers: `take_traces_into`, then
+    /// `absorb_intervals` per record, then `reclaim_traces`.
     fn drain_traces(&mut self, tier: Tier, channel: usize) {
         if !self.dev(tier).has_traces(channel) {
             return;
@@ -1163,7 +1163,6 @@ fn simulate<Q: Queue<Ev> + Default>(
         chaining: false,
         extra_tag_latency: 0,
         free_swaps: false,
-        migration_buffers: 96,
     };
     let policy = kind.build(cfg, &mut hybrid);
     let hmc = Hmc::new(hybrid, policy, cfg.seed);
