@@ -671,7 +671,8 @@ struct Channel {
     /// In-flight commands per class, for queue-composition snapshots.
     live_by_class: [u64; 3],
     /// Blame decompositions of traced commands started since the last
-    /// [`MemDevice::take_cmd_traces`] drain.
+    /// drain ([`MemDevice::take_traces_into`], then
+    /// [`MemDevice::reclaim_traces`]).
     records: Vec<CmdTrace>,
 }
 
@@ -1123,16 +1124,10 @@ impl MemDevice {
     }
 
     /// Drain the blame decompositions of traced commands started on `ch`
-    /// since the last drain.
-    pub fn take_cmd_traces(&mut self, ch: usize) -> Vec<CmdTrace> {
-        std::mem::take(&mut self.channels[ch].records)
-    }
-
-    /// Allocation-free variant of [`Self::take_cmd_traces`]: swap the
-    /// channel's record buffer with a caller-provided empty one (typically
-    /// the one handed back by the last [`Self::reclaim_traces`]), so the
-    /// channel keeps its capacity. Pair with `reclaim_traces` after the
-    /// records are absorbed.
+    /// since the last drain: swap the channel's record buffer with a
+    /// caller-provided empty one (typically the one handed back by the
+    /// last [`Self::reclaim_traces`]), so the channel keeps its capacity.
+    /// Pair with `reclaim_traces` after the records are absorbed.
     pub fn take_traces_into(&mut self, ch: usize, mut swap: Vec<CmdTrace>) -> Vec<CmdTrace> {
         debug_assert!(swap.is_empty(), "swap-in buffer must be empty");
         std::mem::swap(&mut self.channels[ch].records, &mut swap);
@@ -1480,7 +1475,7 @@ mod tests {
         d.pump(0, 5, &mut out);
         assert_eq!(out.len(), 2);
         let done = out[1].done_at;
-        let recs = d.take_cmd_traces(0);
+        let recs = d.take_traces_into(0, Vec::new());
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].span, SpanId(7));
         assert!(
@@ -1490,7 +1485,7 @@ mod tests {
         );
         // Second drain is empty; completions hand back the classes the
         // commands were enqueued with and retire them.
-        assert!(d.take_cmd_traces(0).is_empty());
+        assert!(d.take_traces_into(0, Vec::new()).is_empty());
         let classes = [out[0].class, out[1].class];
         assert_eq!(classes, [BlameClass::GpuDemand, BlameClass::CpuDemand]);
         assert_eq!(d.channels[0].live_by_class, [1, 1, 0]);
