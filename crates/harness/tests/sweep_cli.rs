@@ -2,7 +2,7 @@
 //!
 //! These run the real binary (cargo builds it for this package's
 //! integration tests and exposes it as `CARGO_BIN_EXE_h2`), so they cover
-//! the full path: spec file → engine → work-stealing pool → sharded store
+//! the full path: spec file → engine → worker pool → sharded store
 //! → JSONL progress → summary table — including the acceptance scenario:
 //! a cold sweep followed by a warm rerun that executes nothing and prints
 //! a byte-identical table, and two processes racing one store.

@@ -17,9 +17,8 @@
 //!   every event is a DRAM/bus/cache latency of at most a few hundred
 //!   cycles.
 //! * [`legacy`] — the original binary min-heap with O(log n) operations.
-//!   Kept as a differential oracle (tests assert the two engines produce
-//!   identical event streams, and whole simulations are replayed on it)
-//!   and as the baseline for the `micro` criterion-style benchmarks.
+//!   Kept as a differential oracle: tests assert the two engines produce
+//!   identical event streams, and whole simulations are replayed on it.
 //!
 //! The system runner's event loop is generic over [`Queue`], so the engine
 //! a run uses is fixed at compile time: production entry points
