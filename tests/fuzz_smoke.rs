@@ -5,10 +5,15 @@
 //! bug that is now fixed: replaying it through the full battery — with
 //! the real harness oracles wired — must come back clean, and stay
 //! byte-deterministic across both event-queue engines (the battery's
-//! engine-differential check proves that on every replay).
+//! engine-differential check proves that on every replay). A reproducer
+//! pinned for a metamorphic relation also runs that relation by name, since
+//! the battery picks its relation by rotating through the catalogue.
 
-use h2_check::{parse_repro, repro_json, run_battery, FuzzCase};
+use h2_check::{
+    applicable, check_relation, parse_repro, repro_json, run_battery, FuzzCase, FUZZ_LABEL,
+};
 use h2_harness::fuzz_cli::oracle_hooks;
+use h2_system::run_workloads;
 use std::fs;
 use std::path::PathBuf;
 
@@ -40,6 +45,20 @@ fn committed_repros_replay_clean_and_bit_identical_across_engines() {
                 f.check, f.message, recorded.check
             )
         });
+        if let Some(name) = recorded.check.strip_prefix("relation:") {
+            let rels = applicable(&case);
+            let rel = rels.iter().find(|r| r.name() == name).unwrap_or_else(|| {
+                let names: Vec<_> = rels.iter().map(|r| r.name()).collect();
+                panic!(
+                    "{file:?} pins relation {name}, which does not apply to its case \
+                     (applicable: {names:?})"
+                )
+            });
+            let (cfg, cpu, gpu, kind, cap) = case.build().unwrap();
+            let base = run_workloads(&cfg, FUZZ_LABEL, &cpu, gpu.as_ref(), kind, cap);
+            check_relation(*rel, &case, FUZZ_LABEL, &base)
+                .unwrap_or_else(|e| panic!("{file:?} regressed on relation {name}: {e}"));
+        }
     }
 }
 
