@@ -176,19 +176,11 @@ struct Frame {
     start_allocs: u64,
 }
 
-struct CounterCell {
-    name: &'static str,
-    sum: u64,
-    samples: u64,
-    max: u64,
-}
-
 /// Per-thread profiler state. Node 0 is a synthetic root whose children
 /// are this thread's top-level scopes.
 struct ThreadProf {
     nodes: Vec<Node>,
     stack: Vec<Frame>,
-    counters: Vec<CounterCell>,
 }
 
 impl ThreadProf {
@@ -202,7 +194,6 @@ impl ThreadProf {
                 allocs: 0,
             }],
             stack: Vec::new(),
-            counters: Vec::new(),
         }
     }
 
@@ -275,27 +266,8 @@ impl ThreadProf {
         n.incl_ns += now_raw().saturating_sub(f.start_ns);
     }
 
-    fn count_sample(&mut self, name: &'static str, value: u64) {
-        if let Some(c) = self
-            .counters
-            .iter_mut()
-            .find(|c| std::ptr::eq(c.name, name) || c.name == name)
-        {
-            c.sum += value;
-            c.samples += 1;
-            c.max = c.max.max(value);
-            return;
-        }
-        self.counters.push(CounterCell {
-            name,
-            sum: value,
-            samples: 1,
-            max: value,
-        });
-    }
-
     fn is_empty(&self) -> bool {
-        self.nodes.len() == 1 && self.counters.is_empty()
+        self.nodes.len() == 1
     }
 
     /// Reset in place. (Replacing the whole value would run `Drop` on the
@@ -304,7 +276,6 @@ impl ThreadProf {
         self.nodes.truncate(1);
         self.nodes[0].children.clear();
         self.stack.clear();
-        self.counters.clear();
     }
 }
 
@@ -375,16 +346,6 @@ pub fn handoff(from: ScopeGuard, name: &'static str) -> ScopeGuard {
     ScopeGuard { active: true }
 }
 
-/// Sample a magnitude (e.g. a queue depth). The report shows sum, sample
-/// count, mean, and max per counter name.
-#[inline]
-pub fn count(name: &'static str, value: u64) {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return;
-    }
-    let _ = PROF.try_with(|p| p.borrow_mut().count_sample(name, value));
-}
-
 // ---------------------------------------------------------------------------
 // Graveyard: merged trees from exited/flushed threads
 // ---------------------------------------------------------------------------
@@ -397,16 +358,8 @@ struct MergedNode {
     allocs: u64,
 }
 
-struct MergedCounter {
-    name: String,
-    sum: u64,
-    samples: u64,
-    max: u64,
-}
-
 struct Graveyard {
     nodes: Vec<MergedNode>,
-    counters: Vec<MergedCounter>,
     threads: usize,
 }
 
@@ -420,7 +373,6 @@ impl Graveyard {
                 incl_ns: 0,
                 allocs: 0,
             }],
-            counters: Vec::new(),
             threads: 0,
         }
     }
@@ -468,24 +420,6 @@ impl Graveyard {
         let roots = t.nodes[0].children.clone();
         for r in roots {
             self.merge_tree(t, r, 0);
-        }
-        for c in &t.counters {
-            if let Some(m) = self
-                .counters
-                .iter_mut()
-                .find(|m| m.name == c.name)
-            {
-                m.sum += c.sum;
-                m.samples += c.samples;
-                m.max = m.max.max(c.max);
-            } else {
-                self.counters.push(MergedCounter {
-                    name: c.name.to_string(),
-                    sum: c.sum,
-                    samples: c.samples,
-                    max: c.max,
-                });
-            }
         }
     }
 }
@@ -574,30 +508,6 @@ impl ProfNode {
     }
 }
 
-/// A sampled-magnitude counter (e.g. a queue depth).
-#[derive(Debug, Clone)]
-pub struct ProfCounter {
-    /// Counter name.
-    pub name: String,
-    /// Sum of all sampled values.
-    pub sum: u64,
-    /// Number of samples.
-    pub samples: u64,
-    /// Largest sampled value.
-    pub max: u64,
-}
-
-impl ProfCounter {
-    /// Mean sampled value.
-    pub fn mean(&self) -> f64 {
-        if self.samples == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.samples as f64
-        }
-    }
-}
-
 /// Merged profile across all flushed threads.
 #[derive(Debug, Clone)]
 pub struct ProfReport {
@@ -605,8 +515,6 @@ pub struct ProfReport {
     pub threads: usize,
     /// Top-level phases (each thread's outermost scopes, merged by path).
     pub roots: Vec<ProfNode>,
-    /// Sampled counters.
-    pub counters: Vec<ProfCounter>,
 }
 
 impl ProfReport {
@@ -633,21 +541,7 @@ impl ProfReport {
             }
         }
         let roots = g.nodes[0].children.iter().map(|&c| build(&g, c, &to_ns)).collect();
-        let counters = g
-            .counters
-            .iter()
-            .map(|c| ProfCounter {
-                name: c.name.clone(),
-                sum: c.sum,
-                samples: c.samples,
-                max: c.max,
-            })
-            .collect();
-        ProfReport {
-            threads: g.threads,
-            roots,
-            counters,
-        }
+        ProfReport { threads: g.threads, roots }
     }
 
     /// Total profiled wall nanoseconds: sum of root inclusive times.
@@ -659,7 +553,7 @@ impl ProfReport {
 
     /// True when nothing was recorded.
     pub fn is_empty(&self) -> bool {
-        self.roots.is_empty() && self.counters.is_empty()
+        self.roots.is_empty()
     }
 
     /// Look up a root phase by name.
@@ -693,22 +587,10 @@ impl ProfReport {
         for r in &self.roots {
             walk(&mut out, r, 0, total);
         }
-        if !self.counters.is_empty() {
-            out.push_str(&format!(
-                "\n{:<44} {:>12} {:>12} {:>10} {:>10}\n",
-                "counter", "sum", "samples", "mean", "max"
-            ));
-            for c in &self.counters {
-                out.push_str(&format!(
-                    "{:<44} {:>12} {:>12} {:>10.2} {:>10}\n",
-                    c.name, c.sum, c.samples, c.mean(), c.max
-                ));
-            }
-        }
         out
     }
 
-    /// Canonical-JSON profile document (schema 1, stable key order).
+    /// Canonical-JSON profile document (schema 2, stable key order).
     pub fn to_json(&self) -> Json {
         fn node_json(n: &ProfNode) -> Json {
             let mut children = Json::arr();
@@ -726,24 +608,12 @@ impl ProfReport {
         for r in &self.roots {
             tree.push(node_json(r));
         }
-        let mut counters = Json::arr();
-        for c in &self.counters {
-            counters.push(
-                Json::obj()
-                    .field("name", c.name.clone())
-                    .field("sum", c.sum)
-                    .field("samples", c.samples)
-                    .field("mean", c.mean())
-                    .field("max", c.max),
-            );
-        }
         Json::obj()
-            .field("schema", 1u64)
+            .field("schema", 2u64)
             .field("kind", "h2-profile")
             .field("threads", self.threads as u64)
             .field("total_ns", self.total_ns())
             .field("tree", tree)
-            .field("counters", counters)
     }
 
     /// Folded-stack lines (`root;child;leaf <excl_ns>`), the input format
@@ -800,7 +670,6 @@ mod tests {
         {
             let _a = scope("outer");
             let _b = scope("inner");
-            count("depth", 5);
         }
         let r = take_report();
         assert!(r.is_empty(), "disarmed probes must not record");
@@ -949,26 +818,6 @@ mod tests {
     }
 
     #[test]
-    fn counters_aggregate() {
-        let _l = serial();
-        reset();
-        arm();
-        {
-            let _a = scope("loop");
-            count("queue_depth", 4);
-            count("queue_depth", 8);
-            count("other", 10);
-        }
-        disarm();
-        let r = take_report();
-        let qd = r.counters.iter().find(|c| c.name == "queue_depth").unwrap();
-        assert_eq!((qd.sum, qd.samples, qd.max), (12, 2, 8));
-        assert!((qd.mean() - 6.0).abs() < 1e-9);
-        let other = r.counters.iter().find(|c| c.name == "other").unwrap();
-        assert_eq!((other.sum, other.samples, other.max), (10, 1, 10));
-    }
-
-    #[test]
     fn threads_merge_by_path_into_one_report() {
         let _l = serial();
         reset();
@@ -1006,12 +855,11 @@ mod tests {
         arm();
         {
             let _a = scope("phase");
-            count("c", 1);
         }
         disarm();
         let r = take_report();
         let j = r.to_json();
-        assert_eq!(j.get("schema").and_then(Json::as_u64), Some(1));
+        assert_eq!(j.get("schema").and_then(Json::as_u64), Some(2));
         assert_eq!(
             j.get("kind").and_then(Json::as_str),
             Some("h2-profile")
@@ -1034,7 +882,6 @@ mod tests {
         let r = ProfReport {
             threads: 1,
             roots: vec![node("root", vec![node("leaf", Vec::new())])],
-            counters: Vec::new(),
         };
         let text = r.render_text();
         assert!(!text.contains("allocs"), "{text}");

@@ -1,6 +1,5 @@
-//! Small statistics utilities: aggregate math used by the epoch controller
-//! and the experiment harness, and a generic labelled-counter table used for
-//! human-readable stat dumps.
+//! Small statistics utilities: aggregate math used by the experiment
+//! harness.
 
 /// Geometric mean of a slice. Returns `NaN` on empty input; non-positive
 /// entries are clamped to a tiny epsilon so a single zero does not collapse
@@ -11,99 +10,6 @@ pub fn geomean(xs: &[f64]) -> f64 {
     }
     let s: f64 = xs.iter().map(|&x| x.max(1e-12).ln()).sum();
     (s / xs.len() as f64).exp()
-}
-
-/// Arithmetic mean. Returns `NaN` on empty input.
-pub fn mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return f64::NAN;
-    }
-    xs.iter().sum::<f64>() / xs.len() as f64
-}
-
-/// Weighted sum of `values` with `weights` (must be same length).
-pub fn weighted_sum(values: &[f64], weights: &[f64]) -> f64 {
-    assert_eq!(values.len(), weights.len());
-    values.iter().zip(weights).map(|(v, w)| v * w).sum()
-}
-
-/// Exponentially weighted moving average with a fixed smoothing factor.
-#[derive(Debug, Clone, Copy)]
-pub struct Ewma {
-    alpha: f64,
-    value: Option<f64>,
-}
-
-impl Ewma {
-    /// Create with smoothing factor `alpha` in (0, 1]; higher = more reactive.
-    pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0);
-        Self { alpha, value: None }
-    }
-
-    /// Feed a sample, returning the updated average.
-    pub fn update(&mut self, x: f64) -> f64 {
-        let v = match self.value {
-            None => x,
-            Some(v) => v + self.alpha * (x - v),
-        };
-        self.value = Some(v);
-        v
-    }
-
-    /// Current average, if any sample has been fed.
-    pub fn value(&self) -> Option<f64> {
-        self.value
-    }
-}
-
-/// A labelled table of u64 counters with stable insertion order, used by
-/// components to expose their statistics uniformly.
-///
-/// Backed by a name → slot index map so `add`/`get` are O(1) expected even
-/// for wide tables, while iteration stays in first-insertion order.
-#[derive(Debug, Default, Clone)]
-pub struct CounterTable {
-    entries: Vec<(String, u64)>,
-    index: std::collections::HashMap<String, usize>,
-}
-
-impl CounterTable {
-    /// Empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add (or accumulate into) a named counter.
-    pub fn add(&mut self, name: &str, value: u64) {
-        match self.index.get(name) {
-            Some(&i) => self.entries[i].1 += value,
-            None => {
-                self.index.insert(name.to_string(), self.entries.len());
-                self.entries.push((name.to_string(), value));
-            }
-        }
-    }
-
-    /// Read a counter (0 if absent).
-    pub fn get(&self, name: &str) -> u64 {
-        self.index.get(name).map(|&i| self.entries[i].1).unwrap_or(0)
-    }
-
-    /// Iterate `(name, value)` in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.entries.iter().map(|(n, v)| (n.as_str(), *v))
-    }
-
-    /// Number of counters.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no counters have been registered.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -122,66 +28,5 @@ mod tests {
         let g = geomean(&[0.0, 4.0]);
         assert!(g.is_finite());
         assert!(g < 4.0);
-    }
-
-    #[test]
-    fn mean_and_weighted() {
-        assert!((mean(&[1.0, 3.0]) - 2.0).abs() < 1e-12);
-        assert!((weighted_sum(&[1.0, 2.0], &[12.0, 1.0]) - 14.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ewma_converges() {
-        let mut e = Ewma::new(0.5);
-        for _ in 0..64 {
-            e.update(10.0);
-        }
-        assert!((e.value().unwrap() - 10.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn ewma_first_sample_is_exact() {
-        let mut e = Ewma::new(0.1);
-        assert_eq!(e.update(5.0), 5.0);
-    }
-
-    #[test]
-    fn counter_table_accumulates() {
-        let mut t = CounterTable::new();
-        t.add("reads", 3);
-        t.add("writes", 1);
-        t.add("reads", 2);
-        assert_eq!(t.get("reads"), 5);
-        assert_eq!(t.get("writes"), 1);
-        assert_eq!(t.get("missing"), 0);
-        assert_eq!(t.len(), 2);
-        let names: Vec<_> = t.iter().map(|(n, _)| n.to_string()).collect();
-        assert_eq!(names, vec!["reads", "writes"]);
-    }
-
-    /// Re-adding existing counters in arbitrary interleavings must never
-    /// disturb first-insertion iteration order, even for wide tables.
-    #[test]
-    fn counter_table_ordering_stable_under_wide_interleaving() {
-        let mut t = CounterTable::new();
-        let names: Vec<String> = (0..200).map(|i| format!("ctr{i:03}")).collect();
-        for n in &names {
-            t.add(n, 1);
-        }
-        // Accumulate back-to-front, then a scattered pattern.
-        for n in names.iter().rev() {
-            t.add(n, 2);
-        }
-        for (i, n) in names.iter().enumerate() {
-            if i % 3 == 0 {
-                t.add(n, i as u64);
-            }
-        }
-        let order: Vec<_> = t.iter().map(|(n, _)| n.to_string()).collect();
-        assert_eq!(order, names, "iteration order must match first insertion");
-        assert_eq!(t.get("ctr000"), 3);
-        assert_eq!(t.get("ctr199"), 3);
-        assert_eq!(t.get("ctr003"), 6);
-        assert_eq!(t.len(), 200);
     }
 }
