@@ -16,29 +16,21 @@ use h2_hybrid::policy::{PartitionPolicy, PolicyParams};
 use h2_hybrid::types::ReqClass;
 use h2_sim_core::SeededRng;
 
+/// Probability a GPU miss is allowed to migrate (bypass = 1 − p), the
+/// published-style default.
+const GPU_FILL_PROB: f64 = 0.7;
+
 /// The HAShCache policy.
 #[derive(Debug, Clone)]
 pub struct HashCachePolicy {
     assoc: usize,
     channels: usize,
-    /// Probability a GPU miss is allowed to migrate (bypass = 1 − p).
-    gpu_fill_prob: f64,
 }
 
 impl HashCachePolicy {
-    /// Build with the published-style defaults (GPU fill probability 0.7).
+    /// Build over `assoc` ways striped across `channels` fast channels.
     pub fn new(assoc: usize, channels: usize) -> Self {
-        Self {
-            assoc,
-            channels,
-            gpu_fill_prob: 0.7,
-        }
-    }
-
-    /// Override the GPU fill probability (sensitivity experiments).
-    pub fn with_gpu_fill_prob(mut self, p: f64) -> Self {
-        self.gpu_fill_prob = p.clamp(0.0, 1.0);
-        self
+        Self { assoc, channels }
     }
 }
 
@@ -58,7 +50,7 @@ impl PartitionPolicy for HashCachePolicy {
     fn migration_allowed(&mut self, class: ReqClass, _cost: u32, _is_write: bool, _slow_channel: usize, rng: &mut SeededRng) -> bool {
         match class {
             ReqClass::Cpu => true,
-            ReqClass::Gpu => rng.chance(self.gpu_fill_prob),
+            ReqClass::Gpu => rng.chance(GPU_FILL_PROB),
         }
     }
 
@@ -74,7 +66,7 @@ impl PartitionPolicy for HashCachePolicy {
             bw: 0,
             cap: self.assoc,
             tok: usize::MAX,
-            label: format!("HAShCache gpu_fill={:.2}", self.gpu_fill_prob),
+            label: format!("HAShCache gpu_fill={GPU_FILL_PROB:.2}"),
         }
     }
 }
@@ -99,6 +91,7 @@ mod tests {
             .count();
         let frac = allowed as f64 / n as f64;
         assert!((frac - 0.7).abs() < 0.03, "frac {frac}");
+        assert_eq!(p.params().label, "HAShCache gpu_fill=0.70");
         // CPU always migrates.
         assert!((0..100).all(|_| p.migration_allowed(ReqClass::Cpu, 2, false, 0, &mut rng)));
     }

@@ -5,7 +5,7 @@
 //! Shared: 16 MB 16-way LLC at 38 cycles, shared by CPU and GPU.
 
 use crate::sram::CacheConfig;
-use h2_sim_core::units::{Cycles, KIB, MIB};
+use h2_sim_core::units::{KIB, MIB};
 
 /// Configuration of the whole on-chip hierarchy.
 #[derive(Debug, Clone)]
@@ -62,12 +62,6 @@ impl HierarchyConfig {
             },
             eus_per_gpu_l1: 16,
         }
-    }
-
-    /// Hit latency of the on-chip path down to and including the LLC,
-    /// i.e. the minimum latency any memory-side access already paid.
-    pub fn llc_latency(&self) -> Cycles {
-        self.llc.latency
     }
 
     /// A proportionally shrunken hierarchy for fast unit tests.

@@ -52,8 +52,6 @@ pub struct HillClimber {
     state: State,
     /// Consecutive (dim, dir) attempts without improvement.
     fails: usize,
-    /// Steps accepted in total (stats).
-    accepted: u64,
     /// Epochs observed in total (stats).
     epochs: u64,
 }
@@ -70,7 +68,6 @@ impl HillClimber {
             best_score: f64::NEG_INFINITY,
             state: State::Baseline,
             fails: 0,
-            accepted: 0,
             epochs: 0,
         }
     }
@@ -83,11 +80,6 @@ impl HillClimber {
     /// Whether the search has converged.
     pub fn converged(&self) -> bool {
         self.state == State::Converged
-    }
-
-    /// Accepted steps so far.
-    pub fn steps_accepted(&self) -> u64 {
-        self.accepted
     }
 
     /// Epochs observed so far.
@@ -170,7 +162,6 @@ impl HillClimber {
                     // Accept; keep pushing the same direction.
                     self.current = cand;
                     self.best_score = score;
-                    self.accepted += 1;
                     self.fails = 0;
                     match self.next_candidate(pair) {
                         Some((p2, c2)) => {
