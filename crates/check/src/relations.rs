@@ -16,8 +16,6 @@ use h2_system::{run_workloads, RunReport};
 /// every relation sees a spread of cases.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Relation {
-    /// Disabling telemetry changes nothing but the telemetry itself.
-    TelemetryOff,
     /// Flipping request-span tracing (on→off, off→armed-but-empty)
     /// changes nothing but the trace: zero-perturbation observation.
     TraceFlip,
@@ -37,7 +35,6 @@ impl Relation {
     /// Stable name used in failure reports (`relation:<name>`).
     pub fn name(&self) -> &'static str {
         match self {
-            Relation::TelemetryOff => "telemetry-off",
             Relation::TraceFlip => "trace-flip",
             Relation::SoloSideZero => "solo-side-zero",
             Relation::EpochDouble => "epoch-double",
@@ -48,7 +45,7 @@ impl Relation {
 
 /// The relations that apply to `case`, in catalogue order.
 pub fn applicable(case: &FuzzCase) -> Vec<Relation> {
-    let mut rels = vec![Relation::TelemetryOff, Relation::TraceFlip];
+    let mut rels = vec![Relation::TraceFlip];
     if case.cpu.is_empty() || case.gpu.is_none() {
         rels.push(Relation::SoloSideZero);
     }
@@ -71,16 +68,6 @@ pub fn check(
     base: &RunReport,
 ) -> Result<(), String> {
     match rel {
-        Relation::TelemetryOff => {
-            let variant = rerun(case, label, |cfg| cfg.telemetry = false)?;
-            if variant.telemetry.is_some() {
-                return Err("telemetry present despite telemetry=false".into());
-            }
-            match diff_reports_except(base, &variant, &["telemetry"]) {
-                None => Ok(()),
-                Some(d) => Err(format!("telemetry flip perturbed the run: {d}")),
-            }
-        }
         Relation::TraceFlip => {
             // On→off, or off→Some(0): armed but sampling nothing, the
             // zero-perturbation guard for the tracing machinery itself.
@@ -166,7 +153,6 @@ mod tests {
         c.policy = "NoPart".into();
         c.flat = false;
         let rels = applicable(&c);
-        assert!(rels.contains(&Relation::TelemetryOff));
         assert!(rels.contains(&Relation::TraceFlip));
         assert!(rels.contains(&Relation::EpochDouble));
         assert!(!rels.contains(&Relation::SoloSideZero));

@@ -147,7 +147,6 @@ pub fn scenario_battery(case_seed: u64, sim_seed: u64) -> Result<(), String> {
     let sc = sample_scenario(case_seed);
     let mut cfg = SystemConfig::tiny();
     cfg.seed = sim_seed;
-    cfg.telemetry = true;
     cfg.epoch_cycles = 20_000;
     cfg.faucet_cycles = 5_000;
     cfg.warmup_cycles = 40_000;
@@ -230,7 +229,6 @@ mod tests {
     fn partition_rejects_a_tampered_report() {
         let sc = sample_scenario(0);
         let mut cfg = SystemConfig::tiny();
-        cfg.telemetry = true;
         cfg.epoch_cycles = 20_000;
         cfg.faucet_cycles = 5_000;
         cfg.warmup_cycles = 40_000;

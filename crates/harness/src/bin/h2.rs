@@ -53,8 +53,9 @@
 //! every worker are profiled. `h2` has no counting allocator, so the
 //! profile has no allocation column.
 
-use h2_harness::{run_experiments, validate_run_ids, Profile, RunCache, Table, ALL_EXPERIMENTS};
-use h2_sim_core::prof;
+use h2_harness::{
+    profout, run_experiments, validate_run_ids, Profile, RunCache, Table, ALL_EXPERIMENTS,
+};
 use std::path::{Path, PathBuf};
 
 /// Default request-trace sampling rate: every 64th demand read.
@@ -223,66 +224,53 @@ fn run_ids(
     profile_dir: Option<&Path>,
     jobs: Option<usize>,
 ) {
-    if profile_dir.is_some() {
-        prof::reset();
-        prof::arm();
-    }
-    let mut cache = RunCache::persistent();
-    if let Some(n) = jobs {
-        cache.set_jobs(n);
-    }
-    if let Some(dir) = telemetry_dir {
-        if let Err(e) = cache.set_telemetry_dir(dir) {
-            eprintln!("cannot create telemetry dir {}: {e}", dir.display());
-            std::process::exit(2);
+    let failed = profout::profiled(profile_dir, || {
+        let mut cache = RunCache::persistent();
+        if let Some(n) = jobs {
+            cache.set_jobs(n);
         }
-    }
-    if let Some((dir, sample)) = trace {
-        if let Err(e) = cache.set_trace_dir(dir, *sample) {
-            eprintln!("cannot create trace dir {}: {e}", dir.display());
-            std::process::exit(2);
-        }
-    }
-    let t0 = std::time::Instant::now();
-    let results_dir = Path::new("results");
-    let announce = |jobs: usize| {
-        eprintln!("[h2] plan: {} experiments request {jobs} distinct jobs", ids.len());
-    };
-    let experiments = run_experiments(ids, profile, &mut cache, announce)
-        .expect("experiment ids are validated before they run");
-    let mut failed = Vec::new();
-    for tables in experiments {
-        failed.extend(failed_claims(&tables));
-        for t in tables {
-            println!("{}", t.render());
-            match t.write_csv(results_dir) {
-                Ok(p) => println!("csv: {}\n", p.display()),
-                Err(e) => eprintln!("csv write failed: {e}"),
-            }
-        }
-    }
-    eprintln!(
-        "[h2] {} experiments in {:.0}s: {}",
-        ids.len(),
-        t0.elapsed().as_secs_f64(),
-        cache.summary()
-    );
-    if let Some(dir) = profile_dir {
-        prof::disarm();
-        let report = prof::take_report();
-        match h2_harness::profout::write_profile(dir, &report) {
-            Ok(paths) => {
-                print!("{}", report.render_text());
-                for p in &paths {
-                    eprintln!("profile: {}", p.display());
-                }
-            }
-            Err(e) => {
-                eprintln!("cannot write profile to {}: {e}", dir.display());
+        if let Some(dir) = telemetry_dir {
+            if let Err(e) = cache.set_telemetry_dir(dir) {
+                eprintln!("cannot create telemetry dir {}: {e}", dir.display());
                 std::process::exit(2);
             }
         }
-    }
+        if let Some((dir, sample)) = trace {
+            if let Err(e) = cache.set_trace_dir(dir, *sample) {
+                eprintln!("cannot create trace dir {}: {e}", dir.display());
+                std::process::exit(2);
+            }
+        }
+        let t0 = std::time::Instant::now();
+        let results_dir = Path::new("results");
+        let announce = |jobs: usize| {
+            eprintln!("[h2] plan: {} experiments request {jobs} distinct jobs", ids.len());
+        };
+        let experiments = run_experiments(ids, profile, &mut cache, announce)
+            .expect("experiment ids are validated before they run");
+        let mut failed = Vec::new();
+        for tables in experiments {
+            failed.extend(failed_claims(&tables));
+            for t in tables {
+                println!("{}", t.render());
+                match t.write_csv(results_dir) {
+                    Ok(p) => println!("csv: {}\n", p.display()),
+                    Err(e) => eprintln!("csv write failed: {e}"),
+                }
+            }
+        }
+        eprintln!(
+            "[h2] {} experiments in {:.0}s: {}",
+            ids.len(),
+            t0.elapsed().as_secs_f64(),
+            cache.summary()
+        );
+        failed
+    })
+    .unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    });
     if !failed.is_empty() {
         eprintln!("[h2] {} claim(s) FAIL: {}", failed.len(), failed.join("; "));
         std::process::exit(1);

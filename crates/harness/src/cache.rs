@@ -235,8 +235,8 @@ impl RunCache {
         Ok(())
     }
 
-    /// Write one run's telemetry JSON (no-op when no dir is set or the run
-    /// was executed with telemetry off).
+    /// Write one run's telemetry JSON (no-op when no dir is set or the
+    /// report carries no telemetry).
     fn dump_telemetry(&self, key: u128, report: &RunReport) {
         // Check the dir before rendering: a hit with no dump dir set must
         // not pay for JSON nobody writes.

@@ -11,11 +11,10 @@
 //! The config encoder destructures [`SystemConfig`] and its cache hierarchy
 //! exhaustively, so a new config field does not compile until it is either
 //! keyed or named as an omission. The deliberate omissions:
-//! [`SystemConfig::telemetry`] and [`SystemConfig::trace_sample`] (pure
-//! observations that never perturb timing — runs differing only in them
-//! are the same run; a traced replay of an untraced cache entry is handled
-//! by the cache's upgrade-on-miss rule, not by the key) and each cache
-//! level's display `name`.
+//! [`SystemConfig::trace_sample`] (a pure observation that never perturbs
+//! timing — runs differing only in it are the same run; a traced replay of
+//! an untraced cache entry is handled by the cache's upgrade-on-miss rule,
+//! not by the key) and each cache level's display `name`.
 
 use h2_cache::{CacheConfig, HierarchyConfig};
 use h2_system::{Participants, PolicyKind, SystemConfig};
@@ -132,7 +131,6 @@ fn encode_config(e: &mut KeyEncoder, c: &SystemConfig) {
         warmup_cycles,
         measure_cycles,
         seed,
-        telemetry: _,
         trace_sample: _,
     } = c;
     let HierarchyConfig { cpu_l1, cpu_l2, gpu_l1, llc, eus_per_gpu_l1 } = hierarchy;
@@ -235,15 +233,6 @@ mod tests {
         let mut c = base.clone();
         c.measure_cycles += 1;
         assert_ne!(key(&c), k0, "measure window");
-    }
-
-    #[test]
-    fn telemetry_flag_does_not_change_the_key() {
-        let mix = Mix::by_name("C1").unwrap();
-        let mut c = SystemConfig::tiny();
-        let k0 = job_key(&c, &mix, PolicyKind::NoPart, Participants::Both, None);
-        c.telemetry = !c.telemetry;
-        assert_eq!(job_key(&c, &mix, PolicyKind::NoPart, Participants::Both, None), k0);
     }
 
     #[test]

@@ -1171,18 +1171,21 @@ mod tests {
         assert!(share(1, 2) && share(0, 3) && !share(0, 1));
     }
 
-    /// `sample_report` traced at rate `sample`, with telemetry on or off.
+    /// `sample_report` traced at rate `sample`, with its telemetry kept or
+    /// cleared (as a core-only load leaves it).
     fn traced_report(sample: u64, telemetry: bool) -> RunReport {
         let mut cfg = SystemConfig::tiny();
         cfg.warmup_cycles = 50_000;
         cfg.measure_cycles = 100_000;
-        cfg.telemetry = telemetry;
         cfg.trace_sample = Some(sample);
-        let r = run_sim(&cfg, &Mix::by_name("C1").unwrap(), PolicyKind::HydrogenFull);
+        let mut r = run_sim(&cfg, &Mix::by_name("C1").unwrap(), PolicyKind::HydrogenFull);
         assert!(
             r.trace.as_ref().is_some_and(|t| !t.spans.is_empty()),
             "tracing at rate {sample} should sample spans"
         );
+        if !telemetry {
+            r.telemetry = None;
+        }
         r
     }
 
@@ -1266,7 +1269,7 @@ mod tests {
 
     #[test]
     fn truncated_entry_rejects() {
-        // Telemetry off keeps the entry small enough to cut at every byte.
+        // No telemetry keeps the entry small enough to cut at every byte.
         let bytes = encode_report(&traced_report(256, false), "t");
         for cut in 0..bytes.len() {
             for mode in MODES {

@@ -6,12 +6,31 @@
 //! | file             | format                              | consumer            |
 //! |------------------|-------------------------------------|---------------------|
 //! | `profile.txt`    | rendered tree, exclusive-time %     | humans, CI logs     |
-//! | `profile.json`   | canonical JSON (`h2-profile` v1)    | tooling, diffing    |
+//! | `profile.json`   | canonical JSON (`h2-profile` v2)    | tooling, diffing    |
 //! | `profile.folded` | folded stacks, exclusive ns weights | flamegraph.pl et al |
 
-use h2_sim_core::prof::ProfReport;
+use h2_sim_core::prof::{self, ProfReport};
 use std::io;
 use std::path::{Path, PathBuf};
+
+/// Run `body` with the self-profiler armed when `dir` is set, then write
+/// the profile into `dir`, print its text tree on stdout and name the
+/// files on stderr. `Err` when the profile cannot be written.
+pub fn profiled<T>(dir: Option<&Path>, body: impl FnOnce() -> T) -> Result<T, String> {
+    let Some(dir) = dir else { return Ok(body()) };
+    prof::reset();
+    prof::arm();
+    let out = body();
+    prof::disarm();
+    let report = prof::take_report();
+    let paths = write_profile(dir, &report)
+        .map_err(|e| format!("cannot write profile to {}: {e}", dir.display()))?;
+    print!("{}", report.render_text());
+    for p in &paths {
+        eprintln!("profile: {}", p.display());
+    }
+    Ok(out)
+}
 
 /// Write `profile.{txt,json,folded}` into `dir` (created if missing).
 /// Returns the three paths in that order.
@@ -31,7 +50,6 @@ pub fn write_profile(dir: &Path, report: &ProfReport) -> io::Result<[PathBuf; 3]
 #[cfg(test)]
 mod tests {
     use super::*;
-    use h2_sim_core::prof;
 
     #[test]
     fn writes_all_three_artifacts() {

@@ -131,7 +131,7 @@ impl Scale {
         }
     }
 
-    fn parse(s: &str) -> Result<Scale, String> {
+    pub(crate) fn parse(s: &str) -> Result<Scale, String> {
         match s {
             "tiny" => Ok(Scale::Tiny),
             "scaled" => Ok(Scale::Scaled),
@@ -140,7 +140,7 @@ impl Scale {
         }
     }
 
-    fn config(self) -> SystemConfig {
+    pub(crate) fn config(self) -> SystemConfig {
         match self {
             Scale::Tiny => SystemConfig::tiny(),
             Scale::Scaled => SystemConfig::scaled(),

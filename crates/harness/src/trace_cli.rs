@@ -16,8 +16,9 @@
 //! `--replay --capture` re-captures the identical byte stream (the
 //! capture→replay→capture fixpoint the CI smoke job pins with `cmp`).
 
+use crate::sweep::spec::Scale;
 use h2_check::policy_by_name;
-use h2_sim_core::{prof, Json, LogHistogram};
+use h2_sim_core::{Json, LogHistogram};
 use h2_system::{
     plan_from_workloads, replay_config, replay_plan, run_plan_monitored, scenario_config,
     scenario_plan, PolicyKind, RunReport, SystemConfig,
@@ -39,8 +40,8 @@ pub struct TraceRunArgs {
     /// Policy name (fuzz-catalog stable names); replay defaults to the
     /// captured policy, everything else to `NoPart`.
     pub policy: Option<String>,
-    /// Base config scale: `tiny` (default) | `scaled` | `paper`.
-    pub scale: Option<String>,
+    /// Base config scale (default: tiny).
+    pub scale: Option<Scale>,
     /// Simulation seed override.
     pub seed: Option<u64>,
 }
@@ -65,7 +66,7 @@ impl TraceRunArgs {
                 "--replay" => out.replay = Some(PathBuf::from(value("--replay")?)),
                 "--mix" => out.mix = Some(value("--mix")?),
                 "--policy" => out.policy = Some(value("--policy")?),
-                "--scale" => out.scale = Some(value("--scale")?),
+                "--scale" => out.scale = Some(Scale::parse(&value("--scale")?)?),
                 "--seed" => {
                     let v = value("--seed")?;
                     out.seed = Some(
@@ -93,17 +94,12 @@ impl TraceRunArgs {
         Ok(out)
     }
 
-    fn base_config(&self) -> Result<SystemConfig, String> {
-        let mut cfg = match self.scale.as_deref().unwrap_or("tiny") {
-            "tiny" => SystemConfig::tiny(),
-            "scaled" => SystemConfig::scaled(),
-            "paper" => SystemConfig::paper(),
-            other => return Err(format!("unknown scale '{other}' (tiny | scaled | paper)")),
-        };
+    fn base_config(&self) -> SystemConfig {
+        let mut cfg = self.scale.unwrap_or(Scale::Tiny).config();
         if let Some(s) = self.seed {
             cfg.seed = s;
         }
-        Ok(cfg)
+        cfg
     }
 
     fn policy(&self, default: &str) -> Result<(String, PolicyKind), String> {
@@ -319,30 +315,9 @@ pub fn cmd_run_trace(
     telemetry_dir: Option<&Path>,
     profile_dir: Option<&Path>,
 ) -> i32 {
-    if profile_dir.is_some() {
-        prof::reset();
-        prof::arm();
-    }
-    let result = run_trace_inner(args, telemetry_dir);
-    if let Some(dir) = profile_dir {
-        prof::disarm();
-        let report = prof::take_report();
-        match crate::profout::write_profile(dir, &report) {
-            Ok(paths) => {
-                print!("{}", report.render_text());
-                for p in &paths {
-                    eprintln!("profile: {}", p.display());
-                }
-            }
-            Err(e) => {
-                eprintln!("cannot write profile to {}: {e}", dir.display());
-                return 2;
-            }
-        }
-    }
-    match result {
-        Ok(()) => 0,
-        Err(e) => {
+    match crate::profout::profiled(profile_dir, || run_trace_inner(args, telemetry_dir)) {
+        Ok(Ok(())) => 0,
+        Ok(Err(e)) | Err(e) => {
             eprintln!("{e}");
             2
         }
@@ -376,10 +351,7 @@ fn run_trace_inner(args: &[String], telemetry_dir: Option<&Path>) -> Result<(), 
         return Ok(());
     }
 
-    let mut cfg = parsed.base_config()?;
-    if telemetry_dir.is_some() {
-        cfg.telemetry = true;
-    }
+    let cfg = parsed.base_config();
 
     let (report, policy, file) = if let Some(spec) = &parsed.scenario {
         let text = std::fs::read_to_string(spec)
@@ -445,14 +417,16 @@ mod tests {
         assert!(parse(&["--mix", "C1"]).unwrap_err().contains("--capture"));
         assert!(parse(&["--capture", "t"]).unwrap_err().contains("needs --scenario"));
         assert!(parse(&["--seed", "x", "--replay", "t"]).unwrap_err().contains("--seed"));
+        let scaled = parse(&["--replay", "t", "--scale", "paper"]).unwrap();
+        assert_eq!(scaled.scale, Some(Scale::Paper));
+        assert!(parse(&["--replay", "t", "--scale", "x"]).unwrap_err().contains("unknown scale"));
         assert!(parse(&["--frobnicate"]).unwrap_err().contains("unknown argument"));
     }
 
     #[test]
     fn scenario_capture_replays_bit_identically_via_the_header() {
         let sc = sample_scenario();
-        let mut cfg = SystemConfig::tiny();
-        cfg.telemetry = false;
+        let cfg = SystemConfig::tiny();
         let (orig, file) =
             run_scenario_capture(&cfg, &sc, "NoPart", PolicyKind::NoPart, true);
         let file = file.unwrap();
@@ -460,28 +434,21 @@ mod tests {
         let decoded = TraceFile::decode(&file.encode()).unwrap();
         let (rep, policy, refile) = replay_trace(&decoded, None, true).unwrap();
         assert_eq!(policy, "NoPart");
-        assert_eq!(diff_reports_no_telemetry(&orig, &rep), None);
+        assert_eq!(h2_check::diff_reports(&orig, &rep), None);
         // Fixpoint: re-captured bytes are identical.
         assert_eq!(refile.unwrap().encode(), file.encode());
-    }
-
-    /// Replay starts from config defaults for observation knobs, so
-    /// compare everything except telemetry presence.
-    fn diff_reports_no_telemetry(a: &RunReport, b: &RunReport) -> Option<String> {
-        h2_check::diff_reports_except(a, b, &["telemetry"])
     }
 
     #[test]
     fn mix_capture_is_untagged_and_replays_clean() {
         let mix = Mix::by_name("C1").unwrap();
-        let mut cfg = SystemConfig::tiny();
-        cfg.telemetry = false;
+        let cfg = SystemConfig::tiny();
         let (orig, file) = run_mix_capture(&cfg, &mix, "WayPart", policy_by_name("WayPart").unwrap());
         assert!(orig.tenants.is_empty());
         assert_eq!(file.tenants.len(), 1, "untagged captures carry the default tenant");
         let (rep, policy, _) = replay_trace(&file, None, false).unwrap();
         assert_eq!(policy, "WayPart");
-        assert_eq!(diff_reports_no_telemetry(&orig, &rep), None);
+        assert_eq!(h2_check::diff_reports(&orig, &rep), None);
         assert!(rep.tenants.is_empty(), "untagged replay reports no tenants");
     }
 
@@ -501,8 +468,7 @@ mod tests {
     #[test]
     fn report_rendering_includes_tenants() {
         let sc = sample_scenario();
-        let mut cfg = SystemConfig::tiny();
-        cfg.telemetry = false;
+        let cfg = SystemConfig::tiny();
         let (rep, _) = run_scenario_capture(&cfg, &sc, "NoPart", PolicyKind::NoPart, false);
         let text = render_report(&rep, "NoPart");
         assert!(text.contains("weighted IPC"));

@@ -156,6 +156,26 @@ impl HmcStats {
             self.fast_hits[i] as f64 / t as f64
         }
     }
+
+    /// The statistics accumulated since `base`, an earlier snapshot of the
+    /// same counters.
+    pub fn delta_from(&self, base: &HmcStats) -> HmcStats {
+        let sub = |a: [u64; 2], b: [u64; 2]| [a[0] - b[0], a[1] - b[1]];
+        HmcStats {
+            accesses: sub(self.accesses, base.accesses),
+            fast_hits: sub(self.fast_hits, base.fast_hits),
+            fast_misses: sub(self.fast_misses, base.fast_misses),
+            migrations: sub(self.migrations, base.migrations),
+            bypasses: sub(self.bypasses, base.bypasses),
+            victim_writebacks: self.victim_writebacks - base.victim_writebacks,
+            swaps: self.swaps - base.swaps,
+            lazy_fixups: self.lazy_fixups - base.lazy_fixups,
+            meta_reads: self.meta_reads - base.meta_reads,
+            meta_writebacks: self.meta_writebacks - base.meta_writebacks,
+            migrations_denied: sub(self.migrations_denied, base.migrations_denied),
+            buffer_denied: sub(self.buffer_denied, base.buffer_denied),
+        }
+    }
 }
 
 /// One per-set entry of the memoised alloc-mask cache: the two class
@@ -518,20 +538,6 @@ impl Hmc {
         self.txns.get(idx)?.as_ref().map(|t| (t, step))
     }
 
-    /// Requester class of the DRAM command carrying `token`, for tracing
-    /// queue-composition accounting: demand-path commands (metadata probe,
-    /// demand access) take their transaction's class; background migration
-    /// traffic and orphan metadata write-backs are [`BlameClass::Background`].
-    pub fn cmd_blame_class(&self, token: u64) -> BlameClass {
-        match self.token_txn(token) {
-            Some((t, step)) if step != STEP_BG => match t.class {
-                ReqClass::Cpu => BlameClass::CpuDemand,
-                ReqClass::Gpu => BlameClass::GpuDemand,
-            },
-            _ => BlameClass::Background,
-        }
-    }
-
     /// If `token` is the *demand* command of a traced transaction, its
     /// span tag. Must be queried before the completion is fed to
     /// [`Self::handle`] (which may retire the transaction).
@@ -543,8 +549,12 @@ impl Hmc {
         t.span.map(|span| TraceTag { span, token_stalled: t.token_denied })
     }
 
-    /// [`Self::cmd_blame_class`] and [`Self::demand_trace`] in one token
-    /// decomposition — the per-command issue path needs both.
+    /// The requester class of the DRAM command carrying `token`, for
+    /// tracing queue-composition accounting, and [`Self::demand_trace`], in
+    /// one token decomposition — the per-command issue path needs both.
+    /// Demand-path commands (metadata probe, demand access) take their
+    /// transaction's class; background migration traffic and orphan
+    /// metadata write-backs are [`BlameClass::Background`].
     pub fn cmd_trace_ctx(&self, token: u64) -> (BlameClass, Option<TraceTag>) {
         match self.token_txn(token) {
             Some((t, step)) if step != STEP_BG => {
@@ -671,15 +681,6 @@ impl Hmc {
         let mask = self.alloc_mask_memo(set, owner);
         let misplaced = mask & (1 << way) == 0;
         if misplaced {
-            // Cached: `env::var` allocates and this runs per misplaced hit.
-            static DEBUG_FIXUP: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-            if *DEBUG_FIXUP.get_or_init(|| std::env::var("H2_DEBUG_FIXUP").is_ok()) {
-                eprintln!(
-                    "FIXUP set={} way={} owner={:?} mask={:#06b} hitclass={:?} view={:?}",
-                    set, way, owner, mask, class,
-                    self.table.set_view(set).iter().map(|w| (w.valid, w.owner, w.tag)).collect::<Vec<_>>()
-                );
-            }
             self.lazy_fixup(idx, set, way, out);
         } else if self.bg_txns < MIGRATION_BUFFERS {
             if let Some(target) = self.policy.swap_target(
@@ -982,23 +983,7 @@ impl Hmc {
 
     /// Statistics accumulated since the last epoch boundary.
     pub fn epoch_delta(&self) -> HmcStats {
-        let mut d = self.stats;
-        let b = &self.epoch_base;
-        for i in 0..2 {
-            d.accesses[i] -= b.accesses[i];
-            d.fast_hits[i] -= b.fast_hits[i];
-            d.fast_misses[i] -= b.fast_misses[i];
-            d.migrations[i] -= b.migrations[i];
-            d.bypasses[i] -= b.bypasses[i];
-            d.migrations_denied[i] -= b.migrations_denied[i];
-            d.buffer_denied[i] -= b.buffer_denied[i];
-        }
-        d.victim_writebacks -= b.victim_writebacks;
-        d.swaps -= b.swaps;
-        d.lazy_fixups -= b.lazy_fixups;
-        d.meta_reads -= b.meta_reads;
-        d.meta_writebacks -= b.meta_writebacks;
-        d
+        self.stats.delta_from(&self.epoch_base)
     }
 
     /// Token-faucet tick. Refills only migration tokens today, but the
@@ -1312,7 +1297,7 @@ mod tests {
         assert_eq!(h.txns_started(), 20);
         assert_eq!(h.txns_retired(), 20);
         assert_eq!(h.txns_started(), h.txns_retired() + h.inflight() as u64);
-        let mut reg = h2_sim_core::MetricsRegistry::new(true);
+        let mut reg = h2_sim_core::MetricsRegistry::new();
         h.collect_metrics(&mut reg.scoped("hmc"));
         assert_eq!(reg.counter("hmc.cpu.accesses"), 20);
         assert_eq!(reg.counter("hmc.txns_started"), 20);

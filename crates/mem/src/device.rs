@@ -982,6 +982,24 @@ pub struct MemStats {
     pub max_queue: u64,
 }
 
+impl MemStats {
+    /// The statistics accumulated since `base`, an earlier snapshot of the
+    /// same device. `max_queue` stays the cumulative peak.
+    pub fn delta_from(&self, base: &MemStats) -> MemStats {
+        MemStats {
+            reads: self.reads - base.reads,
+            writes: self.writes - base.writes,
+            bytes: self.bytes - base.bytes,
+            activations: self.activations - base.activations,
+            row_hits: self.row_hits - base.row_hits,
+            row_conflicts: self.row_conflicts - base.row_conflicts,
+            busy_cycles: self.busy_cycles - base.busy_cycles,
+            enqueued: self.enqueued - base.enqueued,
+            max_queue: self.max_queue,
+        }
+    }
+}
+
 /// A multi-channel DRAM device.
 #[derive(Debug)]
 pub struct MemDevice {
@@ -1039,11 +1057,6 @@ impl MemDevice {
         for c in &mut self.channels {
             c.ring.set_tracing(on);
         }
-    }
-
-    /// Number of channels.
-    pub fn num_channels(&self) -> usize {
-        self.channels.len()
     }
 
     /// The device's timing parameters.
@@ -1445,7 +1458,7 @@ mod tests {
         let s = d.stats();
         assert_eq!(s.row_hits, 1);
         assert_eq!(s.row_conflicts, 1);
-        let mut reg = h2_sim_core::MetricsRegistry::new(true);
+        let mut reg = h2_sim_core::MetricsRegistry::new();
         d.collect_metrics(&mut reg.scoped("mem"), true);
         assert_eq!(reg.counter("mem.ch0.reads"), 3);
         assert_eq!(reg.counter("mem.ch0.row_hits"), 1);

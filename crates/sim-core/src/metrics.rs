@@ -5,9 +5,7 @@
 //! and the runner snapshots them into a [`MetricsRegistry`] at epoch
 //! boundaries, so hot simulation paths never touch string keys — they bump
 //! plain integer fields and the registry is populated from those at
-//! collection points. The registry itself is also cheap to bypass: when
-//! constructed disabled, every mutation short-circuits on a single branch
-//! and allocates nothing.
+//! collection points.
 //!
 //! Determinism: iteration order is insertion order, which is fixed by the
 //! (deterministic) collection code path, so serialising a registry yields
@@ -342,7 +340,6 @@ fn slot<'v, V: Default>(
 /// collection would, without growing its layout.
 #[derive(Debug, Clone)]
 pub struct MetricsRegistry {
-    enabled: bool,
     layout: Arc<MetricLayout>,
     counters: Vec<u64>,
     gauges: Vec<f64>,
@@ -351,16 +348,14 @@ pub struct MetricsRegistry {
 
 impl Default for MetricsRegistry {
     fn default() -> Self {
-        Self::new(false)
+        Self::new()
     }
 }
 
 impl MetricsRegistry {
-    /// New registry; when `enabled` is false every mutation is a no-op that
-    /// allocates nothing.
-    pub fn new(enabled: bool) -> Self {
+    /// New empty registry; it allocates nothing until a name is emitted.
+    pub fn new() -> Self {
         Self {
-            enabled,
             layout: empty_layout(),
             counters: Vec::new(),
             gauges: Vec::new(),
@@ -381,7 +376,7 @@ impl MetricsRegistry {
             layout.names.iter().zip(lens).all(|(n, len)| n.len() == len),
             "metric values do not match their layout"
         );
-        Self { enabled: true, layout, counters, gauges, hists }
+        Self { layout, counters, gauges, hists }
     }
 
     /// The shared name layout (persistence codecs hand it to the next
@@ -390,38 +385,25 @@ impl MetricsRegistry {
         &self.layout
     }
 
-    /// Whether mutations are recorded.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Add `v` to counter `name`, creating it at the current tail position
     /// on first use.
     pub fn inc(&mut self, name: &str, v: u64) {
-        if self.enabled {
-            *slot(&mut self.layout, COUNTER, &mut self.counters, name) += v;
-        }
+        *slot(&mut self.layout, COUNTER, &mut self.counters, name) += v;
     }
 
     /// Set gauge `name` to `v` (last write wins).
     pub fn set_gauge(&mut self, name: &str, v: f64) {
-        if self.enabled {
-            *slot(&mut self.layout, GAUGE, &mut self.gauges, name) = v;
-        }
+        *slot(&mut self.layout, GAUGE, &mut self.gauges, name) = v;
     }
 
     /// Record one sample into histogram `name`.
     pub fn observe(&mut self, name: &str, v: u64) {
-        if self.enabled {
-            slot(&mut self.layout, HIST, &mut self.hists, name).record(v);
-        }
+        slot(&mut self.layout, HIST, &mut self.hists, name).record(v);
     }
 
     /// Merge a whole pre-built histogram into histogram `name`.
     pub fn merge_hist(&mut self, name: &str, h: &LogHistogram) {
-        if self.enabled {
-            slot(&mut self.layout, HIST, &mut self.hists, name).merge(h);
-        }
+        slot(&mut self.layout, HIST, &mut self.hists, name).merge(h);
     }
 
     /// Read a counter (0 if absent).
@@ -492,7 +474,6 @@ impl MetricsRegistry {
             }
         };
         let mut out = self.clone();
-        out.enabled = true;
         for (i, (n, o)) in self.layout.names[COUNTER].iter().zip(&mut out.counters).enumerate() {
             if let Some(p) = at(COUNTER, i, n) {
                 *o = o.saturating_sub(prev.counters[p]);
@@ -548,14 +529,11 @@ impl ScopedMetrics<'_> {
         (&mut *self.reg, buf)
     }
 
-    /// Hand the registry and the full name of `name` to `f`; a disabled
-    /// registry builds no name.
+    /// Hand the registry and the full name of `name` to `f`.
     fn emit(&mut self, name: &str, f: impl FnOnce(&mut MetricsRegistry, &str)) {
-        if self.reg.enabled {
-            let (reg, full) = self.parts();
-            full.push_str(name);
-            f(reg, full);
-        }
+        let (reg, full) = self.parts();
+        full.push_str(name);
+        f(reg, full);
     }
 
     /// Add `v` to counter `prefix.name`.
@@ -625,7 +603,7 @@ mod tests {
 
     #[test]
     fn registry_insertion_order_and_scoping() {
-        let mut m = MetricsRegistry::new(true);
+        let mut m = MetricsRegistry::new();
         {
             let mut s = m.scoped("mem.fast");
             s.inc("reads", 3);
@@ -663,19 +641,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_registry_records_nothing() {
-        let mut m = MetricsRegistry::new(false);
-        m.inc("a", 1);
-        m.set_gauge("b", 2.0);
-        m.observe("c", 3);
-        m.scoped("x").inc("y", 4);
-        assert!(m.is_empty());
-        assert_eq!(m.counter("a"), 0);
-    }
-
-    #[test]
     fn registry_delta_subtracts_counters_keeps_gauges() {
-        let mut prev = MetricsRegistry::new(true);
+        let mut prev = MetricsRegistry::new();
         prev.inc("n", 10);
         prev.set_gauge("g", 1.0);
         prev.observe("h", 4);
@@ -702,7 +669,7 @@ mod tests {
         assert_eq!(d.hist("h").unwrap().count(), 1);
         assert_eq!(d.hist("h").unwrap().sum(), 1 << 20);
         // A `prev` with the same names in another order subtracts by name.
-        let mut reordered = MetricsRegistry::new(true);
+        let mut reordered = MetricsRegistry::new();
         reordered.inc("fresh", 2);
         reordered.inc("n", 15);
         let d = cur.delta_from(&reordered);
@@ -747,12 +714,12 @@ mod tests {
     #[test]
     fn recollection_rebuilds_a_fresh_collection_in_place() {
         let fresh = |round| {
-            let mut r = MetricsRegistry::new(true);
+            let mut r = MetricsRegistry::new();
             collect(&mut r, round);
             r
         };
         let mut cum = fresh(1);
-        let frame1 = cum.delta_from(&MetricsRegistry::new(true));
+        let frame1 = cum.delta_from(&MetricsRegistry::new());
         for round in 2..5 {
             let prev = cum.clone();
             cum.clear_values();

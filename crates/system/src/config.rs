@@ -75,18 +75,13 @@ pub struct SystemConfig {
     pub measure_cycles: Cycles,
     /// Experiment seed (trace generators, stochastic policies).
     pub seed: u64,
-    /// Collect epoch-resolved telemetry (metrics registry snapshots and
-    /// per-class latency histograms) into [`crate::report::RunTelemetry`].
-    /// Telemetry is an *observation* of the simulation — it never perturbs
-    /// timing — so it is not part of the run-cache key.
-    pub telemetry: bool,
     /// Request-span tracing with blame attribution
     /// (`h2_sim_core::trace_span`). `None` disables tracing entirely (the
     /// default); `Some(n)` traces every `n`-th demand read (`Some(0)`
     /// enables the machinery but samples nothing — the zero-perturbation
-    /// guard). Like `telemetry`, tracing is pure observation and is not
-    /// part of the run-cache key; the cache re-executes an entry cached
-    /// without spans when a traced replay asks for them.
+    /// guard). Tracing is pure observation and is not part of the
+    /// run-cache key; the cache re-executes an entry cached without spans
+    /// when a traced replay asks for them.
     pub trace_sample: Option<u64>,
 }
 
@@ -123,7 +118,6 @@ impl SystemConfig {
             warmup_cycles: 50_000_000,
             measure_cycles: 500_000_000,
             seed: 42,
-            telemetry: true,
             trace_sample: None,
         }
     }
@@ -304,10 +298,9 @@ impl SystemConfig {
     }
 
     /// Decode a configuration from [`SystemConfig::to_json`] output.
-    /// Observation-only knobs (`telemetry`, `trace_sample`) are deliberately
-    /// *not* part of the encoding — they never change simulation results,
-    /// so a replayed run starts from their defaults and the caller sets
-    /// whatever it wants.
+    /// The observation-only `trace_sample` is deliberately *not* part of
+    /// the encoding — it never changes simulation results, so a replayed
+    /// run starts untraced and the caller sets whatever it wants.
     pub fn from_json(j: &Json) -> Result<Self, String> {
         fn u64f(j: &Json, name: &str) -> Result<u64, String> {
             j.get(name)
@@ -379,7 +372,6 @@ impl SystemConfig {
             warmup_cycles: u64f(j, "warmup_cycles")?,
             measure_cycles: u64f(j, "measure_cycles")?,
             seed: u64f(j, "seed")?,
-            telemetry: true,
             trace_sample: None,
         };
         cfg.validate()?;

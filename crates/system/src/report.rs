@@ -35,9 +35,9 @@ pub struct EpochFrame {
     pub metrics: MetricsRegistry,
 }
 
-/// Epoch-resolved observability data for one run. Only populated when
-/// [`crate::SystemConfig::telemetry`] is on; fully deterministic (identical
-/// across event-queue engines), so it can be snapshot-tested byte-for-byte.
+/// Epoch-resolved observability data for one run. Every run records it;
+/// fully deterministic (identical across event-queue engines), so it can
+/// be snapshot-tested byte-for-byte.
 #[derive(Debug, Clone, Default)]
 pub struct RunTelemetry {
     /// Measured-window totals, with per-bank device detail.
@@ -150,7 +150,9 @@ pub struct RunReport {
     pub fast_channel_bytes: Vec<u64>,
     /// Per-channel bytes moved on the slow tier (whole run).
     pub slow_channel_bytes: Vec<u64>,
-    /// Epoch-resolved telemetry (None when collection is disabled).
+    /// Epoch-resolved telemetry. Every run records it; it is `None` only
+    /// on a report loaded without it (a core-only store load) or built by
+    /// `Default`.
     pub telemetry: Option<RunTelemetry>,
     /// Sampled request spans (None when tracing is disabled).
     pub trace: Option<RunTrace>,

@@ -150,18 +150,12 @@ struct Sim<Q: Queue<Ev>> {
     epoch_idx: u64,
     epoch_trace: Vec<EpochRecord>,
     in_measurement: bool,
-    /// (issue_time FIFO per GPU ctx, total latency, responses) — demand
-    /// latency diagnostics.
+    // Issue-time FIFOs per GPU ctx and CPU core: demand latencies.
     gpu_issue_times: Vec<std::collections::VecDeque<Cycles>>,
-    gpu_lat_sum: u64,
-    gpu_lat_cnt: u64,
     cpu_issue_times: Vec<std::collections::VecDeque<Cycles>>,
-    cpu_lat_sum: u64,
-    cpu_lat_cnt: u64,
-    // Telemetry (config.telemetry): per-class demand-latency histograms and
-    // epoch-resolved registry snapshots. Pure observation — never perturbs
-    // event timing, so runs are bit-identical with it on or off.
-    telemetry: bool,
+    // Telemetry: per-class demand-latency histograms (whose means are the
+    // report's average latencies) and epoch-resolved registry snapshots.
+    // Pure observation — never perturbs event timing.
     cpu_lat_hist: LogHistogram,
     gpu_lat_hist: LogHistogram,
     frames: Vec<EpochFrame>,
@@ -273,7 +267,7 @@ impl<Q: Queue<Ev>> Sim<Q> {
     /// A fresh collection with per-bank rows: the measured window's totals
     /// are the difference of two.
     fn collect_totals(&self) -> MetricsRegistry {
-        let mut reg = MetricsRegistry::new(true);
+        let mut reg = MetricsRegistry::new();
         self.collect(&mut reg, true);
         reg
     }
@@ -381,11 +375,7 @@ impl<Q: Queue<Ev>> Sim<Q> {
             KIND_CPU_READ => {
                 if let Some(t0) = self.cpu_issue_times[unit].pop_front() {
                     let lat = now.saturating_sub(t0);
-                    self.cpu_lat_sum += lat;
-                    self.cpu_lat_cnt += 1;
-                    if self.telemetry {
-                        self.cpu_lat_hist.record(lat);
-                    }
+                    self.cpu_lat_hist.record(lat);
                     if !self.tenant_cpu_hists.is_empty() {
                         self.tenant_cpu_hists[self.cpu_tenant[unit]].record(lat);
                     }
@@ -413,11 +403,7 @@ impl<Q: Queue<Ev>> Sim<Q> {
             KIND_GPU => {
                 if let Some(t0) = self.gpu_issue_times[unit].pop_front() {
                     let lat = now.saturating_sub(t0);
-                    self.gpu_lat_sum += lat;
-                    self.gpu_lat_cnt += 1;
-                    if self.telemetry {
-                        self.gpu_lat_hist.record(lat);
-                    }
+                    self.gpu_lat_hist.record(lat);
                     if !self.tenant_gpu_hists.is_empty() {
                         self.tenant_gpu_hists[self.gpu_tenant[unit]].record(lat);
                     }
@@ -724,16 +710,14 @@ impl<Q: Queue<Ev>> Sim<Q> {
                 tok: p.tok,
                 reconfigured,
             };
-            if self.telemetry {
-                // Per-epoch frame: counter/histogram deltas since the last
-                // boundary, gauges as sampled now (after adaptation).
-                self.recollect();
-                self.frames.push(EpochFrame {
-                    record: record.clone(),
-                    metrics: self.cum_reg.delta_from(&self.prev_reg),
-                });
-                self.prev_reg.clone_from(&self.cum_reg);
-            }
+            // Per-epoch frame: counter/histogram deltas since the last
+            // boundary, gauges as sampled now (after adaptation).
+            self.recollect();
+            self.frames.push(EpochFrame {
+                record: record.clone(),
+                metrics: self.cum_reg.delta_from(&self.prev_reg),
+            });
+            self.prev_reg.clone_from(&self.cum_reg);
             self.epoch_trace.push(record);
         }
     }
@@ -744,13 +728,11 @@ impl<Q: Queue<Ev>> Sim<Q> {
         self.warm_hmc = self.hmc.stats();
         self.warm_fast = self.fast.stats();
         self.warm_slow = self.slow.stats();
-        if self.telemetry {
-            // The measured window starts here: the baseline of its totals
-            // and the boundary its first frame deltas from.
-            self.warm_reg = self.collect_totals();
-            self.recollect();
-            self.prev_reg.clone_from(&self.cum_reg);
-        }
+        // The measured window starts here: the baseline of its totals and
+        // the boundary its first frame deltas from.
+        self.warm_reg = self.collect_totals();
+        self.recollect();
+        self.prev_reg.clone_from(&self.cum_reg);
         self.warm_tenant_cpu = self.tenant_cpu_hists.clone();
         self.warm_tenant_gpu = self.tenant_gpu_hists.clone();
         self.in_measurement = true;
@@ -981,39 +963,6 @@ fn collect_cache_level(
     s.inc("writebacks", wbs);
 }
 
-fn sub_stats(a: MemStats, b: MemStats) -> MemStats {
-    MemStats {
-        reads: a.reads - b.reads,
-        writes: a.writes - b.writes,
-        bytes: a.bytes - b.bytes,
-        activations: a.activations - b.activations,
-        row_hits: a.row_hits - b.row_hits,
-        row_conflicts: a.row_conflicts - b.row_conflicts,
-        busy_cycles: a.busy_cycles - b.busy_cycles,
-        enqueued: a.enqueued - b.enqueued,
-        max_queue: a.max_queue,
-    }
-}
-
-fn sub_hmc(a: HmcStats, b: HmcStats) -> HmcStats {
-    let mut d = a;
-    for i in 0..2 {
-        d.accesses[i] -= b.accesses[i];
-        d.fast_hits[i] -= b.fast_hits[i];
-        d.fast_misses[i] -= b.fast_misses[i];
-        d.migrations[i] -= b.migrations[i];
-        d.bypasses[i] -= b.bypasses[i];
-        d.migrations_denied[i] -= b.migrations_denied[i];
-        d.buffer_denied[i] -= b.buffer_denied[i];
-    }
-    d.victim_writebacks -= b.victim_writebacks;
-    d.swaps -= b.swaps;
-    d.lazy_fixups -= b.lazy_fixups;
-    d.meta_reads -= b.meta_reads;
-    d.meta_writebacks -= b.meta_writebacks;
-    d
-}
-
 /// Run an arbitrary set of workloads under a policy.
 ///
 /// * `cpu_specs` — one entry per core slot (cycled if shorter than
@@ -1220,18 +1169,13 @@ fn simulate<Q: Queue<Ev> + Default>(
         epoch_trace: Vec::new(),
         in_measurement: false,
         gpu_issue_times: (0..n_ctx).map(|_| Default::default()).collect(),
-        gpu_lat_sum: 0,
-        gpu_lat_cnt: 0,
         cpu_issue_times: (0..n_core).map(|_| Default::default()).collect(),
-        cpu_lat_sum: 0,
-        cpu_lat_cnt: 0,
-        telemetry: cfg.telemetry,
         cpu_lat_hist: LogHistogram::new(),
         gpu_lat_hist: LogHistogram::new(),
         frames: Vec::new(),
-        cum_reg: MetricsRegistry::new(cfg.telemetry),
-        prev_reg: MetricsRegistry::new(cfg.telemetry),
-        warm_reg: MetricsRegistry::new(cfg.telemetry),
+        cum_reg: MetricsRegistry::new(),
+        prev_reg: MetricsRegistry::new(),
+        warm_reg: MetricsRegistry::new(),
         tracer: SpanCollector::new(cfg.trace_sample),
         out_buf: Vec::new(),
         started_buf: Vec::new(),
@@ -1270,13 +1214,9 @@ fn simulate<Q: Queue<Ev> + Default>(
     // thread exit. No-op when the profiler never recorded anything.
     prof::flush_thread();
 
-    let telemetry = if sim.telemetry {
-        Some(RunTelemetry {
-            totals: sim.collect_totals().delta_from(&sim.warm_reg),
-            epochs: std::mem::take(&mut sim.frames),
-        })
-    } else {
-        None
+    let telemetry = RunTelemetry {
+        totals: sim.collect_totals().delta_from(&sim.warm_reg),
+        epochs: std::mem::take(&mut sim.frames),
     };
     let trace = if sim.tracer.enabled() {
         Some(RunTrace {
@@ -1290,8 +1230,8 @@ fn simulate<Q: Queue<Ev> + Default>(
 
     let (rc_hits, rc_misses, _) = sim.hmc.remap_cache_counts();
     let rc_total = rc_hits + rc_misses;
-    let fast_d = sub_stats(sim.fast.stats(), sim.warm_fast);
-    let slow_d = sub_stats(sim.slow.stats(), sim.warm_slow);
+    let fast_d = sim.fast.stats().delta_from(&sim.warm_fast);
+    let slow_d = sim.slow.stats().delta_from(&sim.warm_slow);
     let fast_t = cfg.fast_preset.timing();
     let slow_t = TimingPreset::Ddr4.timing();
 
@@ -1302,7 +1242,7 @@ fn simulate<Q: Queue<Ev> + Default>(
         cpu_instr: sim.cpu_instr_total() - sim.warm_cpu_instr,
         gpu_instr: sim.gpu_instr_total() - sim.warm_gpu_instr,
         weights: cfg.norm_weights(),
-        hmc: sub_hmc(sim.hmc.stats(), sim.warm_hmc),
+        hmc: sim.hmc.stats().delta_from(&sim.warm_hmc),
         fast: fast_d,
         slow: slow_d,
         fast_energy: EnergyBreakdown::from_counts(
@@ -1330,11 +1270,11 @@ fn simulate<Q: Queue<Ev> + Default>(
         wall_s,
         events_per_sec: sim.q.events_processed() as f64 / wall_s.max(1e-9),
         clamped_events: sim.q.clamped_events(),
-        avg_cpu_read_latency: sim.cpu_lat_sum as f64 / sim.cpu_lat_cnt.max(1) as f64,
-        avg_gpu_read_latency: sim.gpu_lat_sum as f64 / sim.gpu_lat_cnt.max(1) as f64,
+        avg_cpu_read_latency: sim.cpu_lat_hist.mean(),
+        avg_gpu_read_latency: sim.gpu_lat_hist.mean(),
         fast_channel_bytes: sim.fast.channel_bytes(),
         slow_channel_bytes: sim.slow.channel_bytes(),
-        telemetry,
+        telemetry: Some(telemetry),
         trace,
         tenants: sim
             .tenants
@@ -1553,7 +1493,7 @@ mod tests {
         let cfg = tiny();
         let mix = Mix::by_name("C1").unwrap();
         let r = run_sim(&cfg, &mix, PolicyKind::HydrogenFull);
-        let t = r.telemetry.as_ref().expect("telemetry on by default");
+        let t = r.telemetry.as_ref().expect("every run records telemetry");
         assert_eq!(t.epochs.len(), r.epoch_trace.len());
         for (f, rec) in t.epochs.iter().zip(r.epoch_trace.iter()) {
             assert_eq!(&f.record, rec);
@@ -1578,26 +1518,6 @@ mod tests {
             t.epochs[0].metrics.counter("mem.fast.ch0.bank0.row_hits"),
             0
         );
-    }
-
-    #[test]
-    fn telemetry_off_is_bit_identical_and_absent() {
-        let mut cfg = tiny();
-        let mix = Mix::by_name("C2").unwrap();
-        cfg.telemetry = false;
-        let off = run_sim(&cfg, &mix, PolicyKind::HydrogenFull);
-        assert!(off.telemetry.is_none());
-        cfg.telemetry = true;
-        let on = run_sim(&cfg, &mix, PolicyKind::HydrogenFull);
-        assert!(on.telemetry.is_some());
-        // Observation must not perturb the simulation.
-        assert_eq!(on.cpu_instr, off.cpu_instr);
-        assert_eq!(on.gpu_instr, off.gpu_instr);
-        assert_eq!(on.hmc, off.hmc);
-        assert_eq!(on.fast, off.fast);
-        assert_eq!(on.slow, off.slow);
-        assert_eq!(on.events_processed, off.events_processed);
-        assert_eq!(on.epoch_trace, off.epoch_trace);
     }
 
     #[test]

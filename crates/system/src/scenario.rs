@@ -171,8 +171,7 @@ mod tests {
 
     #[test]
     fn scenario_run_reports_tenant_slos() {
-        let mut cfg = SystemConfig::tiny();
-        cfg.telemetry = false;
+        let cfg = SystemConfig::tiny();
         let sc = tiny_scenario();
         let rep = run_scenario(&cfg, &sc, PolicyKind::NoPart);
         assert_eq!(rep.tenants.len(), 2);
@@ -185,8 +184,7 @@ mod tests {
 
     #[test]
     fn scenario_capture_replays_with_tags() {
-        let mut cfg = SystemConfig::tiny();
-        cfg.telemetry = false;
+        let cfg = SystemConfig::tiny();
         let sc = tiny_scenario();
         let mut cap = None;
         let orig = run_scenario_monitored(&cfg, &sc, PolicyKind::NoPart, Some(&mut cap), None);

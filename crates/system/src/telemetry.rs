@@ -80,7 +80,7 @@ pub fn registry_json(reg: &MetricsRegistry) -> Json {
 }
 
 /// Build the full telemetry document for a report. Returns `None` when the
-/// run was executed with telemetry collection disabled.
+/// report carries no telemetry (see [`RunReport::telemetry`]).
 pub fn telemetry_json(report: &RunReport) -> Option<Json> {
     let t: &RunTelemetry = report.telemetry.as_ref()?;
     let mut epochs = Json::arr();
@@ -114,7 +114,7 @@ pub fn telemetry_json(report: &RunReport) -> Option<Json> {
 
 impl RunReport {
     /// The run's telemetry timeline as canonical pretty-printed JSON
-    /// (`None` when telemetry was disabled). Byte-stable across repeat
+    /// (`None` when the report carries none). Byte-stable across repeat
     /// runs and event-queue engines — the golden-snapshot format.
     pub fn telemetry_json_string(&self) -> Option<String> {
         telemetry_json(self).map(|j| j.to_string_pretty())
@@ -127,7 +127,7 @@ mod tests {
 
     #[test]
     fn registry_roundtrips_structure() {
-        let mut reg = MetricsRegistry::new(true);
+        let mut reg = MetricsRegistry::new();
         reg.inc("b.second", 2);
         reg.inc("a.first", 1);
         reg.set_gauge("g", 0.5);

@@ -141,7 +141,7 @@ fn transactions_conserve_through_registry() {
     let mut rng = SeededRng::derive(11, "acct.txns");
 
     let snapshot = |hmc: &Hmc| -> MetricsRegistry {
-        let mut reg = MetricsRegistry::new(true);
+        let mut reg = MetricsRegistry::new();
         let mut s = reg.scoped("hmc");
         hmc.collect_metrics(&mut s);
         reg
@@ -193,7 +193,7 @@ fn token_flows_conserve_in_telemetry_totals() {
     let cfg = tiny();
     let mix = Mix::by_name("C5").unwrap();
     let r = run_sim(&cfg, &mix, PolicyKind::HydrogenFull);
-    let t = r.telemetry.as_ref().expect("telemetry on by default");
+    let t = r.telemetry.as_ref().expect("every run records telemetry");
 
     let granted = t.totals.counter("hmc.policy.tokens.granted");
     let spent = t.totals.counter("hmc.policy.tokens.spent");
@@ -235,7 +235,7 @@ fn epoch_way_allocations_stay_within_fast_ways() {
     let cfg = tiny();
     let mix = Mix::by_name("C1").unwrap();
     let r = run_sim(&cfg, &mix, PolicyKind::HydrogenFull);
-    let t = r.telemetry.as_ref().expect("telemetry on by default");
+    let t = r.telemetry.as_ref().expect("every run records telemetry");
     assert!(!t.epochs.is_empty());
 
     let total_ways = (cfg.fast_capacity_for(&mix) / cfg.block_bytes) as f64;

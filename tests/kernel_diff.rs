@@ -22,7 +22,7 @@ fn assert_engines_match(cfg: &SystemConfig, mix: &Mix, kind: PolicyKind, name: &
         cfg.fast_capacity_for(mix),
     );
     let got = run_sim(cfg, mix, kind);
-    assert!(want.telemetry.is_some(), "{name}: telemetry is on");
+    assert!(want.telemetry.is_some(), "{name}: every run records telemetry");
     assert_eq!(diff_reports(&want, &got), None, "{name}");
     want.events_processed
 }
@@ -31,8 +31,6 @@ fn assert_engines_match(cfg: &SystemConfig, mix: &Mix, kind: PolicyKind, name: &
 fn kernels_match_heap_oracle_across_all_policies() {
     let mix = Mix::by_name("C1").unwrap();
     let mut cfg = SystemConfig::tiny();
-    cfg.telemetry = true;
-
     cfg.trace_sample = Some(64);
     let mut oracle_events = 0u64;
     for &(name, kind) in h2_check::POLICIES {

@@ -25,7 +25,6 @@ use std::path::PathBuf;
 fn short_cfg(seed: u64) -> SystemConfig {
     let mut cfg = SystemConfig::tiny();
     cfg.seed = seed;
-    cfg.telemetry = true;
     cfg.epoch_cycles = 20_000;
     cfg.faucet_cycles = 5_000;
     cfg.warmup_cycles = 40_000;
@@ -34,8 +33,7 @@ fn short_cfg(seed: u64) -> SystemConfig {
 }
 
 /// Replay `file` purely from its embedded header on the production queue
-/// and on the heap oracle, with telemetry armed so the comparison covers
-/// the timeline.
+/// and on the heap oracle; the comparison covers the telemetry timeline.
 fn replay_on_both_engines(file: &TraceFile) -> [RunReport; 2] {
     let meta_cfg = SystemConfig::from_json(file.meta.get("config").expect("capture embeds config"))
         .expect("embedded config must decode");
@@ -46,8 +44,7 @@ fn replay_on_both_engines(file: &TraceFile) -> [RunReport; 2] {
         .get("fast_capacity")
         .and_then(Json::as_u64)
         .expect("capture embeds fast_capacity");
-    let mut rcfg = replay_config(&meta_cfg, file);
-    rcfg.telemetry = true;
+    let rcfg = replay_config(&meta_cfg, file);
     [
         run_plan_monitored(&rcfg, &file.label, kind, fast, replay_plan(file), None, None),
         run_plan_on_heap(&rcfg, &file.label, kind, fast, replay_plan(file)),
@@ -152,7 +149,6 @@ fn fixture_scenario() -> TenantScenario {
 fn fixture_bytes() -> Vec<u8> {
     let mut cfg = SystemConfig::tiny();
     cfg.seed = 42;
-    cfg.telemetry = false;
     cfg.epoch_cycles = 10_000;
     cfg.faucet_cycles = 2_500;
     cfg.warmup_cycles = 10_000;

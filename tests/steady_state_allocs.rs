@@ -8,13 +8,13 @@
 //! per-event rate.
 //!
 //! The budget is not exactly zero because the difference cannot cancel
-//! work that grows with the window. Each epoch boundary collects the
-//! telemetry registry again, which builds names in one buffer per scope
-//! rather than one string per metric, and cuts a frame; the timeline
-//! appends one frame per epoch, and the tracer keeps one span per sampled
-//! request. A collection that allocated one string per metric name read
-//! 0.0071/event in a scratch build (0.0041 without), and the budget fails
-//! it.
+//! work that grows with the window. Every run records telemetry: each
+//! epoch boundary collects the registry again, which builds names in one
+//! buffer per scope rather than one string per metric, and cuts a frame,
+//! and the timeline appends one frame per epoch. The tracer keeps one span
+//! per sampled request. The traced run reads 0.0041/event and the untraced
+//! one 0.0005; a collection that allocated one string per metric name read
+//! 0.0071/event traced in a scratch build, and the budget fails it.
 
 use hydrogen_repro::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -60,25 +60,25 @@ unsafe impl GlobalAlloc for CountAllocs {
 #[global_allocator]
 static ALLOC: CountAllocs = CountAllocs;
 
-/// The tiny system on mix C1 under full Hydrogen; `observed` turns on
-/// telemetry and request tracing at the default 1/64 sample.
-fn cfg(measure_cycles: u64, observed: bool) -> SystemConfig {
+/// The tiny system on mix C1 under full Hydrogen, which records
+/// telemetry; `traced` turns on request tracing at the default 1/64
+/// sample.
+fn cfg(measure_cycles: u64, traced: bool) -> SystemConfig {
     let mut cfg = SystemConfig::tiny();
     cfg.warmup_cycles = 50_000;
     cfg.measure_cycles = measure_cycles;
-    cfg.telemetry = observed;
-    cfg.trace_sample = observed.then_some(64);
+    cfg.trace_sample = traced.then_some(64);
     cfg
 }
 
 /// Fails unless the allocations per event between a 100k- and a
 /// 300k-cycle measure window stay within [`BUDGET`].
-fn assert_within_budget(observed: bool) {
+fn assert_within_budget(traced: bool) {
     let mix = Mix::by_name("C1").unwrap();
     // A run's report, and the allocations it made on this thread.
     let run = |cycles| {
         let before = ALLOCS.with(Cell::get);
-        let report = run_sim(&cfg(cycles, observed), &mix, PolicyKind::HydrogenFull);
+        let report = run_sim(&cfg(cycles, traced), &mix, PolicyKind::HydrogenFull);
         (report, ALLOCS.with(Cell::get) - before)
     };
     let (short, short_allocs) = run(100_000);
@@ -87,7 +87,7 @@ fn assert_within_budget(observed: bool) {
     let events = long.events_processed - short.events_processed;
     let per_event = long_allocs.saturating_sub(short_allocs) as f64 / events as f64;
     eprintln!(
-        "observed={observed}: {long_allocs} - {short_allocs} allocations over {} - {} events = {per_event:.5}/event",
+        "traced={traced}: {long_allocs} - {short_allocs} allocations over {} - {} events = {per_event:.5}/event",
         long.events_processed, short.events_processed
     );
     assert!(

@@ -24,7 +24,6 @@ use std::path::PathBuf;
 fn short_cfg(seed: u64) -> SystemConfig {
     let mut cfg = SystemConfig::tiny();
     cfg.seed = seed;
-    cfg.telemetry = true;
     cfg.epoch_cycles = 20_000;
     cfg.faucet_cycles = 5_000;
     cfg.warmup_cycles = 40_000;
