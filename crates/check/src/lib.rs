@@ -11,8 +11,8 @@
 //! * **Invariant monitors** ([`monitors`]) — registered on the runner's
 //!   probe hook, checked at every epoch/faucet boundary: token
 //!   conservation, fast-way occupancy bounds, remap-table coherence,
-//!   transaction accounting, counter monotonicity, device pipeline
-//!   limits, and alloc-mask memo coherence.
+//!   transaction accounting, counter monotonicity, and device pipeline
+//!   limits.
 //! * **Differential oracles** ([`fuzz::OracleHooks`]) — calendar vs heap
 //!   engines ([`run_workloads_on_heap`], [`run_scenario_on_heap`]),
 //!   persistence-codec round-trips, and run-cache store/replay must all

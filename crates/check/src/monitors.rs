@@ -173,23 +173,6 @@ impl InvariantMonitor<SimProbe> for MemDeviceInvariants {
     }
 }
 
-/// Memoised alloc-mask coherence: the HMC's per-set mask memo (invalidated
-/// only at epoch/faucet/reconfig boundaries) must agree with direct
-/// `policy.alloc_mask` calls at every probe point — the boundary contract
-/// the memoisation relies on. Epoch and faucet probes check the memo just
-/// before their boundary invalidates it (see `SimProbe::mask_memo`).
-pub struct MaskMemoCoherence;
-
-impl InvariantMonitor<SimProbe> for MaskMemoCoherence {
-    fn name(&self) -> &'static str {
-        "mask-memo"
-    }
-
-    fn check(&mut self, p: &SimProbe) -> Result<(), String> {
-        p.mask_memo.as_ref().map(|_| ()).map_err(String::clone)
-    }
-}
-
 /// The full standard battery, in a fixed order (order shows up in
 /// violation reports, so keep it stable).
 pub fn standard_monitors() -> MonitorSet<SimProbe> {
@@ -200,7 +183,6 @@ pub fn standard_monitors() -> MonitorSet<SimProbe> {
     set.register(Box::new(TxnAccounting));
     set.register(Box::new(MonotoneCounters::default()));
     set.register(Box::new(MemDeviceInvariants));
-    set.register(Box::new(MaskMemoCoherence));
     set
 }
 
@@ -227,7 +209,6 @@ mod tests {
             token_flows: None,
             policy_invariants: Ok(()),
             mem_invariants: Ok(()),
-            mask_memo: Ok(0),
             fast: MemStats::default(),
             slow: MemStats::default(),
             spans_closed: 0,
@@ -258,11 +239,10 @@ mod tests {
         p.txns_retired = 3;
         p.inflight = 1; // 3 + 1 != 5
         p.mem_invariants = Err("channel 0: stuck".into());
-        p.mask_memo = Err("set 3: memo 0b0011 != policy 0b1100".into());
 
         let mut set = standard_monitors();
         let fresh = set.check_all(123, &p);
-        assert_eq!(fresh, 6);
+        assert_eq!(fresh, 5);
         let names: Vec<&str> = set.violations().iter().map(|v| v.monitor).collect();
         assert_eq!(
             names,
@@ -271,8 +251,7 @@ mod tests {
                 "occupancy-bound",
                 "remap-coherence",
                 "txn-accounting",
-                "mem-device",
-                "mask-memo"
+                "mem-device"
             ]
         );
         assert!(set.violations().iter().all(|v| v.at == 123));

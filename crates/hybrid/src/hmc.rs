@@ -178,17 +178,6 @@ impl HmcStats {
     }
 }
 
-/// One per-set entry of the memoised alloc-mask cache: the two class
-/// masks plus the invalidation stamp they were computed under. Stamp
-/// comparison (instead of a validity bitmap) makes whole-cache
-/// invalidation O(1) — epoch/faucet boundaries bump the stamp and every
-/// entry is stale at once, with no memset over `num_sets` entries.
-#[derive(Debug, Clone, Copy, Default)]
-struct MaskMemoEntry {
-    stamp: u64,
-    masks: [u16; 2],
-}
-
 /// The hybrid memory controller.
 pub struct Hmc {
     cfg: HybridConfig,
@@ -211,15 +200,6 @@ pub struct Hmc {
     /// `txns_started == txns_retired + inflight()` at every instant).
     txns_started: u64,
     txns_retired: u64,
-    /// Memoised `policy.alloc_mask(set, class)` results, one entry per
-    /// set (lazily grown to the touched range). Masks can only change at
-    /// epoch/faucet/reconfig boundaries — every `alloc_mask` impl takes
-    /// `&self`, so between the controller's `&mut` policy calls the
-    /// function is pure in `(set, class)`; [`Self::check_mask_memo`]
-    /// re-asserts this at monitor probes.
-    mask_memo: Vec<MaskMemoEntry>,
-    /// Current memo generation; entries with an older stamp are stale.
-    mask_memo_stamp: u64,
 }
 
 impl Hmc {
@@ -241,67 +221,7 @@ impl Hmc {
             epoch_base: HmcStats::default(),
             txns_started: 0,
             txns_retired: 0,
-            mask_memo: Vec::new(),
-            mask_memo_stamp: 1,
         }
-    }
-
-    /// Drop every memoised mask (O(1): bumps the generation stamp).
-    /// Called at the boundaries where partition masks may change —
-    /// epoch, faucet, forced reconfiguration, direct policy mutation.
-    #[inline]
-    fn invalidate_mask_memo(&mut self) {
-        self.mask_memo_stamp += 1;
-    }
-
-    /// Memoising front-end for `policy.alloc_mask(set, class)`. On a
-    /// stale or missing entry, computes *both* class masks for the set
-    /// (the miss path usually wants the other class a moment later via
-    /// `swap_target`'s view or the chained set) and caches them under the
-    /// current stamp.
-    #[inline]
-    fn alloc_mask_memo(&mut self, set: u64, class: ReqClass) -> u16 {
-        let si = set as usize;
-        if si >= self.mask_memo.len() {
-            self.mask_memo.resize(si + 1, MaskMemoEntry::default());
-        }
-        if self.mask_memo[si].stamp != self.mask_memo_stamp {
-            let masks = [
-                self.policy.alloc_mask(set, ReqClass::Cpu),
-                self.policy.alloc_mask(set, ReqClass::Gpu),
-            ];
-            self.mask_memo[si] = MaskMemoEntry {
-                stamp: self.mask_memo_stamp,
-                masks,
-            };
-        }
-        self.mask_memo[si].masks[class.idx()]
-    }
-
-    /// Verify every live memo entry against a direct policy call
-    /// (invariant monitors): a mismatch means a policy changed its masks
-    /// outside the epoch/faucet/reconfig boundaries the memo invalidates
-    /// on. `Ok` carries the number of live entries checked — zero right
-    /// after a boundary, since every entry is stale then.
-    pub fn check_mask_memo(&self) -> Result<usize, String> {
-        let mut checked = 0;
-        for (set, e) in self.mask_memo.iter().enumerate() {
-            if e.stamp != self.mask_memo_stamp {
-                continue;
-            }
-            checked += 1;
-            for class in [ReqClass::Cpu, ReqClass::Gpu] {
-                let direct = self.policy.alloc_mask(set as u64, class);
-                let memo = e.masks[class.idx()];
-                if direct != memo {
-                    return Err(format!(
-                        "mask memo stale outside an invalidation boundary: \
-                         set {set} class {class:?} memo {memo:#06b} direct {direct:#06b}"
-                    ));
-                }
-            }
-        }
-        Ok(checked)
     }
 
     /// The configuration.
@@ -320,10 +240,7 @@ impl Hmc {
     }
 
     /// Mutable access to the active policy (tests, forced reconfiguration).
-    /// Conservatively drops the memoised alloc-masks: the caller may
-    /// mutate anything, including the partition configuration.
     pub fn policy_mut(&mut self) -> &mut dyn PartitionPolicy {
-        self.invalidate_mask_memo();
         self.policy.as_mut()
     }
 
@@ -512,15 +429,12 @@ impl Hmc {
     }
 
     /// Start loading the host cache lines that `proceed_meta` reads for
-    /// `set` — its remap-table ways and its alloc-mask memo entry — so
-    /// they arrive during the remap-cache latency that separates `access`
-    /// from that probe instead of stalling it. A host hint only.
+    /// `set` — its remap-table ways — so they arrive during the
+    /// remap-cache latency that separates `access` from that probe
+    /// instead of stalling it. A host hint only.
     #[inline]
     fn prefetch_meta(&self, set: u64) {
         hint::prefetch(self.table.set_view(set));
-        if let Some(e) = self.mask_memo.get(set as usize) {
-            hint::prefetch(std::slice::from_ref(e));
-        }
     }
 
     /// Decompose a command token: the owning transaction (if any) and its
@@ -678,7 +592,7 @@ impl Hmc {
 
         // Post-hit bookkeeping: lazy reconfiguration, then fast swap.
         let _prof_policy = prof::scope("hmc.policy");
-        let mask = self.alloc_mask_memo(set, owner);
+        let mask = self.policy.alloc_mask(set, owner);
         let misplaced = mask & (1 << way) == 0;
         if misplaced {
             self.lazy_fixup(idx, set, way, out);
@@ -761,14 +675,14 @@ impl Hmc {
         // attribute to `hmc.policy`, the migration/demand issue below to
         // the enclosing `hmc.miss`.)
         let prof_policy = prof::scope("hmc.policy");
-        let mask = self.alloc_mask_memo(set, class);
+        let mask = self.policy.alloc_mask(set, class);
         let mut place: Option<(u64, u64, usize)> = self
             .table
             .pick_victim(set, mask)
             .map(|w| (set, block, w));
         if self.cfg.chaining {
             let cs = self.cfg.chain_set(set);
-            let cmask = self.alloc_mask_memo(cs, class);
+            let cmask = self.policy.alloc_mask(cs, class);
             let prefer_chain = match place {
                 None => true,
                 Some((s, _, w)) => self.table.set_view(s)[w].valid,
@@ -971,9 +885,6 @@ impl Hmc {
     pub fn on_epoch(&mut self, sample: &crate::policy::EpochSample) -> bool {
         self.table.decay_hotness();
         let changed = self.policy.on_epoch(sample);
-        // Epoch boundary: the policy may have reconfigured, so every
-        // memoised mask is suspect. O(1) stamp bump.
-        self.invalidate_mask_memo();
         if changed && self.policy.ideal_reconfig() {
             self.teleport_reconfig();
         }
@@ -986,13 +897,9 @@ impl Hmc {
         self.stats.delta_from(&self.epoch_base)
     }
 
-    /// Token-faucet tick. Refills only migration tokens today, but the
-    /// memo treats it as an invalidation boundary too — the contract is
-    /// "masks change only at epoch/faucet/reconfig", and keeping the
-    /// faucet in the set costs one stamp bump per tick.
+    /// Token-faucet tick: refills the policy's migration tokens.
     pub fn on_faucet(&mut self) {
         self.policy.on_faucet();
-        self.invalidate_mask_memo();
     }
 
     /// Ideal reconfiguration: instantly rearrange every set so each block
