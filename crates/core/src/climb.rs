@@ -52,8 +52,6 @@ pub struct HillClimber {
     state: State,
     /// Consecutive (dim, dir) attempts without improvement.
     fails: usize,
-    /// Epochs observed in total (stats).
-    epochs: u64,
 }
 
 impl HillClimber {
@@ -68,7 +66,6 @@ impl HillClimber {
             best_score: f64::NEG_INFINITY,
             state: State::Baseline,
             fails: 0,
-            epochs: 0,
         }
     }
 
@@ -80,11 +77,6 @@ impl HillClimber {
     /// Whether the search has converged.
     pub fn converged(&self) -> bool {
         self.state == State::Converged
-    }
-
-    /// Epochs observed so far.
-    pub fn epochs(&self) -> u64 {
-        self.epochs
     }
 
     fn num_pairs(&self) -> usize {
@@ -135,7 +127,6 @@ impl HillClimber {
     /// apply for the next epoch: `Some(cfg)` to (re)configure, `None` when
     /// converged (hold the current best).
     pub fn observe(&mut self, score: f64) -> Option<Vec<usize>> {
-        self.epochs += 1;
         match self.state {
             State::Converged => None,
             State::Baseline => {

@@ -126,21 +126,6 @@ impl HybridConfig {
         fast_div(addr, self.block_bytes)
     }
 
-    /// Set index of a block id.
-    pub fn set_of_block(&self, block: u64) -> u64 {
-        fast_rem(block, self.num_sets())
-    }
-
-    /// Tag of a block id within its set.
-    pub fn tag_of_block(&self, block: u64) -> u64 {
-        fast_div(block, self.num_sets())
-    }
-
-    /// Reconstruct a block id from (set, tag).
-    pub fn block_from(&self, set: u64, tag: u64) -> u64 {
-        tag * self.num_sets() + set
-    }
-
     /// Slow-memory channel of a block (address-interleaved).
     pub fn slow_channel_of(&self, block: u64) -> usize {
         fast_rem(block, self.slow_channels as u64) as usize
@@ -174,11 +159,7 @@ mod tests {
         let sets = cfg.num_sets();
         assert_eq!(sets, 32 * MIB / (256 * 4));
         for &addr in &[0u64, 256, 1 << 20, (13 << 20) + 512] {
-            let b = cfg.block_of(addr);
-            let s = cfg.set_of_block(b);
-            let t = cfg.tag_of_block(b);
-            assert_eq!(cfg.block_from(s, t), b);
-            assert!(s < sets);
+            assert_eq!(cfg.block_of(addr), addr / 256);
         }
     }
 

@@ -1,7 +1,7 @@
 //! Behavioural tests of the paper's mechanisms at system level: token
 //! throttling really reduces slow-tier pressure from GPU migrations, the
-//! swap engine runs, capacity scaling behaves monotonically, and the
-//! climbing variant adapts.
+//! swap engine runs, static partitions never lazily fix up, capacity
+//! scaling behaves monotonically, and the climbing variant adapts.
 
 use hydrogen_repro::prelude::*;
 
@@ -34,6 +34,30 @@ fn swap_engine_moves_hot_cpu_blocks() {
     // Without dedicated channels there is nowhere to swap to.
     let r0 = run_sim(&cfg, &mix, PolicyKind::HydrogenStatic { bw: 0, cap: 3, tok: 7 });
     assert_eq!(r0.hmc.swaps, 0);
+}
+
+/// A lazy fix-up (§IV-D) happens only when a hit finds its block in a way
+/// its class no longer owns, and only a reconfiguration moves ways between
+/// classes. Static partitions therefore never fix up, while the climbing
+/// design, which reconfigures, does. Both depend on the HMC asking for the
+/// right class's alloc-mask on every hit and miss.
+#[test]
+fn static_partitions_never_lazily_fix_up() {
+    let cfg = tiny();
+    for name in ["C1", "C5"] {
+        let mix = Mix::by_name(name).unwrap();
+        for kind in [
+            PolicyKind::HydrogenStatic { bw: 1, cap: 3, tok: 7 },
+            PolicyKind::HydrogenStatic { bw: 0, cap: 2, tok: 3 },
+            PolicyKind::WayPart,
+            PolicyKind::NoPart,
+        ] {
+            let r = run_sim(&cfg, &mix, kind);
+            assert_eq!(r.hmc.lazy_fixups, 0, "{name} {kind:?} lazily fixed up");
+        }
+        let full = run_sim(&cfg, &mix, PolicyKind::HydrogenFull);
+        assert!(full.hmc.lazy_fixups > 0, "{name} HydrogenFull never fixed up");
+    }
 }
 
 #[test]
