@@ -71,7 +71,9 @@ const MAGIC: [u8; 4] = *b"H2RC";
 /// v6: three sections (the core, the telemetry, the span bodies), the
 /// first two behind their byte lengths in the header; the spans' interval
 /// counts move into the core.
-pub const SCHEMA_VERSION: u32 = 6;
+/// v7: `avg_{cpu,gpu}_read_latency` cover the measured window, not the
+/// whole run; the encoding is unchanged.
+pub const SCHEMA_VERSION: u32 = 7;
 
 /// The full cache tag: schema + code revision (crate version).
 pub fn cache_tag() -> String {

@@ -141,9 +141,11 @@ pub struct RunReport {
     /// queue (release builds). Non-zero values flag scheduling bugs that
     /// debug assertions would have caught.
     pub clamped_events: u64,
-    /// Mean CPU demand-read latency (LLC miss to data), cycles.
+    /// Mean CPU demand-read latency (LLC miss to data) over the measured
+    /// window, cycles: the mean of the telemetry totals' `lat.cpu_read`.
     pub avg_cpu_read_latency: f64,
-    /// Mean GPU demand latency (LLC miss to data), cycles.
+    /// Mean GPU demand latency (LLC miss to data) over the measured
+    /// window, cycles: the mean of the telemetry totals' `lat.gpu_demand`.
     pub avg_gpu_read_latency: f64,
     /// Per-channel bytes moved on the fast tier (whole run — balance
     /// diagnostics).
