@@ -71,12 +71,6 @@ pub enum HmcOutput {
         /// Caller's request id.
         req_id: u64,
     },
-    /// The transaction for `req_id` fully drained (all background traffic
-    /// issued and completed).
-    Retired {
-        /// Caller's request id.
-        req_id: u64,
-    },
 }
 
 /// Events fed back into the HMC.
@@ -88,13 +82,6 @@ pub enum HmcEvent {
     SramDone(u64),
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TxnState {
-    MetaWait,
-    DemandWait,
-    Drain,
-}
-
 #[derive(Debug, Clone)]
 struct Txn {
     req_id: u64,
@@ -102,7 +89,6 @@ struct Txn {
     addr: u64,
     is_write: bool,
     needs_response: bool,
-    state: TxnState,
     pending_bg: u32,
     demand_done: bool,
     holds_buffer: bool,
@@ -310,7 +296,7 @@ impl Hmc {
 
     /// Begin a transaction for a 64 B LLC-side access.
     ///
-    /// * `req_id` — caller's identifier, echoed in `DemandReady`/`Retired`.
+    /// * `req_id` — caller's identifier, echoed in `DemandReady`.
     /// * `needs_response` — false for LLC write-backs (fire and forget).
     pub fn access(
         &mut self,
@@ -348,7 +334,6 @@ impl Hmc {
             addr,
             is_write,
             needs_response,
-            state: TxnState::MetaWait,
             pending_bg: 0,
             demand_done: false,
             holds_buffer: false,
@@ -518,7 +503,7 @@ impl Hmc {
         match step {
             STEP_META => self.proceed_meta(idx, out),
             STEP_DEMAND => self.demand_done(idx, out),
-            STEP_BG => self.bg_done(idx, out),
+            STEP_BG => self.bg_done(idx),
             _ => unreachable!("bad token step"),
         }
     }
@@ -586,9 +571,6 @@ impl Hmc {
                 token: self.token(idx, STEP_DEMAND),
             },
         });
-        if let Some(t) = self.txns[idx as usize].as_mut() {
-            t.state = TxnState::DemandWait;
-        }
 
         // Post-hit bookkeeping: lazy reconfiguration, then fast swap.
         let _prof_policy = prof::scope("hmc.policy");
@@ -743,9 +725,6 @@ impl Hmc {
                 token: self.token(idx, STEP_DEMAND),
             },
         });
-        if let Some(t) = self.txns[idx as usize].as_mut() {
-            t.state = TxnState::DemandWait;
-        }
 
         if !migrate {
             self.stats.bypasses[class.idx()] += 1;
@@ -843,18 +822,17 @@ impl Hmc {
         let (req_id, needs_response, retire) = {
             let t = self.txns[idx as usize].as_mut().expect("live txn");
             t.demand_done = true;
-            t.state = TxnState::Drain;
             (t.req_id, t.needs_response, t.pending_bg == 0)
         };
         if needs_response {
             out.push(HmcOutput::DemandReady { req_id });
         }
         if retire {
-            self.retire(idx, out);
+            self.retire(idx);
         }
     }
 
-    fn bg_done(&mut self, idx: u32, out: &mut Vec<HmcOutput>) {
+    fn bg_done(&mut self, idx: u32) {
         let retire = {
             let t = self.txns[idx as usize].as_mut().expect("live txn");
             debug_assert!(t.pending_bg > 0);
@@ -862,11 +840,11 @@ impl Hmc {
             t.pending_bg == 0 && t.demand_done
         };
         if retire {
-            self.retire(idx, out);
+            self.retire(idx);
         }
     }
 
-    fn retire(&mut self, idx: u32, out: &mut Vec<HmcOutput>) {
+    fn retire(&mut self, idx: u32) {
         let t = self.txns[idx as usize].take().expect("live txn");
         if t.holds_buffer {
             debug_assert!(self.bg_txns > 0);
@@ -876,7 +854,6 @@ impl Hmc {
         self.gens[idx as usize] = self.gens[idx as usize].wrapping_add(1);
         self.free.push(idx);
         self.txns_retired += 1;
-        out.push(HmcOutput::Retired { req_id: t.req_id });
     }
 
     /// Epoch boundary: forward the sample to the policy, decay hotness, and
@@ -1034,10 +1011,6 @@ mod tests {
                     assert_eq!(req_id, req);
                     res.responded = true;
                 }
-                HmcOutput::Retired { req_id } => {
-                    assert_eq!(req_id, req);
-                    res.retired = true;
-                }
             }
         }
         res
@@ -1050,14 +1023,13 @@ mod tests {
         fast_bytes: u64,
         slow_bytes: u64,
         responded: bool,
-        retired: bool,
     }
 
     #[test]
     fn cold_miss_migrates_with_7x_amplification_shape() {
         let mut h = hmc(small_cfg());
         let r = drive(&mut h, 1, ReqClass::Cpu, 0, false);
-        assert!(r.responded && r.retired);
+        assert!(r.responded && h.inflight() == 0);
         // Demand 64 B + remainder 192 B from slow; 256 B write to fast.
         assert_eq!(r.slow_bytes, 64 + 192);
         assert!(r.fast_bytes >= 256);
@@ -1071,7 +1043,7 @@ mod tests {
         let mut h = hmc(small_cfg());
         drive(&mut h, 1, ReqClass::Cpu, 4096, false);
         let r = drive(&mut h, 2, ReqClass::Cpu, 4096 + 64, false);
-        assert!(r.responded && r.retired);
+        assert!(r.responded && h.inflight() == 0);
         let s = h.stats();
         assert_eq!(s.fast_hits[0], 1);
         // Hit touches only fast memory: one 64 B demand.
@@ -1186,7 +1158,7 @@ mod tests {
         }
         let mut h = Hmc::new(small_cfg(), Box::new(NoMigrate), 1);
         let r = drive(&mut h, 1, ReqClass::Gpu, 128, true);
-        assert!(r.responded && r.retired);
+        assert!(r.responded && h.inflight() == 0);
         assert_eq!(r.slow_bytes, 64, "bypass touches only the demand line");
         assert_eq!(h.stats().bypasses[1], 1);
         assert_eq!(h.stats().migrations_denied[1], 1);

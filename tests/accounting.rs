@@ -166,7 +166,7 @@ fn transactions_conserve_through_registry() {
                     hmc.handle(HmcEvent::SramDone(token), &mut nxt);
                     queue.extend(nxt);
                 }
-                HmcOutput::DemandReady { .. } | HmcOutput::Retired { .. } => {}
+                HmcOutput::DemandReady { .. } => {}
             }
         }
         if i % 7 == 0 {

@@ -292,7 +292,7 @@ fn remap_never_serves_stale_ways_after_reconfig() {
                     HmcOutput::After { token, .. } => {
                         hmc.handle(HmcEvent::SramDone(token), &mut nxt)
                     }
-                    HmcOutput::DemandReady { .. } | HmcOutput::Retired { .. } => {}
+                    HmcOutput::DemandReady { .. } => {}
                 }
                 queue.extend(nxt);
             }
