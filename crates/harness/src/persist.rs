@@ -73,7 +73,10 @@ const MAGIC: [u8; 4] = *b"H2RC";
 /// counts move into the core.
 /// v7: `avg_{cpu,gpu}_read_latency` cover the measured window, not the
 /// whole run; the encoding is unchanged.
-pub const SCHEMA_VERSION: u32 = 7;
+/// v8: each demand latency is measured from its own request's issue cycle,
+/// which moves the latency histograms, the tenant SLOs and the average
+/// latencies; the encoding is unchanged.
+pub const SCHEMA_VERSION: u32 = 8;
 
 /// The full cache tag: schema + code revision (crate version).
 pub fn cache_tag() -> String {

@@ -9,6 +9,7 @@
 //! 4:1, LLC ≪ fast capacity ≪ footprint). `SystemConfig::paper()` holds the
 //! verbatim Table I values for reference and for the Table I dump.
 
+use crate::runner::ISSUED_BITS;
 use h2_cache::{CacheConfig, HierarchyConfig};
 use h2_hybrid::types::Mode;
 use h2_mem::TimingPreset;
@@ -190,8 +191,10 @@ impl SystemConfig {
 
     /// Reject configurations that cannot run: zero-length periodic events
     /// would self-reschedule at the current time forever, a processor-less
-    /// system retires nothing, and degenerate geometry trips controller
-    /// assertions. Returns the first problem found, phrased for CLI users.
+    /// system retires nothing, a window of `2^40` cycles or more overflows
+    /// the issue cycle a request id carries, and degenerate geometry trips
+    /// controller assertions. Returns the first problem found, phrased for
+    /// CLI users.
     pub fn validate(&self) -> Result<(), String> {
         if self.epoch_cycles == 0 {
             return Err("epoch_cycles must be > 0 (a zero-length epoch never advances time)".into());
@@ -204,6 +207,11 @@ impl SystemConfig {
         }
         if self.measure_cycles == 0 {
             return Err("measure_cycles must be > 0 (nothing would be measured)".into());
+        }
+        if self.warmup_cycles.saturating_add(self.measure_cycles) >> ISSUED_BITS != 0 {
+            return Err(format!(
+                "warmup_cycles + measure_cycles must be below 2^{ISSUED_BITS} cycles (a request id holds its issue cycle in {ISSUED_BITS} bits)"
+            ));
         }
         if self.cpu_cores == 0 && self.gpu_eus == 0 {
             return Err("need at least one CPU core or GPU EU".into());
@@ -445,6 +453,12 @@ mod tests {
         let mut c = SystemConfig::tiny();
         c.measure_cycles = 0;
         assert!(c.validate().unwrap_err().contains("measure_cycles"));
+
+        let mut c = SystemConfig::tiny();
+        c.measure_cycles = (1 << 40) - c.warmup_cycles;
+        assert!(c.validate().unwrap_err().contains("below 2^40"));
+        c.measure_cycles -= 1;
+        c.validate().unwrap();
 
         let mut c = SystemConfig::tiny();
         c.cpu_cores = 0;

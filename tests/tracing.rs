@@ -12,10 +12,14 @@
 //! 3. **Zero perturbation** — running traced changes nothing observable:
 //!    instruction counts, cycle counts, and the telemetry timeline are
 //!    byte-identical to an untraced run.
+//!
+//! A fourth ties the tracer to the latency histograms: a span's lifetime is
+//! its request's latency.
 
 use h2_check::run_workloads_on_heap;
 use hydrogen_repro::prelude::*;
 use hydrogen_repro::sim::trace_span::{BlameCause, Span};
+use hydrogen_repro::sim::LogHistogram;
 
 fn traced_cfg(sample: u64) -> SystemConfig {
     let mut cfg = SystemConfig::tiny();
@@ -108,6 +112,30 @@ fn tracing_never_perturbs_the_simulation() {
     assert_eq!(off.fast, on.fast);
     assert_eq!(off.slow, on.slow);
     assert_eq!(off.epoch_trace, on.epoch_trace);
+}
+
+/// With every demand traced, the measured window's latency histograms
+/// hold exactly the lifetimes of the spans that closed in it: each
+/// response is measured from its own request's issue cycle.
+#[test]
+fn demand_latency_histograms_equal_span_lifetimes() {
+    let cfg = traced_cfg(1);
+    for (mix, kind) in [("C1", PolicyKind::NoPart), ("C5", PolicyKind::HydrogenFull)] {
+        let r = run_sim(&cfg, &Mix::by_name(mix).unwrap(), kind);
+        let t = r.trace.as_ref().expect("tracing on");
+        assert_eq!(t.dropped, 0, "{mix} {kind:?}: every demand must be traced");
+        let totals = &r.telemetry.as_ref().expect("telemetry on").totals;
+        for (class, name) in [(0, "lat.cpu_read"), (1, "lat.gpu_demand")] {
+            let mut want = LogHistogram::new();
+            for s in &t.spans {
+                if s.class == class && s.end >= cfg.warmup_cycles {
+                    want.record(s.end - s.start);
+                }
+            }
+            assert!(want.count() > 0, "{mix} {kind:?}: no {name} spans");
+            assert_eq!(totals.hist(name), Some(&want), "{mix} {kind:?}: {name}");
+        }
+    }
 }
 
 #[test]
