@@ -9,7 +9,7 @@
 
 use crate::sram::{AccessOutcome, CacheConfig, SetAssocCache};
 use h2_sim_core::prof;
-use h2_sim_core::units::{Cycles, KIB};
+use h2_sim_core::units::Cycles;
 
 /// Result of a remap-cache lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,11 +46,6 @@ impl RemapCache {
                 latency: 2,
             }),
         }
-    }
-
-    /// The paper's default 256 kB remap cache.
-    pub fn default_256k() -> Self {
-        Self::new(256 * KIB)
     }
 
     /// SRAM probe latency.
@@ -90,10 +85,11 @@ impl RemapCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use h2_sim_core::units::KIB;
 
     #[test]
     fn default_geometry_is_4096_entries() {
-        let r = RemapCache::default_256k();
+        let r = RemapCache::new(256 * KIB);
         assert_eq!(r.inner.config().num_sets() * 8, 4096);
     }
 
@@ -135,7 +131,7 @@ mod tests {
 
     #[test]
     fn locality_gives_high_hit_rate() {
-        let mut r = RemapCache::default_256k();
+        let mut r = RemapCache::new(256 * KIB);
         for round in 0..10 {
             for set in 0..1000u64 {
                 r.lookup(set, round % 2 == 0);

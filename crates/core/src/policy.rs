@@ -25,6 +25,9 @@ use h2_hybrid::remap::WayMeta;
 use h2_hybrid::types::ReqClass;
 use h2_sim_core::SeededRng;
 
+/// Relative weighted-IPC improvement the climber needs to accept a move.
+const CLIMB_EPS: f64 = 0.02;
+
 /// Fast-memory swap variants (Fig 7a).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SwapMode {
@@ -59,17 +62,12 @@ pub struct HydrogenConfig {
     pub token_budget_per_period: u64,
     /// Epochs per exploration phase (climber reset cadence).
     pub epochs_per_phase: u64,
-    /// Relative improvement threshold for the climber.
-    pub climb_eps: f64,
     /// Teleporting (free) reconfiguration — Fig 7b `Ideal`.
     pub ideal_reconfig: bool,
     /// Use one token counter per slow channel instead of a single global
     /// counter (the variant §IV-B reports as making a negligible
     /// difference); the per-period budget is split evenly.
     pub per_channel_tokens: Option<usize>,
-    /// Swap-hotness margin: a shared-way block must be this much hotter
-    /// than the coldest dedicated-way block to trigger a swap.
-    pub swap_margin: u8,
 }
 
 impl HydrogenConfig {
@@ -86,10 +84,8 @@ impl HydrogenConfig {
             swap: SwapMode::Ours,
             token_budget_per_period,
             epochs_per_phase: 50,
-            climb_eps: 0.02,
             ideal_reconfig: false,
             per_channel_tokens: None,
-            swap_margin: 0,
         }
     }
 
@@ -158,7 +154,7 @@ impl HydrogenPolicy {
             let g = group;
             let climb_cfg = ClimbConfig {
                 dims: vec![bw_dim, cap_dim, tok_dim],
-                eps: cfg.climb_eps,
+                eps: CLIMB_EPS,
                 valid: Box::new(move |v| v[1] >= v[0] * g),
             };
             let tok0 = if cfg.enable_tokens { cfg.init_tok } else { 0 };
@@ -312,9 +308,8 @@ impl PartitionPolicy for HydrogenPolicy {
         let (target, victim) = (0..ded)
             .map(|w| (w, &ways[w]))
             .min_by_key(|(_, m)| if m.valid { m.hotness as u16 + 1 } else { 0 })?;
-        let hot_enough = !victim.valid
-            || ways[way].hotness >= victim.hotness.saturating_add(self.cfg.swap_margin)
-                && ways[way].hotness > 0;
+        let hot_enough =
+            !victim.valid || ways[way].hotness >= victim.hotness && ways[way].hotness > 0;
         if !hot_enough {
             return None;
         }

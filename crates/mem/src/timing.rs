@@ -37,16 +37,6 @@ impl DramTiming {
         beats.max(1) * self.burst_64b
     }
 
-    /// Closed-bank access latency (ACT + CAS), excluding the burst.
-    pub fn closed_latency(&self) -> Cycles {
-        self.t_rcd + self.t_cas
-    }
-
-    /// Row-conflict access latency (PRE + ACT + CAS), excluding the burst.
-    pub fn conflict_latency(&self) -> Cycles {
-        self.t_rp + self.t_rcd + self.t_cas
-    }
-
     /// Peak per-channel bandwidth in GB/s.
     pub fn peak_gbs(&self) -> f64 {
         64.0 * h2_sim_core::units::CPU_FREQ_GHZ / self.burst_64b as f64
@@ -157,13 +147,5 @@ mod tests {
         assert_eq!(d.burst_cycles(256), 32);
         assert_eq!(d.burst_cycles(65), 16); // rounds up to 2 beats
         assert_eq!(d.burst_cycles(1), 8);
-    }
-
-    #[test]
-    fn latency_composition() {
-        let d = TimingPreset::Ddr4.timing();
-        assert_eq!(d.closed_latency(), d.t_rcd + d.t_cas);
-        assert_eq!(d.conflict_latency(), d.t_rp + d.t_rcd + d.t_cas);
-        assert!(d.conflict_latency() > d.closed_latency());
     }
 }

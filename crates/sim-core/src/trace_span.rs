@@ -391,16 +391,9 @@ impl SpanCollector {
         }
     }
 
-    /// Absorb a DRAM device decomposition into its owning span.
-    pub fn absorb(&mut self, rec: CmdTrace) {
-        if let Some(s) = self.slot_mut(rec.span) {
-            s.intervals.extend(rec.intervals);
-        }
-    }
-
-    /// Absorb a borrowed slice of blamed intervals into an open span —
-    /// the pooled-buffer variant of [`Self::absorb`] (the caller keeps and
-    /// recycles its buffer).
+    /// Absorb a DRAM device decomposition (a borrowed slice of blamed
+    /// intervals) into its owning span; the caller keeps and recycles its
+    /// buffer.
     pub fn absorb_intervals(&mut self, span: SpanId, intervals: &[SpanInterval]) {
         if let Some(s) = self.slot_mut(span) {
             s.intervals.extend_from_slice(intervals);
