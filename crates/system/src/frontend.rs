@@ -1,13 +1,14 @@
 //! Processor front-ends: trace-driven CPU cores and GPU execution-unit
 //! contexts.
 //!
-//! The CPU core is in-order and *blocking on loads* (latency-sensitive): it
-//! retires one instruction per cycle between memory references, stalls on
-//! any read that leaves the core, and absorbs stores in a small
-//! store buffer. The GPU context mimics SIMT latency tolerance: each of the
-//! 96 EU contexts may keep several independent requests in flight, so GPU
-//! throughput is bandwidth-bound rather than latency-bound — the asymmetry
-//! at the heart of the paper's Insights 1–3.
+//! The CPU core is in-order and latency-sensitive: it retires one
+//! instruction per cycle between memory references, overlaps up to
+//! `cpu_mlp` independent loads that leave the core, stalls on a dependent
+//! load until every outstanding read returns, and absorbs stores in a
+//! small store buffer. The GPU context mimics SIMT latency tolerance: each
+//! of the 96 EU contexts may keep several independent requests in flight,
+//! so GPU throughput is bandwidth-bound rather than latency-bound — the
+//! asymmetry at the heart of the paper's Insights 1–3.
 //!
 //! A unit's references come from a [`RefSource`]: the classic synthetic
 //! generator, a `.h2trace` replay cursor, or a multi-tenant scenario
