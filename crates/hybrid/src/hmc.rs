@@ -298,23 +298,12 @@ impl Hmc {
     ///
     /// * `req_id` — caller's identifier, echoed in `DemandReady`.
     /// * `needs_response` — false for LLC write-backs (fire and forget).
-    pub fn access(
-        &mut self,
-        req_id: u64,
-        class: ReqClass,
-        addr: u64,
-        is_write: bool,
-        needs_response: bool,
-        out: &mut Vec<HmcOutput>,
-    ) {
-        self.access_traced(req_id, class, addr, is_write, needs_response, None, out);
-    }
-
-    /// [`Self::access`] with an optional tracing span that the transaction
-    /// carries through its lifetime (see `h2_sim_core::trace_span`). The
-    /// span is observational only: it never changes what the HMC does.
+    /// * `span` — the tracing span of a sampled request, which the
+    ///   transaction carries through its lifetime (see
+    ///   `h2_sim_core::trace_span`). It is observational only: it never
+    ///   changes what the HMC does.
     #[allow(clippy::too_many_arguments)]
-    pub fn access_traced(
+    pub fn access(
         &mut self,
         req_id: u64,
         class: ReqClass,
@@ -437,23 +426,15 @@ impl Hmc {
         self.txns.get(idx)?.as_ref().map(|t| (t, step))
     }
 
-    /// If `token` is the *demand* command of a traced transaction, its
-    /// span tag. Must be queried before the completion is fed to
-    /// [`Self::handle`] (which may retire the transaction).
-    pub fn demand_trace(&self, token: u64) -> Option<TraceTag> {
-        let (t, step) = self.token_txn(token)?;
-        if step != STEP_DEMAND {
-            return None;
-        }
-        t.span.map(|span| TraceTag { span, token_stalled: t.token_denied })
-    }
-
     /// The requester class of the DRAM command carrying `token`, for
-    /// tracing queue-composition accounting, and [`Self::demand_trace`], in
-    /// one token decomposition — the per-command issue path needs both.
-    /// Demand-path commands (metadata probe, demand access) take their
-    /// transaction's class; background migration traffic and orphan
-    /// metadata write-backs are [`BlameClass::Background`].
+    /// queue-composition accounting and bank blame, and, if it is the
+    /// *demand* command of a traced transaction, its span tag, in one token
+    /// decomposition. Demand-path commands (metadata probe, demand access)
+    /// take their transaction's class; background migration traffic and
+    /// orphan metadata write-backs are [`BlameClass::Background`]. Both
+    /// answers stay the same while the command is outstanding; at its
+    /// completion, ask before [`Self::handle`], which may retire the
+    /// transaction.
     pub fn cmd_trace_ctx(&self, token: u64) -> (BlameClass, Option<TraceTag>) {
         match self.token_txn(token) {
             Some((t, step)) if step != STEP_BG => {
@@ -982,7 +963,7 @@ mod tests {
     /// Drive the HMC synchronously: immediately complete every Mem/After.
     fn drive(h: &mut Hmc, req: u64, class: ReqClass, addr: u64, write: bool) -> DriveResult {
         let mut out = Vec::new();
-        h.access(req, class, addr, write, true, &mut out);
+        h.access(req, class, addr, write, true, None, &mut out);
         let mut res = DriveResult::default();
         let mut queue = out;
         while let Some(o) = queue.pop() {

@@ -14,6 +14,10 @@
 //! The device never touches the event queue. `enqueue` + `pump` return
 //! started commands with their completion times; the caller schedules those
 //! and calls [`MemDevice::on_complete`] when they fire, then pumps again.
+//! A command enqueued with a span tag has its blame decomposition recorded
+//! straight into the caller's [`SpanCollector`] when it starts; an untagged
+//! command records nothing, so a run without spans keeps no per-command
+//! tracing state.
 //!
 //! # Pending-command layout
 //!
@@ -25,13 +29,13 @@
 //! command carries (bank and row, precomputed once at enqueue; token,
 //! bytes, priority, direction, requester class) is one 32-byte record per
 //! slot, so queueing, dequeueing and starting a command each read one host
-//! cache line of it. Tracing context sits in a third array that exists
-//! only while the device traces. Slot bitmaps record occupancy, the
-//! current row-hit status and membership of each distinct priority level
-//! (found through a priority-indexed table). The row-hit bits are
-//! refreshed through flat, bank-major per-bank slot bitmaps, and only when
-//! a start changes a bank's open row while that bank still has queued
-//! commands: a row hit leaves every bit as it was.
+//! cache line of it. The tracing context of the few tagged commands sits
+//! in a per-channel list keyed by arrival position. Slot bitmaps record
+//! occupancy, the current row-hit status and membership of each distinct
+//! priority level (found through a priority-indexed table). The row-hit
+//! bits are refreshed through flat, bank-major per-bank slot bitmaps, and
+//! only when a start changes a bank's open row while that bank still has
+//! queued commands: a row hit leaves every bit as it was.
 //!
 //! Enqueue times never decrease along a channel, so the commands older
 //! than [`AGE_CAP`] form a prefix of the ring; its end is cached as a
@@ -45,11 +49,8 @@
 //! oldest to the newest queued command fills it, so steady state never
 //! allocates and never moves a pending command.
 
-use crate::energy::EnergyBreakdown;
 use crate::timing::DramTiming;
-use h2_sim_core::trace_span::{
-    coalesce, split_queue_wait, BlameCause, BlameClass, CmdTrace, SpanInterval, TraceTag,
-};
+use h2_sim_core::trace_span::{split_queue_wait, BlameCause, BlameClass, SpanCollector, TraceTag};
 use h2_sim_core::units::Cycles;
 
 /// Waiting time after which a queued command is escalated past all
@@ -84,11 +85,6 @@ pub struct StartedCmd {
     pub done_at: Cycles,
     /// The caller's token.
     pub token: u64,
-    /// Channel that served it (for the caller's bookkeeping).
-    pub channel: usize,
-    /// Requester class it was enqueued with; hand it back to
-    /// [`MemDevice::on_complete_traced`] when the command completes.
-    pub class: BlameClass,
 }
 
 /// Address → (bank, row) decomposition, strength-reduced to shifts and
@@ -141,13 +137,13 @@ struct Bank {
     // Per-bank locality stats (telemetry).
     row_hits: u64,
     row_conflicts: u64,
-    /// Class of the last command started on this bank (tracing only):
-    /// blames bank-busy waits on whoever occupied the bank.
+    /// Class of the last command started on this bank: blames bank-busy
+    /// waits on whoever occupied the bank.
     last_class: BlameClass,
 }
 
-/// Tracing context attached to the demand command of a sampled
-/// transaction: its span tag plus the channel's queue composition (by
+/// Tracing context of a tagged command (the demand command of a sampled
+/// transaction): its span tag plus the channel's queue composition (by
 /// [`BlameClass`]) snapshotted at enqueue.
 #[derive(Debug, Clone, Copy)]
 struct TracedInfo {
@@ -197,9 +193,6 @@ struct CmdRing {
     /// Per-slot decode record, read when a command is queued, dequeued
     /// or started.
     cmds: Vec<CmdRec>,
-    /// Per-slot tracing context: one entry per slot while the device
-    /// traces, empty otherwise; written and read only while tracing.
-    trace: Vec<Option<TracedInfo>>,
     /// Slot occupancy, one bit per slot.
     occ: Vec<u64>,
     /// Row-hit status per slot (`hit ⊆ occ`).
@@ -235,7 +228,6 @@ impl CmdRing {
         Self {
             arrival_time: vec![0; slots],
             cmds: vec![CmdRec::default(); slots],
-            trace: Vec::new(),
             occ: vec![0; words],
             hit: vec![0; words],
             bank_bits: vec![0; banks * words],
@@ -278,15 +270,6 @@ impl CmdRing {
         None
     }
 
-    /// Start or stop keeping per-slot tracing context.
-    fn set_tracing(&mut self, on: bool) {
-        self.trace = if on {
-            vec![None; self.cmds.len()]
-        } else {
-            Vec::new()
-        };
-    }
-
     /// Double the capacity, laying `[head, tail)` out again at the new
     /// slot positions (holes included). Called only when the span fills
     /// the ring; steady state never grows.
@@ -294,9 +277,6 @@ impl CmdRing {
         let (head, tail) = (self.head, self.tail);
         spread(&mut self.arrival_time, 0, head, tail);
         spread(&mut self.cmds, CmdRec::default(), head, tail);
-        if !self.trace.is_empty() {
-            spread(&mut self.trace, None, head, tail);
-        }
         let words = self.occ.len();
         let mut bank_bits = vec![0; self.bank_bits.len() * 2];
         for (old, new) in self
@@ -665,15 +645,13 @@ struct Channel {
     /// Sum of queue depths sampled at each enqueue (for average depth).
     depth_sum: u64,
     /// Queued commands per [`BlameClass`] (kept in lockstep with the ring
-    /// so traced enqueues snapshot queue composition in O(1)).
+    /// so tagged enqueues snapshot queue composition in O(1)).
     queued_by_class: [u64; 3],
-    // Tracing-only state (untouched when tracing is off).
     /// In-flight commands per class, for queue-composition snapshots.
     live_by_class: [u64; 3],
-    /// Blame decompositions of traced commands started since the last
-    /// drain ([`MemDevice::take_traces_into`], then
-    /// [`MemDevice::reclaim_traces`]).
-    records: Vec<CmdTrace>,
+    /// Tracing context of the queued tagged commands, keyed by arrival
+    /// position; empty in a run without spans.
+    traced: Vec<(u64, TracedInfo)>,
 }
 
 impl Channel {
@@ -704,18 +682,16 @@ impl Channel {
             depth_sum: 0,
             queued_by_class: [0; 3],
             live_by_class: [0; 3],
-            records: Vec::new(),
+            traced: Vec::new(),
         }
     }
 
     /// Queue a command at the ring's tail. `now` must not precede the
     /// channel's previous enqueue: the aged prefix relies on it.
-    #[allow(clippy::too_many_arguments)]
     fn enqueue(
         &mut self,
         amap: &AddrMap,
         demand_first: bool,
-        tracing: bool,
         cmd: MemCmd,
         now: Cycles,
         class: BlameClass,
@@ -726,17 +702,15 @@ impl Channel {
             r.tail == 0 || now >= r.arrival_time[r.slot(r.tail - 1)],
             "channel enqueue times must never decrease (enqueue at {now})"
         );
+        if let Some(tag) = tag {
+            let mut ahead = [0u64; 3];
+            for (i, a) in ahead.iter_mut().enumerate() {
+                *a = self.queued_by_class[i] + self.live_by_class[i];
+            }
+            self.traced.push((r.tail, TracedInfo { tag, ahead }));
+        }
         let (bank, row) = amap.map(cmd.addr);
         let slot = self.ring.push();
-        if tracing {
-            self.ring.trace[slot] = tag.map(|tag| {
-                let mut ahead = [0u64; 3];
-                for (i, a) in ahead.iter_mut().enumerate() {
-                    *a = self.queued_by_class[i] + self.live_by_class[i];
-                }
-                TracedInfo { tag, ahead }
-            });
-        }
         let s = &mut self.ring;
         s.arrival_time[slot] = now;
         s.cmds[slot] = CmdRec {
@@ -757,16 +731,13 @@ impl Channel {
     }
 
     /// Start as many queued commands as pipelining allows, appending each
-    /// (with its completion time) to `out`. `ch` is this channel's index,
-    /// echoed into [`StartedCmd::channel`].
+    /// (with its completion time) to `out`.
     fn pump(
         &mut self,
         timing: &DramTiming,
-        tracing: bool,
-        iv_pool: &mut Vec<Vec<SpanInterval>>,
-        ch: usize,
         now: Cycles,
         out: &mut Vec<StartedCmd>,
+        tracer: &mut SpanCollector,
     ) {
         while self.in_flight < PIPELINE_DEPTH {
             let picked = self.ring.pick(now);
@@ -778,25 +749,17 @@ impl Channel {
                 "ring pick diverged from the reference scan at cycle {now}"
             );
             let Some(pos) = picked else { break };
-            let (done_at, token, class) = self.start(timing, tracing, iv_pool, now, pos);
+            let (done_at, token) = self.start(timing, now, pos, tracer);
             self.in_flight += 1;
-            out.push(StartedCmd {
-                done_at,
-                token,
-                channel: ch,
-                class,
-            });
+            out.push(StartedCmd { done_at, token });
         }
     }
 
-    /// Retire one in-flight command of requester `class` (counted out of
-    /// the queue-composition bookkeeping when tracing).
-    fn complete(&mut self, tracing: bool, class: BlameClass) {
+    /// Retire one in-flight command of requester `class`.
+    fn complete(&mut self, class: BlameClass) {
         debug_assert!(self.in_flight > 0, "completion without in-flight command");
         self.in_flight -= 1;
-        if tracing {
-            self.live_by_class[class.idx()] -= 1;
-        }
+        self.live_by_class[class.idx()] -= 1;
     }
 
     /// The channel's invariants beyond its ring's own: every queued
@@ -829,19 +792,18 @@ impl Channel {
     }
 
     /// Compute timing for the picked ring position, dequeue it, mutate
-    /// bank/bus state, return `(completion, token, class)`. When tracing,
-    /// also records the command's blame decomposition: queue wait split
+    /// bank/bus state, return `(completion, token)`. A tagged command also
+    /// records its blame decomposition into `tracer`: queue wait split
     /// across the classes ahead of it, bank-busy wait charged to the
     /// bank's previous occupant, row-conflict penalty, bus wait, and
     /// intrinsic service time — tiling `[arrival, data_end)` exactly.
     fn start(
         &mut self,
         timing: &DramTiming,
-        tracing: bool,
-        iv_pool: &mut Vec<Vec<SpanInterval>>,
         now: Cycles,
         pos: u64,
-    ) -> (Cycles, u64, BlameClass) {
+        tracer: &mut SpanCollector,
+    ) -> (Cycles, u64) {
         let s = &self.ring;
         let slot = s.slot(pos);
         let CmdRec {
@@ -871,58 +833,25 @@ impl Channel {
         let data_start = (col_time + timing.t_cas).max(self.bus_free_at);
         let data_end = data_start + burst;
 
-        if tracing {
-            if let Some(info) = self.ring.trace[slot] {
-                let mut iv: Vec<SpanInterval> =
-                    iv_pool.pop().unwrap_or_else(|| Vec::with_capacity(6));
-                if now > arrival_time {
-                    if info.tag.token_stalled {
-                        iv.push(SpanInterval {
-                            cause: BlameCause::TokenStall,
-                            start: arrival_time,
-                            end: now,
-                        });
-                    } else {
-                        iv.extend(split_queue_wait(arrival_time, now, info.ahead));
-                    }
+        if let Some(i) = self.traced.iter().position(|&(p, _)| p == pos) {
+            let (_, TracedInfo { tag, ahead }) = self.traced.swap_remove(i);
+            let mut record = |cause, start, end| tracer.record(tag.span, cause, start, end);
+            if tag.token_stalled {
+                record(BlameCause::TokenStall, arrival_time, now);
+            } else {
+                for iv in split_queue_wait(arrival_time, now, ahead) {
+                    record(iv.cause, iv.start, iv.end);
                 }
-                if t0 > now {
-                    iv.push(SpanInterval {
-                        cause: bank.last_class.queue_cause(),
-                        start: now,
-                        end: t0,
-                    });
-                }
-                if prep > 0 {
-                    iv.push(SpanInterval {
-                        cause: if conflict { BlameCause::RowConflict } else { BlameCause::Service },
-                        start: t0,
-                        end: col_time,
-                    });
-                }
-                iv.push(SpanInterval {
-                    cause: BlameCause::Service,
-                    start: col_time,
-                    end: col_time + timing.t_cas,
-                });
-                if data_start > col_time + timing.t_cas {
-                    iv.push(SpanInterval {
-                        cause: BlameCause::BusBusy,
-                        start: col_time + timing.t_cas,
-                        end: data_start,
-                    });
-                }
-                iv.push(SpanInterval {
-                    cause: BlameCause::Service,
-                    start: data_start,
-                    end: data_end,
-                });
-                coalesce(&mut iv);
-                self.records.push(CmdTrace { span: info.tag.span, intervals: iv });
             }
-            self.banks[bank_idx].last_class = class;
-            self.live_by_class[class.idx()] += 1;
+            record(bank.last_class.queue_cause(), now, t0);
+            let prep_cause = if conflict { BlameCause::RowConflict } else { BlameCause::Service };
+            record(prep_cause, t0, col_time);
+            record(BlameCause::Service, col_time, col_time + timing.t_cas);
+            record(BlameCause::BusBusy, col_time + timing.t_cas, data_start);
+            record(BlameCause::Service, data_start, data_end);
         }
+        self.banks[bank_idx].last_class = class;
+        self.live_by_class[class.idx()] += 1;
 
         self.ring.clear(pos);
         self.queued_by_class[class.idx()] -= 1;
@@ -955,7 +884,7 @@ impl Channel {
         }
         self.busy_cycles += burst;
 
-        (data_end, token, class)
+        (data_end, token)
     }
 }
 
@@ -1010,25 +939,12 @@ pub struct MemDevice {
     /// first). Bandwidth-optimised devices (the slow tier behind the cache)
     /// ignore priorities and run FR-FCFS.
     demand_first: bool,
-    /// Request-span tracing (see `h2_sim_core::trace_span`). Off by
-    /// default; when off, no tracing state is touched and timing is
-    /// byte-identical to a device that never heard of tracing.
-    tracing: bool,
-    /// Recycled interval buffers for traced-command blame decompositions:
-    /// [`Channel::start`] pops one per traced command instead of
-    /// allocating, and [`Self::reclaim_traces`] returns drained buffers
-    /// here. Steady state allocates nothing.
-    iv_pool: Vec<Vec<SpanInterval>>,
 }
 
 impl MemDevice {
-    /// Create a latency-optimised device (honours priorities).
-    pub fn new(timing: DramTiming, channels: usize) -> Self {
-        Self::with_scheduling(timing, channels, true)
-    }
-
-    /// Create a device with an explicit scheduling flavour.
-    pub fn with_scheduling(timing: DramTiming, channels: usize, demand_first: bool) -> Self {
+    /// Create a device: latency-optimised (`demand_first`, honouring
+    /// command priorities) or bandwidth-optimised (plain FR-FCFS).
+    pub fn new(timing: DramTiming, channels: usize, demand_first: bool) -> Self {
         assert!(channels > 0, "device needs at least one channel");
         let banks = timing.banks_per_channel;
         let amap = AddrMap::new(timing.row_bytes, banks as u64);
@@ -1037,36 +953,7 @@ impl MemDevice {
             amap,
             channels: (0..channels).map(|_| Channel::new(banks)).collect(),
             demand_first,
-            tracing: false,
-            iv_pool: Vec::new(),
         }
-    }
-
-    /// Enable or disable span tracing. Tracing never alters command
-    /// timing — it only records a blame decomposition for traced commands.
-    /// Set it before the first command is enqueued: the queue-composition
-    /// bookkeeping counts only commands started while tracing.
-    pub fn set_tracing(&mut self, on: bool) {
-        debug_assert!(
-            self.channels
-                .iter()
-                .all(|c| c.ring.len == 0 && c.in_flight == 0),
-            "tracing must be set on an idle device"
-        );
-        self.tracing = on;
-        for c in &mut self.channels {
-            c.ring.set_tracing(on);
-        }
-    }
-
-    /// The device's timing parameters.
-    pub fn timing(&self) -> &DramTiming {
-        &self.timing
-    }
-
-    /// Total pending (queued, unstarted) commands on `ch`.
-    pub fn queue_len(&self, ch: usize) -> usize {
-        self.channels[ch].ring.len
     }
 
     /// Device-level consistency check for invariant monitors: per-channel
@@ -1088,16 +975,12 @@ impl MemDevice {
         Ok(())
     }
 
-    /// Enqueue a command on channel `ch` at time `now`. Call [`Self::pump`]
-    /// afterwards to start whatever the scheduler allows.
-    pub fn enqueue(&mut self, ch: usize, cmd: MemCmd, now: Cycles) {
-        self.enqueue_traced(ch, cmd, now, BlameClass::Background, None);
-    }
-
-    /// [`Self::enqueue`] with tracing context: the requester `class` (used
-    /// for queue-composition snapshots and bank blame when tracing is on)
-    /// and, for the demand command of a sampled transaction, its span tag.
-    pub fn enqueue_traced(
+    /// Enqueue a command on channel `ch` at time `now`, from requester
+    /// `class` (queue-composition snapshots and bank blame). `tag` is the
+    /// span tag of a sampled transaction's demand command, whose blame
+    /// decomposition [`Self::pump`] records when it starts. Call
+    /// [`Self::pump`] afterwards to start whatever the scheduler allows.
+    pub fn enqueue(
         &mut self,
         ch: usize,
         cmd: MemCmd,
@@ -1105,67 +988,28 @@ impl MemDevice {
         class: BlameClass,
         tag: Option<TraceTag>,
     ) {
-        self.channels[ch].enqueue(
-            &self.amap,
-            self.demand_first,
-            self.tracing,
-            cmd,
-            now,
-            class,
-            tag,
-        );
+        self.channels[ch].enqueue(&self.amap, self.demand_first, cmd, now, class, tag);
     }
 
     /// Start as many commands as pipelining allows on channel `ch`,
-    /// appending each started command (with completion time) to `out`.
-    pub fn pump(&mut self, ch: usize, now: Cycles, out: &mut Vec<StartedCmd>) {
-        self.channels[ch].pump(&self.timing, self.tracing, &mut self.iv_pool, ch, now, out);
+    /// appending each started command (with completion time) to `out` and
+    /// recording the blame of each tagged one into `tracer`. Tracing never
+    /// alters command timing.
+    pub fn pump(
+        &mut self,
+        ch: usize,
+        now: Cycles,
+        out: &mut Vec<StartedCmd>,
+        tracer: &mut SpanCollector,
+    ) {
+        self.channels[ch].pump(&self.timing, now, out, tracer);
     }
 
-    /// Notify the device that a previously started command on `ch` finished.
-    /// Follow with [`Self::pump`] to start successors.
-    pub fn on_complete(&mut self, ch: usize) {
-        self.channels[ch].complete(false, BlameClass::Background);
-    }
-
-    /// [`Self::on_complete`] with the finished command's
-    /// [`StartedCmd::class`], so the tracing queue-composition bookkeeping
-    /// can retire it.
-    pub fn on_complete_traced(&mut self, ch: usize, class: BlameClass) {
-        let tracing = self.tracing;
-        self.channels[ch].complete(tracing, class);
-    }
-
-    /// Drain the blame decompositions of traced commands started on `ch`
-    /// since the last drain: swap the channel's record buffer with a
-    /// caller-provided empty one (typically the one handed back by the
-    /// last [`Self::reclaim_traces`]), so the channel keeps its capacity.
-    /// Pair with `reclaim_traces` after the records are absorbed.
-    pub fn take_traces_into(&mut self, ch: usize, mut swap: Vec<CmdTrace>) -> Vec<CmdTrace> {
-        debug_assert!(swap.is_empty(), "swap-in buffer must be empty");
-        std::mem::swap(&mut self.channels[ch].records, &mut swap);
-        swap
-    }
-
-    /// Return drained trace records: their interval buffers go back to the
-    /// pool for reuse by later traced commands, and the emptied outer
-    /// vector is handed back for the next [`Self::take_traces_into`].
-    pub fn reclaim_traces(&mut self, mut recs: Vec<CmdTrace>) -> Vec<CmdTrace> {
-        for rec in recs.drain(..) {
-            let mut iv = rec.intervals;
-            iv.clear();
-            self.iv_pool.push(iv);
-        }
-        recs
-    }
-
-    /// Whether channel `ch` has undrained trace records. Lets callers skip
-    /// the [`Self::take_traces_into`]/[`Self::reclaim_traces`] round trip
-    /// on the common no-records path (only sampled commands produce
-    /// records, so with 1-in-N span sampling most drains would be empty).
-    #[inline]
-    pub fn has_traces(&self, ch: usize) -> bool {
-        !self.channels[ch].records.is_empty()
+    /// Notify the device that a previously started command on `ch`, of the
+    /// requester `class` it was enqueued with, finished. Follow with
+    /// [`Self::pump`] to start successors.
+    pub fn on_complete(&mut self, ch: usize, class: BlameClass) {
+        self.channels[ch].complete(class);
     }
 
     /// Aggregate statistics over all channels.
@@ -1226,26 +1070,6 @@ impl MemDevice {
     pub fn channel_bytes(&self) -> Vec<u64> {
         self.channels.iter().map(|c| c.bytes).collect()
     }
-
-    /// Energy consumed so far, given the elapsed simulated window.
-    pub fn energy(&self, elapsed: Cycles) -> EnergyBreakdown {
-        let s = self.stats();
-        EnergyBreakdown::from_counts(
-            &self.timing.energy,
-            s.bytes,
-            s.activations,
-            self.channels.len(),
-            elapsed,
-        )
-    }
-
-    /// Average achieved bandwidth in GB/s over `elapsed` cycles.
-    pub fn achieved_gbs(&self, elapsed: Cycles) -> f64 {
-        if elapsed == 0 {
-            return 0.0;
-        }
-        h2_sim_core::units::bandwidth_gbs(self.stats().bytes, elapsed)
-    }
 }
 
 #[cfg(test)]
@@ -1254,15 +1078,31 @@ mod tests {
     use crate::timing::TimingPreset;
 
     fn dev(preset: TimingPreset, ch: usize) -> MemDevice {
-        MemDevice::new(preset.timing(), ch)
+        MemDevice::new(preset.timing(), ch, true)
+    }
+
+    /// Untraced shorthands: every command is background traffic without a
+    /// span tag, so nothing is recorded.
+    impl MemDevice {
+        fn enqueue_bg(&mut self, ch: usize, cmd: MemCmd, now: Cycles) {
+            self.enqueue(ch, cmd, now, BlameClass::Background, None);
+        }
+
+        fn pump_bg(&mut self, ch: usize, now: Cycles, out: &mut Vec<StartedCmd>) {
+            self.pump(ch, now, out, &mut SpanCollector::new(None));
+        }
+
+        fn complete_bg(&mut self, ch: usize) {
+            self.on_complete(ch, BlameClass::Background);
+        }
     }
 
     fn run_one(dev: &mut MemDevice, ch: usize, now: Cycles, cmd: MemCmd) -> Cycles {
-        dev.enqueue(ch, cmd, now);
+        dev.enqueue_bg(ch, cmd, now);
         let mut out = Vec::new();
-        dev.pump(ch, now, &mut out);
+        dev.pump_bg(ch, now, &mut out);
         assert_eq!(out.len(), 1);
-        dev.on_complete(ch);
+        dev.complete_bg(ch);
         out[0].done_at
     }
 
@@ -1304,10 +1144,10 @@ mod tests {
         let mut d = dev(TimingPreset::Ddr4, 1);
         // Two reads to different banks, same instant: second's burst must
         // start after the first's burst ends.
-        d.enqueue(0, rd(0, 64), 0);
-        d.enqueue(0, rd(t.row_bytes, 64), 0); // different bank
+        d.enqueue_bg(0, rd(0, 64), 0);
+        d.enqueue_bg(0, rd(t.row_bytes, 64), 0); // different bank
         let mut out = Vec::new();
-        d.pump(0, 0, &mut out);
+        d.pump_bg(0, 0, &mut out);
         assert_eq!(out.len(), 2);
         let a = out[0].done_at;
         let b = out[1].done_at;
@@ -1321,7 +1161,7 @@ mod tests {
         let mut d = dev(TimingPreset::Ddr4, 1);
         // Fill the pipeline so later enqueues stay queued.
         for i in 0..PIPELINE_DEPTH as u64 {
-            d.enqueue(
+            d.enqueue_bg(
                 0,
                 MemCmd {
                     token: i,
@@ -1331,11 +1171,11 @@ mod tests {
             );
         }
         let mut out = Vec::new();
-        d.pump(0, 0, &mut out);
+        d.pump_bg(0, 0, &mut out);
         assert_eq!(out.len(), PIPELINE_DEPTH);
         out.clear();
         // Now queue a low-priority old command and a high-priority young one.
-        d.enqueue(
+        d.enqueue_bg(
             0,
             MemCmd {
                 token: 100,
@@ -1344,7 +1184,7 @@ mod tests {
             },
             50,
         );
-        d.enqueue(
+        d.enqueue_bg(
             0,
             MemCmd {
                 token: 200,
@@ -1353,8 +1193,8 @@ mod tests {
             },
             50,
         );
-        d.on_complete(0);
-        d.pump(0, 50, &mut out);
+        d.complete_bg(0);
+        d.pump_bg(0, 50, &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].token, 200, "high priority must be served first");
     }
@@ -1363,17 +1203,17 @@ mod tests {
     fn fcfs_among_equal_priority() {
         let mut d = dev(TimingPreset::Ddr4, 1);
         for i in 0..PIPELINE_DEPTH as u64 {
-            d.enqueue(0, MemCmd { token: i, ..rd(0, 64) }, 0);
+            d.enqueue_bg(0, MemCmd { token: i, ..rd(0, 64) }, 0);
         }
         let mut out = Vec::new();
-        d.pump(0, 0, &mut out);
+        d.pump_bg(0, 0, &mut out);
         out.clear();
         // Two equal-priority commands to closed banks: older first.
         let t = TimingPreset::Ddr4.timing();
-        d.enqueue(0, MemCmd { token: 10, ..rd(3 * t.row_bytes, 64) }, 10);
-        d.enqueue(0, MemCmd { token: 11, ..rd(5 * t.row_bytes, 64) }, 10);
-        d.on_complete(0);
-        d.pump(0, 10, &mut out);
+        d.enqueue_bg(0, MemCmd { token: 10, ..rd(3 * t.row_bytes, 64) }, 10);
+        d.enqueue_bg(0, MemCmd { token: 11, ..rd(5 * t.row_bytes, 64) }, 10);
+        d.complete_bg(0);
+        d.pump_bg(0, 10, &mut out);
         assert_eq!(out[0].token, 10);
     }
 
@@ -1392,9 +1232,9 @@ mod tests {
         let mut inflight: Vec<Cycles> = Vec::new();
         while completed < n {
             while issued < n && inflight.len() < 32 {
-                d.enqueue(0, rd(issued * 256, 256), now);
+                d.enqueue_bg(0, rd(issued * 256, 256), now);
                 issued += 1;
-                d.pump(0, now, &mut out);
+                d.pump_bg(0, now, &mut out);
                 for s in out.drain(..) {
                     inflight.push(s.done_at);
                 }
@@ -1402,8 +1242,8 @@ mod tests {
             inflight.sort_unstable();
             let t0 = inflight.remove(0);
             now = t0;
-            d.on_complete(0);
-            d.pump(0, now, &mut out);
+            d.complete_bg(0);
+            d.pump_bg(0, now, &mut out);
             for s in out.drain(..) {
                 inflight.push(s.done_at);
             }
@@ -1411,7 +1251,7 @@ mod tests {
             done_times.push(t0);
         }
         let elapsed = *done_times.last().unwrap();
-        let gbs = d.achieved_gbs(elapsed);
+        let gbs = h2_sim_core::units::bandwidth_gbs(d.stats().bytes, elapsed);
         assert!(
             gbs > 0.8 * t.peak_gbs(),
             "streaming should near-saturate: {gbs:.1} vs peak {:.1}",
@@ -1469,62 +1309,40 @@ mod tests {
 
     #[test]
     fn tracing_decomposition_tiles_lifetime() {
-        use h2_sim_core::trace_span::{tiles_exactly, SpanId, TraceTag};
-        let t = TimingPreset::Ddr4.timing();
+        use h2_sim_core::trace_span::tiles_exactly;
         let mut d = dev(TimingPreset::Ddr4, 1);
-        d.set_tracing(true);
+        let mut tracer = SpanCollector::new(Some(1));
+        let span = tracer.try_sample().unwrap();
+        tracer.open(span, 0, 5);
         // Occupy the bank+bus first so the traced command really waits.
         let mut out = Vec::new();
-        d.enqueue_traced(0, rd(0, 256), 0, BlameClass::GpuDemand, None);
-        d.pump(0, 0, &mut out);
-        let tag = TraceTag { span: SpanId(7), token_stalled: false };
-        d.enqueue_traced(
-            0,
-            MemCmd { token: 9, ..rd(64, 64) },
-            5,
-            BlameClass::CpuDemand,
-            Some(tag),
-        );
-        d.pump(0, 5, &mut out);
+        d.enqueue(0, rd(0, 256), 0, BlameClass::GpuDemand, None);
+        d.pump(0, 0, &mut out, &mut tracer);
+        let tag = TraceTag { span, token_stalled: false };
+        let cmd = MemCmd { token: 9, ..rd(64, 64) };
+        d.enqueue(0, cmd, 5, BlameClass::CpuDemand, Some(tag));
+        d.pump(0, 5, &mut out, &mut tracer);
         assert_eq!(out.len(), 2);
         let done = out[1].done_at;
-        let recs = d.take_traces_into(0, Vec::new());
-        assert_eq!(recs.len(), 1);
-        assert_eq!(recs[0].span, SpanId(7));
-        assert!(
-            tiles_exactly(&recs[0].intervals, 5, done),
-            "decomposition must tile [5, {done}): {:?}",
-            recs[0].intervals
-        );
-        // Second drain is empty; completions hand back the classes the
-        // commands were enqueued with and retire them.
-        assert!(d.take_traces_into(0, Vec::new()).is_empty());
-        let classes = [out[0].class, out[1].class];
-        assert_eq!(classes, [BlameClass::GpuDemand, BlameClass::CpuDemand]);
+        assert!(d.channels[0].traced.is_empty(), "a started command leaves the list");
+        // Completions retire the classes the commands were enqueued with.
         assert_eq!(d.channels[0].live_by_class, [1, 1, 0]);
-        for class in classes {
-            d.on_complete_traced(0, class);
-        }
+        d.on_complete(0, BlameClass::GpuDemand);
+        d.on_complete(0, BlameClass::CpuDemand);
         assert_eq!(d.channels[0].live_by_class, [0; 3]);
+        tracer.close(span, done);
+        let ivs = &tracer.take_spans()[0].intervals;
+        assert!(tiles_exactly(ivs, 5, done), "decomposition must tile [5, {done}): {ivs:?}");
+        // The bank was busy with the GPU command: that wait is the GPU's.
+        assert!(ivs.iter().any(|iv| iv.cause == BlameCause::QueueBehindGpu), "{ivs:?}");
         // Cycle-identical to the untraced path.
         let mut plain = dev(TimingPreset::Ddr4, 1);
-        plain.enqueue(0, rd(0, 256), 0);
+        plain.enqueue_bg(0, rd(0, 256), 0);
         let mut pout = Vec::new();
-        plain.pump(0, 0, &mut pout);
-        plain.enqueue(0, MemCmd { token: 9, ..rd(64, 64) }, 5);
-        plain.pump(0, 5, &mut pout);
+        plain.pump_bg(0, 0, &mut pout);
+        plain.enqueue_bg(0, cmd, 5);
+        plain.pump_bg(0, 5, &mut pout);
         assert_eq!(pout[1].done_at, done);
-        let _ = t;
-    }
-
-    #[test]
-    fn energy_accumulates() {
-        let mut d = dev(TimingPreset::Ddr4, 1);
-        run_one(&mut d, 0, 0, rd(0, 256));
-        let e = d.energy(1000);
-        assert!(e.dynamic_rw_j > 0.0);
-        assert!(e.act_pre_j > 0.0);
-        assert!(e.static_j > 0.0);
     }
 
     #[test]
@@ -1553,11 +1371,11 @@ mod tests {
         let mut out = Vec::new();
         for round in 0..100u64 {
             for i in 0..8 {
-                d.enqueue(0, MemCmd { token: round * 8 + i, ..rd(i * 64, 64) }, round);
+                d.enqueue_bg(0, MemCmd { token: round * 8 + i, ..rd(i * 64, 64) }, round);
             }
-            d.pump(0, round, &mut out);
+            d.pump_bg(0, round, &mut out);
             for _ in 0..out.len() {
-                d.on_complete(0);
+                d.complete_bg(0);
             }
             out.clear();
         }
@@ -1587,13 +1405,13 @@ mod tests {
         // Fill the pipeline so everything stays queued; then check pick
         // against the reference at several probe times.
         for i in 0..PIPELINE_DEPTH as u64 {
-            d.enqueue(0, MemCmd { token: i, ..rd(i << 20, 64) }, 0);
+            d.enqueue_bg(0, MemCmd { token: i, ..rd(i << 20, 64) }, 0);
         }
         let mut out = Vec::new();
-        d.pump(0, 0, &mut out);
+        d.pump_bg(0, 0, &mut out);
         for i in 0..200u64 {
             let r = lcg(&mut state);
-            d.enqueue(
+            d.enqueue_bg(
                 0,
                 MemCmd {
                     addr: (r % 4096) * t.row_bytes / 4,
@@ -1641,10 +1459,10 @@ mod tests {
     fn pick_matches_reference_under_churn() {
         let t = TimingPreset::Hbm2eSuper.timing();
         let banks = t.banks_per_channel as u64;
-        let mut pool = Vec::new();
+        let mut tracer = SpanCollector::new(None);
         for demand_first in [true, false] {
             for seed in 0..12u64 {
-                let mut d = MemDevice::with_scheduling(t.clone(), 1, demand_first);
+                let mut d = MemDevice::new(t.clone(), 1, demand_first);
                 let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ demand_first as u64;
                 let (mut now, mut token, mut deepest) = (0u64, 0u64, 0usize);
                 for step in 0..4000u64 {
@@ -1664,13 +1482,13 @@ mod tests {
                             priority: [0, 1, 2, u8::MAX][(r % 4) as usize],
                             token,
                         };
-                        d.enqueue(0, cmd, now);
+                        d.enqueue_bg(0, cmd, now);
                         token += 1;
                     }
-                    deepest = deepest.max(d.queue_len(0));
+                    deepest = deepest.max(d.channels[0].ring.len);
                     let c = &mut d.channels[0];
                     for _ in 0..(lcg(&mut state) % 8).min(c.in_flight as u64) {
-                        c.complete(false, BlameClass::Background);
+                        c.complete(BlameClass::Background);
                     }
                     while c.in_flight < PIPELINE_DEPTH {
                         let picked = c.ring.pick(now);
@@ -1680,7 +1498,7 @@ mod tests {
                             "seed {seed}, demand_first {demand_first}, step {step}, cycle {now}"
                         );
                         let Some(pos) = picked else { break };
-                        c.start(&t, false, &mut pool, now, pos);
+                        c.start(&t, now, pos, &mut tracer);
                         c.in_flight += 1;
                     }
                     now += lcg(&mut state) % 24;
@@ -1707,8 +1525,8 @@ mod tests {
     #[should_panic(expected = "channel enqueue times must never decrease")]
     fn enqueue_rejects_a_clock_going_backwards() {
         let mut d = dev(TimingPreset::Ddr4, 1);
-        d.enqueue(0, rd(0, 64), 10);
-        d.enqueue(0, rd(64, 64), 9);
+        d.enqueue_bg(0, rd(0, 64), 10);
+        d.enqueue_bg(0, rd(64, 64), 9);
     }
 
     /// Deep alternating enqueue/drain traffic across banks keeps every
@@ -1721,7 +1539,7 @@ mod tests {
         let mut inflight = [0usize; 2];
         for i in 0..500u64 {
             let ch = (i % 2) as usize;
-            d.enqueue(
+            d.enqueue_bg(
                 ch,
                 MemCmd {
                     addr: (i * 37) % (t.row_bytes * 256),
@@ -1732,11 +1550,11 @@ mod tests {
                 },
                 i,
             );
-            d.pump(ch, i, &mut out);
+            d.pump_bg(ch, i, &mut out);
             inflight[ch] += out.len();
             out.clear();
             if inflight[ch] > 4 {
-                d.on_complete(ch);
+                d.complete_bg(ch);
                 inflight[ch] -= 1;
             }
             if i % 61 == 0 {
@@ -1753,16 +1571,16 @@ mod tests {
     fn corrupted(corrupt: impl FnOnce(&mut CmdRing)) -> String {
         let mut d = dev(TimingPreset::Ddr4, 1);
         for i in 0..PIPELINE_DEPTH as u64 {
-            d.enqueue(0, MemCmd { token: i, ..rd(i << 20, 64) }, 0);
+            d.enqueue_bg(0, MemCmd { token: i, ..rd(i << 20, 64) }, 0);
         }
-        d.pump(0, 0, &mut Vec::new());
+        d.pump_bg(0, 0, &mut Vec::new());
         for i in 0..4u64 {
             let cmd = MemCmd {
                 priority: (i % 3) as u8,
                 token: 100 + i,
                 ..rd(i * 64, 64)
             };
-            d.enqueue(0, cmd, 10 + i);
+            d.enqueue_bg(0, cmd, 10 + i);
         }
         d.check_invariants().unwrap();
         corrupt(&mut d.channels[0].ring);

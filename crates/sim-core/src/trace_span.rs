@@ -176,17 +176,6 @@ pub struct Span {
     pub intervals: Vec<SpanInterval>,
 }
 
-/// The DRAM device's blame decomposition for one traced command: the
-/// intervals covering `[enqueue, data_end)`, handed back to the runner to
-/// be absorbed into the owning span.
-#[derive(Debug, Clone)]
-pub struct CmdTrace {
-    /// Owning span.
-    pub span: SpanId,
-    /// Blamed intervals in absolute cycles.
-    pub intervals: Vec<SpanInterval>,
-}
-
 /// Split a queue-wait interval `[start, end)` across the classes that were
 /// ahead of the command when it arrived, proportionally to their counts
 /// (`ahead` is indexed by [`BlameClass::idx`]). Integer shares use
@@ -270,7 +259,7 @@ struct SpanSlot {
 /// golden tests).
 ///
 /// Open spans live in a generation-checked slab: a [`SpanId`] is
-/// `(generation << 32) | slot`, so record/absorb/close are array index +
+/// `(generation << 32) | slot`, so record/close are array index +
 /// generation compare instead of a `HashMap` probe, and interval buffers
 /// are reused across the spans that pass through a slot.
 pub struct SpanCollector {
@@ -380,23 +369,18 @@ impl SpanCollector {
     }
 
     /// Record one blamed interval for an open span (no-op on `start == end`
-    /// or unknown spans).
+    /// or unknown spans). An interval that continues the span's last one
+    /// with the same cause extends it instead of adding another.
     #[inline]
     pub fn record(&mut self, id: SpanId, cause: BlameCause, start: Cycles, end: Cycles) {
         if end <= start {
             return;
         }
         if let Some(s) = self.slot_mut(id) {
-            s.intervals.push(SpanInterval { cause, start, end });
-        }
-    }
-
-    /// Absorb a DRAM device decomposition (a borrowed slice of blamed
-    /// intervals) into its owning span; the caller keeps and recycles its
-    /// buffer.
-    pub fn absorb_intervals(&mut self, span: SpanId, intervals: &[SpanInterval]) {
-        if let Some(s) = self.slot_mut(span) {
-            s.intervals.extend_from_slice(intervals);
+            match s.intervals.last_mut() {
+                Some(last) if last.cause == cause && last.end == start => last.end = end,
+                _ => s.intervals.push(SpanInterval { cause, start, end }),
+            }
         }
     }
 
@@ -596,7 +580,6 @@ mod tests {
         assert_ne!(a, b);
         // Operations through the stale handle must not touch `b`'s span.
         c.record(a, BlameCause::BusBusy, 100, 200);
-        c.absorb_intervals(a, &[SpanInterval { cause: BlameCause::BusBusy, start: 100, end: 200 }]);
         c.close(a, 999);
         c.record(b, BlameCause::Service, 100, 150);
         c.close(b, 150);
@@ -607,18 +590,27 @@ mod tests {
     }
 
     #[test]
-    fn absorb_intervals_matches_absorb() {
+    fn record_extends_a_continuing_interval_of_the_same_cause() {
         let mut c = SpanCollector::new(Some(1));
         let id = c.try_sample().unwrap();
         c.open(id, 0, 0);
-        let ivs = [
-            SpanInterval { cause: BlameCause::BusBusy, start: 0, end: 5 },
-            SpanInterval { cause: BlameCause::Service, start: 5, end: 9 },
-        ];
-        c.absorb_intervals(id, &ivs);
-        c.close(id, 9);
+        c.record(id, BlameCause::BusBusy, 0, 5);
+        c.record(id, BlameCause::Service, 5, 9);
+        c.record(id, BlameCause::Service, 9, 12);
+        c.record(id, BlameCause::Service, 12, 12);
+        c.record(id, BlameCause::BusBusy, 12, 20);
+        let (_, idx) = SpanCollector::decode(id);
+        assert_eq!(c.slots[idx].intervals.len(), 3, "the second Service extends the first");
+        c.close(id, 20);
         let spans = c.take_spans();
-        assert_eq!(spans[0].intervals, ivs.to_vec());
+        assert_eq!(
+            spans[0].intervals,
+            vec![
+                SpanInterval { cause: BlameCause::BusBusy, start: 0, end: 5 },
+                SpanInterval { cause: BlameCause::Service, start: 5, end: 12 },
+                SpanInterval { cause: BlameCause::BusBusy, start: 12, end: 20 },
+            ]
+        );
     }
 
     #[test]

@@ -23,7 +23,7 @@ use h2_mem::device::{MemStats, StartedCmd};
 use h2_mem::{EnergyBreakdown, MemDevice, TimingPreset};
 use h2_hybrid::TokenFlows;
 use h2_sim_core::prof;
-use h2_sim_core::trace_span::{BlameCause, BlameClass, CmdTrace, SpanCollector, SpanId};
+use h2_sim_core::trace_span::{BlameCause, BlameClass, SpanCollector, SpanId, TraceTag};
 use h2_sim_core::units::{Cycles, MIB};
 use h2_sim_core::{EventQueue, HeapQueue, LogHistogram, MetricsRegistry, MonitorSet, Queue};
 use h2_trace::{Mix, RefSource, TenantInfo, TraceCapture, TraceRecord, WorkloadSpec};
@@ -67,9 +67,6 @@ enum Ev {
     HmcSram(u64),
     MemDone {
         tier: Tier,
-        /// The command's requester class, handed back to the device on
-        /// completion (tracing bookkeeping).
-        class: BlameClass,
         channel: usize,
         token: u64,
     },
@@ -168,13 +165,11 @@ struct Sim<Q: Queue<Ev>> {
     /// observation: sampling decisions ride along with events but never
     /// influence what is scheduled when.
     tracer: SpanCollector,
-    /// Recycled buffers for the event hot path: controller outputs,
-    /// started-command completions, and drained device trace records. Each
-    /// is taken at use, drained, and put back — steady state allocates
-    /// nothing.
+    /// Recycled buffers for the event hot path: controller outputs and
+    /// started-command completions. Each is taken at use, drained, and put
+    /// back — steady state allocates nothing.
     out_buf: Vec<HmcOutput>,
     started_buf: Vec<StartedCmd>,
-    trace_scratch: Vec<CmdTrace>,
     /// Trace capture (`h2 run --capture`): every fresh front-end pull is
     /// recorded at its generation point. Pure observation — recording
     /// never touches event timing, so captured runs are bit-identical to
@@ -284,54 +279,40 @@ impl<Q: Queue<Ev>> Sim<Q> {
         }
     }
 
-    /// Enqueue + pump a device channel, scheduling completions. When
-    /// tracing, commands carry their requester class (queue-composition
-    /// snapshots) and traced demands their span tag; decomposition records
-    /// produced by started commands are drained into the tracer.
-    fn issue_mem(&mut self, tier: Tier, channel: usize, cmd: h2_mem::MemCmd) {
-        let _prof = prof::scope("mem.schedule");
-        let now = self.q.now();
-        let traced = self.tracer.enabled();
-        let mut started = std::mem::take(&mut self.started_buf);
-        if traced {
-            let (class, tag) = self.hmc.cmd_trace_ctx(cmd.token);
-            let d = self.dev(tier);
-            d.enqueue_traced(channel, cmd, now, class, tag);
-            d.pump(channel, now, &mut started);
-            self.drain_traces(tier, channel);
+    /// The requester class of the command carrying `token` and, for the
+    /// demand command of a traced transaction, its span tag. Without a
+    /// tracer every command is background traffic without a tag.
+    fn trace_ctx(&self, token: u64) -> (BlameClass, Option<TraceTag>) {
+        if self.tracer.enabled() {
+            self.hmc.cmd_trace_ctx(token)
         } else {
-            let d = self.dev(tier);
-            d.enqueue(channel, cmd, now);
-            d.pump(channel, now, &mut started);
+            (BlameClass::Background, None)
         }
-        for s in started.drain(..) {
-            self.q.schedule_at(
-                s.done_at,
-                Ev::MemDone {
-                    tier,
-                    class: s.class,
-                    channel: s.channel,
-                    token: s.token,
-                },
-            );
-        }
-        self.started_buf = started;
     }
 
-    /// Move a channel's pending trace decompositions into the tracer using
-    /// the recycled record/interval buffers: `take_traces_into`, then
-    /// `absorb_intervals` per record, then `reclaim_traces`.
-    fn drain_traces(&mut self, tier: Tier, channel: usize) {
-        if !self.dev(tier).has_traces(channel) {
-            return;
+    /// Enqueue a command on a device channel and pump it.
+    fn issue_mem(&mut self, tier: Tier, channel: usize, cmd: h2_mem::MemCmd) {
+        let _prof = prof::scope("mem.schedule");
+        let (class, tag) = self.trace_ctx(cmd.token);
+        let now = self.q.now();
+        self.dev(tier).enqueue(channel, cmd, now, class, tag);
+        self.pump(tier, channel);
+    }
+
+    /// Start what a device channel's scheduler allows, recording traced
+    /// commands' blame into the tracer, and schedule their completions.
+    fn pump(&mut self, tier: Tier, channel: usize) {
+        let now = self.q.now();
+        let mut started = std::mem::take(&mut self.started_buf);
+        let dev = match tier {
+            Tier::Fast => &mut self.fast,
+            Tier::Slow => &mut self.slow,
+        };
+        dev.pump(channel, now, &mut started, &mut self.tracer);
+        for s in started.drain(..) {
+            self.q.schedule_at(s.done_at, Ev::MemDone { tier, channel, token: s.token });
         }
-        let swap = std::mem::take(&mut self.trace_scratch);
-        let mut recs = self.dev(tier).take_traces_into(channel, swap);
-        for rec in &recs {
-            self.tracer.absorb_intervals(rec.span, &rec.intervals);
-        }
-        recs = self.dev(tier).reclaim_traces(recs);
-        self.trace_scratch = recs;
+        self.started_buf = started;
     }
 
     fn process_outputs(&mut self, outputs: &mut Vec<HmcOutput>) {
@@ -813,7 +794,7 @@ impl<Q: Queue<Ev>> Sim<Q> {
                     }
                     let mut out = std::mem::take(&mut self.out_buf);
                     self.hmc
-                        .access_traced(id, class, addr, is_write, needs_response, span, &mut out);
+                        .access(id, class, addr, is_write, needs_response, span, &mut out);
                     self.process_outputs(&mut out);
                     self.out_buf = out;
                 }
@@ -825,47 +806,24 @@ impl<Q: Queue<Ev>> Sim<Q> {
                 }
                 Ev::MemDone {
                     tier,
-                    class,
                     channel,
                     token,
                 } => {
-                    let traced = self.tracer.enabled();
-                    // The span (if any) owning this demand completion must
-                    // be read *before* `handle` retires the transaction.
-                    let done_span = if traced {
-                        self.dev(tier).on_complete_traced(channel, class);
-                        self.hmc.demand_trace(token).map(|t| t.span)
-                    } else {
-                        self.dev(tier).on_complete(channel);
-                        None
-                    };
+                    // Read before `handle` can retire the transaction: the
+                    // class the command was enqueued with, and the span (if
+                    // any) this demand completion closes.
+                    let (class, tag) = self.trace_ctx(token);
+                    self.dev(tier).on_complete(channel, class);
                     let mut out = std::mem::take(&mut self.out_buf);
                     self.hmc.handle(HmcEvent::MemDone(token), &mut out);
                     self.process_outputs(&mut out);
                     self.out_buf = out;
                     // Start queued successors.
                     let _prof = prof::scope("mem.schedule");
-                    let now = self.q.now();
-                    let mut started = std::mem::take(&mut self.started_buf);
-                    self.dev(tier).pump(channel, now, &mut started);
-                    if traced {
-                        self.drain_traces(tier, channel);
+                    self.pump(tier, channel);
+                    if let Some(tag) = tag {
+                        self.tracer.close(tag.span, self.q.now());
                     }
-                    if let Some(sid) = done_span {
-                        self.tracer.close(sid, now);
-                    }
-                    for s in started.drain(..) {
-                        self.q.schedule_at(
-                            s.done_at,
-                            Ev::MemDone {
-                                tier,
-                                class: s.class,
-                                channel: s.channel,
-                                token: s.token,
-                            },
-                        );
-                    }
-                    self.started_buf = started;
                 }
                 Ev::Epoch => {
                     self.on_epoch();
@@ -1092,12 +1050,8 @@ fn simulate<Q: Queue<Ev> + Default>(
     let t_start = std::time::Instant::now();
     let n_ctx = ctxs.len();
     let n_core = cores.len();
-    let tracing = cfg.trace_sample.is_some();
-    let mut fast = MemDevice::new(cfg.fast_preset.timing(), cfg.fast_channels);
-    let mut slow =
-        MemDevice::with_scheduling(TimingPreset::Ddr4.timing(), cfg.slow_channels, false);
-    fast.set_tracing(tracing);
-    slow.set_tracing(tracing);
+    let fast = MemDevice::new(cfg.fast_preset.timing(), cfg.fast_channels, true);
+    let slow = MemDevice::new(TimingPreset::Ddr4.timing(), cfg.slow_channels, false);
     let mut sim = Sim {
         cfg: cfg.clone(),
         q: Q::default(),
@@ -1131,7 +1085,6 @@ fn simulate<Q: Queue<Ev> + Default>(
         tracer: SpanCollector::new(cfg.trace_sample),
         out_buf: Vec::new(),
         started_buf: Vec::new(),
-        trace_scratch: Vec::new(),
         capture: if capture.is_some() {
             Some(TraceCapture::new(n_core, n_ctx))
         } else {

@@ -284,7 +284,7 @@ fn remap_never_serves_stale_ways_after_reconfig() {
             let class = if rng.chance(0.5) { ReqClass::Cpu } else { ReqClass::Gpu };
             let block = rng.below(512);
             let mut queue = Vec::new();
-            hmc.access(i, class, block * block_bytes, rng.chance(0.3), true, &mut queue);
+            hmc.access(i, class, block * block_bytes, rng.chance(0.3), true, None, &mut queue);
             while let Some(o) = queue.pop() {
                 let mut nxt = Vec::new();
                 match o {
