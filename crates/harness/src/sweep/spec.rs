@@ -5,7 +5,7 @@
 //! and a search strategy over named numeric parameters — an exhaustive
 //! grid, seeded random sampling, or a seeded hill-climb that follows a
 //! named [`RunReport`](h2_system::RunReport) metric
-//! ([`h2_system::report::METRIC_NAMES`]). Expansion is fully deterministic
+//! ([`h2_system::report::METRICS`]). Expansion is fully deterministic
 //! given the spec (including its seeds): the same document always yields
 //! the same ordered sequence of [`SweepPoint`]s and therefore the same
 //! u128 job keys, which is what lets repeated sweeps share the persistent
@@ -37,7 +37,7 @@
 use crate::cache::Job;
 use h2_check::policy_by_name;
 use h2_sim_core::{Json, SeededRng};
-use h2_system::report::METRIC_NAMES;
+use h2_system::report::METRICS;
 use h2_system::SystemConfig;
 use h2_trace::{Mix, TenantScenario};
 
@@ -187,7 +187,7 @@ pub enum Search {
     },
     /// Seeded greedy hill-climb following a report metric.
     HillClimb {
-        /// Metric name (see [`METRIC_NAMES`]).
+        /// Metric name (see [`METRICS`]).
         metric: String,
         /// Objective direction.
         goal: Goal,
@@ -515,10 +515,11 @@ impl SweepSpec {
                 }
             }
             Search::HillClimb { metric, max_steps, .. } => {
-                if !METRIC_NAMES.contains(&metric.as_str()) {
+                if !METRICS.iter().any(|(n, _)| n == metric) {
+                    let known: Vec<&str> = METRICS.iter().map(|(n, _)| *n).collect();
                     return Err(format!(
                         "unknown metric '{metric}' (known: {})",
-                        METRIC_NAMES.join(", ")
+                        known.join(", ")
                     ));
                 }
                 if *max_steps == 0 {

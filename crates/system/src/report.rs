@@ -213,28 +213,9 @@ impl RunReport {
         self.slow.bytes
     }
 
-    /// Look a scalar metric up by its stable name (see [`METRIC_NAMES`]).
-    /// This is the lookup the sweep engine's hill-climb search and summary
-    /// tables use, so the names are part of the sweep-spec schema.
+    /// Look a scalar metric up by its stable name in [`METRICS`].
     pub fn metric(&self, name: &str) -> Option<f64> {
-        Some(match name {
-            "weighted_ipc" => self.weighted_ipc(),
-            "cpu_ipc" => self.cpu_ipc(),
-            "gpu_ipc" => self.gpu_ipc(),
-            "energy_j" => self.energy_j(),
-            "slow_traffic_bytes" => self.slow_traffic() as f64,
-            "remap_hit_rate" => self.remap_hit_rate,
-            "avg_cpu_read_latency" => self.avg_cpu_read_latency,
-            "avg_gpu_read_latency" => self.avg_gpu_read_latency,
-            "measured_cycles" => self.measured_cycles as f64,
-            "cpu_instr" => self.cpu_instr as f64,
-            "gpu_instr" => self.gpu_instr as f64,
-            "migrations" => (self.hmc.migrations[0] + self.hmc.migrations[1]) as f64,
-            "row_conflicts" => (self.fast.row_conflicts + self.slow.row_conflicts) as f64,
-            "tenant_p50_demand_latency" => self.worst_tenant_quantile(0.5),
-            "tenant_p99_demand_latency" => self.worst_tenant_quantile(0.99),
-            _ => return None,
-        })
+        METRICS.iter().find(|(n, _)| *n == name).map(|(_, f)| f(self))
     }
 
     /// Worst (max) per-tenant demand-latency quantile — the SLO objective
@@ -248,24 +229,28 @@ impl RunReport {
     }
 }
 
-/// Every name [`RunReport::metric`] resolves, for validation and error
-/// messages. Keep the two lists in sync (pinned by a unit test).
-pub const METRIC_NAMES: &[&str] = &[
-    "weighted_ipc",
-    "cpu_ipc",
-    "gpu_ipc",
-    "energy_j",
-    "slow_traffic_bytes",
-    "remap_hit_rate",
-    "avg_cpu_read_latency",
-    "avg_gpu_read_latency",
-    "measured_cycles",
-    "cpu_instr",
-    "gpu_instr",
-    "migrations",
-    "row_conflicts",
-    "tenant_p50_demand_latency",
-    "tenant_p99_demand_latency",
+/// Computes one scalar metric of a report.
+pub type MetricFn = fn(&RunReport) -> f64;
+
+/// Every scalar metric [`RunReport::metric`] resolves, by its stable name.
+/// The sweep engine's hill-climb search and summary tables look metrics up
+/// here, so the names are part of the sweep-spec schema.
+pub const METRICS: &[(&str, MetricFn)] = &[
+    ("weighted_ipc", RunReport::weighted_ipc),
+    ("cpu_ipc", RunReport::cpu_ipc),
+    ("gpu_ipc", RunReport::gpu_ipc),
+    ("energy_j", RunReport::energy_j),
+    ("slow_traffic_bytes", |r| r.slow_traffic() as f64),
+    ("remap_hit_rate", |r| r.remap_hit_rate),
+    ("avg_cpu_read_latency", |r| r.avg_cpu_read_latency),
+    ("avg_gpu_read_latency", |r| r.avg_gpu_read_latency),
+    ("measured_cycles", |r| r.measured_cycles as f64),
+    ("cpu_instr", |r| r.cpu_instr as f64),
+    ("gpu_instr", |r| r.gpu_instr as f64),
+    ("migrations", |r| (r.hmc.migrations[0] + r.hmc.migrations[1]) as f64),
+    ("row_conflicts", |r| (r.fast.row_conflicts + r.slow.row_conflicts) as f64),
+    ("tenant_p50_demand_latency", |r| r.worst_tenant_quantile(0.5)),
+    ("tenant_p99_demand_latency", |r| r.worst_tenant_quantile(0.99)),
 ];
 
 #[cfg(test)]
@@ -312,11 +297,8 @@ mod tests {
     }
 
     #[test]
-    fn metric_lookup_covers_every_listed_name() {
+    fn metric_lookup_reads_the_table() {
         let r = report(2000, 13_000);
-        for name in METRIC_NAMES {
-            assert!(r.metric(name).is_some(), "METRIC_NAMES entry '{name}' must resolve");
-        }
         assert!((r.metric("weighted_ipc").unwrap() - r.weighted_ipc()).abs() < 1e-12);
         assert!((r.metric("cpu_instr").unwrap() - 2000.0).abs() < 1e-12);
         assert_eq!(r.metric("no_such_metric"), None);

@@ -15,7 +15,7 @@ use h2_check::{
 };
 use h2_sim_core::trace_span::tiles_exactly;
 use h2_sim_core::{Json, LogHistogram};
-use h2_system::report::METRIC_NAMES;
+use h2_system::report::METRICS;
 use h2_system::{run_scenario, PolicyKind, RunReport, SystemConfig};
 use h2_trace::{Arrival, TenantScenario, TenantSpec};
 use std::fs;
@@ -97,7 +97,7 @@ fn three_tenant_bursty_partition_holds_under_both_policies() {
 fn tenant_quantile_metrics_resolve_and_are_consistent() {
     let r = run_scenario(&short_cfg(9), &bursty_triad(), PolicyKind::NoPart);
     for name in ["tenant_p50_demand_latency", "tenant_p99_demand_latency"] {
-        assert!(METRIC_NAMES.contains(&name), "{name} must be a stable sweep metric");
+        assert!(METRICS.iter().any(|(n, _)| *n == name), "{name} must be a stable sweep metric");
         assert!(r.metric(name).expect("metric resolves") > 0.0, "{name} must be positive");
     }
     let p50 = r.metric("tenant_p50_demand_latency").unwrap();
