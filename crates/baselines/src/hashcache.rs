@@ -54,11 +54,8 @@ impl PartitionPolicy for HashCachePolicy {
         }
     }
 
-    fn priority(&self, class: ReqClass) -> u8 {
-        match class {
-            ReqClass::Cpu => 1, // CPU requests jump the queue
-            ReqClass::Gpu => 0,
-        }
+    fn urgent_demand(&self, class: ReqClass) -> bool {
+        class == ReqClass::Cpu // CPU requests jump the queue
     }
 
     fn params(&self) -> PolicyParams {
@@ -78,7 +75,7 @@ mod tests {
     #[test]
     fn cpu_has_priority() {
         let p = HashCachePolicy::new(1, 4);
-        assert!(p.priority(ReqClass::Cpu) > p.priority(ReqClass::Gpu));
+        assert!(p.urgent_demand(ReqClass::Cpu) && !p.urgent_demand(ReqClass::Gpu));
     }
 
     #[test]

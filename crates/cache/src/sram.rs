@@ -255,25 +255,6 @@ impl SetAssocCache {
         AccessOutcome::Miss { victim }
     }
 
-    /// Check presence without disturbing LRU or stats.
-    pub fn probe(&self, addr: u64) -> bool {
-        let (set, tag) = self.index(addr);
-        let key = Line::valid_key(tag);
-        self.lines[self.set_range(set)].iter().any(|l| l.holds(key))
-    }
-
-    /// Invalidate `addr` if present; returns `Some(dirty)` when a line was
-    /// dropped (dirty means the caller owes a write-back).
-    pub fn invalidate(&mut self, addr: u64) -> Option<bool> {
-        let (set, tag) = self.index(addr);
-        let key = Line::valid_key(tag);
-        let range = self.set_range(set);
-        let l = self.lines[range].iter_mut().find(|l| l.holds(key))?;
-        let dirty = l.dirty();
-        l.key = 0;
-        Some(dirty)
-    }
-
     /// Number of valid lines (occupancy) — used by tests and warm-up checks.
     pub fn occupancy(&self) -> usize {
         self.lines.iter().filter(|l| l.valid()).count()
@@ -319,8 +300,12 @@ mod tests {
             }
             o => panic!("expected eviction of 256, got {o:?}"),
         }
-        assert!(c.probe(0));
-        assert!(!c.probe(256));
+        // 0 stayed resident and 256 left: 512 is now the LRU line.
+        assert_eq!(c.access(0, false), AccessOutcome::Hit);
+        assert_eq!(
+            c.access(256, false),
+            AccessOutcome::Miss { victim: Some((512, false)) }
+        );
     }
 
     #[test]
@@ -349,30 +334,6 @@ mod tests {
         c.access(256, false);
         match c.access(512, false) {
             AccessOutcome::Miss { victim: Some((_, dirty)) } => assert!(dirty),
-            o => panic!("{o:?}"),
-        }
-    }
-
-    #[test]
-    fn invalidate_returns_dirtiness() {
-        let mut c = small(2);
-        c.access(0, true);
-        assert_eq!(c.invalidate(0), Some(true));
-        assert_eq!(c.invalidate(0), None);
-        assert!(!c.probe(0));
-        c.access(64, false);
-        assert_eq!(c.invalidate(64), Some(false));
-    }
-
-    #[test]
-    fn probe_does_not_disturb_lru() {
-        let mut c = small(2);
-        c.access(0, false);
-        c.access(256, false);
-        // Probing 0 must NOT refresh it.
-        assert!(c.probe(0));
-        match c.access(512, false) {
-            AccessOutcome::Miss { victim: Some((addr, _)) } => assert_eq!(addr, 0),
             o => panic!("{o:?}"),
         }
     }
@@ -474,21 +435,13 @@ mod tests {
             AccessOutcome::Miss { victim }
         }
 
-        fn invalidate(&mut self, addr: u64) -> Option<bool> {
-            let i = self.find(addr)?;
-            let l = &mut self.lines[i];
-            let dirty = l.2;
-            (l.1, l.2) = (false, false);
-            Some(dirty)
-        }
-
         fn occupancy(&self) -> usize {
             self.lines.iter().filter(|l| l.1).count()
         }
     }
 
     /// Seeded churn against the reference LRU at 1, 2, 8 and 16 ways:
-    /// reads, writes, probes and invalidations over a footprint three
+    /// reads and writes over a footprint three
     /// times the capacity plus addresses within 4 KiB of `u64::MAX` (the
     /// largest tags), comparing every outcome (victim address and
     /// dirtiness included), the stats and the occupancy after each
@@ -524,18 +477,8 @@ mod tests {
                             "{sets} sets of {ways} {line_bytes}-byte lines, seed {seed}, \
                              step {step}, addr {addr:#x}"
                         );
-                        match (x >> 40) % 10 {
-                            0 => assert_eq!(c.probe(addr), r.find(addr).is_some(), "{at}"),
-                            1 => assert_eq!(c.invalidate(addr), r.invalidate(addr), "{at}"),
-                            op => {
-                                let is_write = op < 4;
-                                assert_eq!(
-                                    c.access(addr, is_write),
-                                    r.access(addr, is_write),
-                                    "{at}"
-                                );
-                            }
-                        }
+                        let is_write = (x >> 40) & 3 == 0;
+                        assert_eq!(c.access(addr, is_write), r.access(addr, is_write), "{at}");
                         assert_eq!(c.stats(), r.stats, "{at}");
                         assert_eq!(c.occupancy(), r.occupancy(), "{at}");
                     }

@@ -17,7 +17,7 @@ use crate::policy::PartitionPolicy;
 use crate::remap::RemapTable;
 use crate::types::{HybridConfig, Mode, ReqClass, Tier};
 use h2_cache::remap::{RemapCache, RemapLookup};
-use h2_mem::MemCmd;
+use h2_mem::{MemCmd, Priority};
 use h2_sim_core::trace_span::{BlameClass, SpanId, TraceTag};
 use h2_sim_core::units::Cycles;
 use h2_sim_core::{hint, prof, SeededRng};
@@ -48,8 +48,8 @@ const STEP_BG: u64 = 2;
 /// Actions the HMC asks the surrounding system to perform.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HmcOutput {
-    /// Issue a DRAM command; on completion call
-    /// [`Hmc::handle`] with [`HmcEvent::MemDone`] carrying `cmd.token`.
+    /// Issue a DRAM command; on completion call [`Hmc::handle`] with
+    /// `cmd.token`.
     Mem {
         /// Which tier's device.
         tier: Tier,
@@ -58,8 +58,8 @@ pub enum HmcOutput {
         /// The command (token pre-filled).
         cmd: MemCmd,
     },
-    /// Call back with [`HmcEvent::SramDone`] after `delay` cycles
-    /// (on-chip metadata latency).
+    /// Call [`Hmc::handle`] with `token` after `delay` cycles (on-chip
+    /// metadata latency).
     After {
         /// Delay in cycles.
         delay: Cycles,
@@ -71,15 +71,6 @@ pub enum HmcOutput {
         /// Caller's request id.
         req_id: u64,
     },
-}
-
-/// Events fed back into the HMC.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HmcEvent {
-    /// A DRAM command with this token completed.
-    MemDone(u64),
-    /// An `After` callback with this token elapsed.
-    SramDone(u64),
 }
 
 #[derive(Debug, Clone)]
@@ -294,6 +285,18 @@ impl Hmc {
         ((set / META_SETS_PER_LINE) % self.cfg.fast_channels as u64) as usize
     }
 
+    /// Demand commands (and the metadata probes that gate them) are
+    /// scheduled above background migration traffic, and above other
+    /// demand when the policy prioritises `class`. The device's age
+    /// escalation keeps background traffic from starving.
+    fn demand_priority(&self, class: ReqClass) -> Priority {
+        if self.policy.urgent_demand(class) {
+            Priority::Urgent
+        } else {
+            Priority::Demand
+        }
+    }
+
     /// Begin a transaction for a 64 B LLC-side access.
     ///
     /// * `req_id` — caller's identifier, echoed in `DemandReady`.
@@ -363,7 +366,7 @@ impl Hmc {
                                 addr: self.meta_addr(v * META_SETS_PER_LINE),
                                 bytes: 64,
                                 is_write: true,
-                                priority: 0,
+                                priority: Priority::Background,
                                 token: ORPHAN_TOKEN,
                             },
                         });
@@ -385,7 +388,7 @@ impl Hmc {
                     addr: self.meta_addr(set),
                     bytes: 64,
                     is_write: false,
-                    priority: demand_priority(self.policy.priority(class)),
+                    priority: self.demand_priority(class),
                     token: ORPHAN_TOKEN,
                 },
             });
@@ -463,12 +466,10 @@ impl Hmc {
         t.span.map(|span| (span, t.meta_missed))
     }
 
-    /// Feed a completion event back into the controller.
-    pub fn handle(&mut self, ev: HmcEvent, out: &mut Vec<HmcOutput>) {
+    /// Feed back the token of a completed DRAM command or an elapsed
+    /// `After` callback.
+    pub fn handle(&mut self, token: u64, out: &mut Vec<HmcOutput>) {
         let _prof = prof::scope("hmc.handle");
-        let token = match ev {
-            HmcEvent::MemDone(t) | HmcEvent::SramDone(t) => t,
-        };
         if token == ORPHAN_TOKEN {
             return;
         }
@@ -548,7 +549,7 @@ impl Hmc {
                 addr: self.cfg.fast_addr_of(set, way),
                 bytes: 64,
                 is_write,
-                priority: demand_priority(self.policy.priority(class)),
+                priority: self.demand_priority(class),
                 token: self.token(idx, STEP_DEMAND),
             },
         });
@@ -702,7 +703,7 @@ impl Hmc {
                 addr: self.cfg.slow_addr_of_block(block) + (addr % self.cfg.block_bytes),
                 bytes: 64,
                 is_write: is_write && !migrate,
-                priority: demand_priority(self.policy.priority(class)),
+                priority: self.demand_priority(class),
                 token: self.token(idx, STEP_DEMAND),
             },
         });
@@ -793,7 +794,7 @@ impl Hmc {
                 addr,
                 bytes,
                 is_write,
-                priority: 0,
+                priority: Priority::Background,
                 token: self.token(idx, STEP_BG),
             },
         });
@@ -934,13 +935,6 @@ impl Hmc {
     }
 }
 
-/// Demand (and metadata, which gates demand) commands are scheduled above
-/// background migration traffic: priority 1 + the policy's class priority.
-/// The device's age escalation keeps background traffic from starving.
-fn demand_priority(class_priority: u8) -> u8 {
-    1 + class_priority
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -970,22 +964,17 @@ mod tests {
             match o {
                 HmcOutput::Mem { tier, cmd, .. } => {
                     match tier {
-                        Tier::Fast => {
-                            res.fast_cmds += 1;
-                            res.fast_bytes += cmd.bytes as u64;
-                        }
-                        Tier::Slow => {
-                            res.slow_cmds += 1;
-                            res.slow_bytes += cmd.bytes as u64;
-                        }
+                        Tier::Fast => res.fast_bytes += cmd.bytes as u64,
+                        Tier::Slow => res.slow_bytes += cmd.bytes as u64,
                     }
+                    res.cmds.push((tier, cmd));
                     let mut nxt = Vec::new();
-                    h.handle(HmcEvent::MemDone(cmd.token), &mut nxt);
+                    h.handle(cmd.token, &mut nxt);
                     queue.extend(nxt);
                 }
                 HmcOutput::After { token, .. } => {
                     let mut nxt = Vec::new();
-                    h.handle(HmcEvent::SramDone(token), &mut nxt);
+                    h.handle(token, &mut nxt);
                     queue.extend(nxt);
                 }
                 HmcOutput::DemandReady { req_id } => {
@@ -999,8 +988,8 @@ mod tests {
 
     #[derive(Debug, Default)]
     struct DriveResult {
-        fast_cmds: u64,
-        slow_cmds: u64,
+        /// Every DRAM command issued, in issue order.
+        cmds: Vec<(Tier, MemCmd)>,
         fast_bytes: u64,
         slow_bytes: u64,
         responded: bool,
@@ -1060,6 +1049,108 @@ mod tests {
         }
         drive(&mut h, 9, ReqClass::Cpu, 4 * sets * bb, false);
         assert_eq!(h.stats().victim_writebacks, 1, "flat evicts are swaps");
+    }
+
+    /// NoPart placement with HAShCache's answer to `urgent_demand`: the
+    /// CPU's demand jumps the queue.
+    struct CpuFirst(SharedPolicy);
+
+    impl PartitionPolicy for CpuFirst {
+        fn name(&self) -> &str {
+            "cpu-first"
+        }
+        fn alloc_mask(&self, set: u64, class: ReqClass) -> u16 {
+            self.0.alloc_mask(set, class)
+        }
+        fn way_channel(&self, set: u64, way: usize) -> usize {
+            self.0.way_channel(set, way)
+        }
+        fn migration_allowed(
+            &mut self,
+            class: ReqClass,
+            cost: u32,
+            is_write: bool,
+            slow_channel: usize,
+            rng: &mut SeededRng,
+        ) -> bool {
+            self.0.migration_allowed(class, cost, is_write, slow_channel, rng)
+        }
+        fn urgent_demand(&self, class: ReqClass) -> bool {
+            class == ReqClass::Cpu
+        }
+        fn params(&self) -> crate::policy::PolicyParams {
+            self.0.params()
+        }
+    }
+
+    /// What an issued command is for, read off its token, tier and
+    /// direction (the shared policy never swaps or relocates).
+    fn cmd_kind(tier: Tier, cmd: &MemCmd) -> &'static str {
+        match (cmd.token == ORPHAN_TOKEN, cmd.token & 3, tier, cmd.is_write) {
+            (true, _, _, false) => "metadata probe",
+            (true, _, _, true) => "metadata write-back",
+            (false, STEP_DEMAND, _, _) => "demand",
+            (false, _, Tier::Slow, false) | (false, _, Tier::Fast, true) => "refill",
+            _ => "victim write-back",
+        }
+    }
+
+    /// The metadata probe and the demand access go out at demand priority,
+    /// urgent for a class the policy prioritises; refill, victim write-back
+    /// and metadata write-back go out as background. Three write sweeps
+    /// (CPU, GPU, CPU) over every way of every set give each class cold
+    /// misses, dirty victims and, through a one-set remap cache, dirty
+    /// metadata evictions.
+    #[test]
+    fn commands_go_out_at_the_priority_of_their_kind() {
+        let cfg = HybridConfig {
+            fast_capacity: 256 * KIB, // 256 sets: 32 metadata lines
+            remap_cache_bytes: 512,   // 8 metadata lines on chip
+            ..HybridConfig::default()
+        };
+        let (sets, ways, bb) = (cfg.num_sets(), cfg.assoc as u64, cfg.block_bytes);
+        for cpu_first in [false, true] {
+            let shared = SharedPolicy::new(cfg.assoc, cfg.fast_channels);
+            let policy: Box<dyn PartitionPolicy> = if cpu_first {
+                Box::new(CpuFirst(shared))
+            } else {
+                Box::new(shared)
+            };
+            let mut h = Hmc::new(cfg.clone(), policy, 7);
+            let mut seen = std::collections::BTreeSet::new();
+            let mut req = 0;
+            let rounds = [ReqClass::Cpu, ReqClass::Gpu, ReqClass::Cpu];
+            for (round, class) in rounds.into_iter().enumerate() {
+                for way in 0..ways {
+                    for set in 0..sets {
+                        let block = (round as u64 * ways + way) * sets + set;
+                        req += 1;
+                        for (tier, cmd) in drive(&mut h, req, class, block * bb, true).cmds {
+                            seen.insert((cmd_kind(tier, &cmd), class.idx(), cmd.priority));
+                        }
+                    }
+                }
+            }
+            let expected: std::collections::BTreeSet<_> = [ReqClass::Cpu, ReqClass::Gpu]
+                .into_iter()
+                .flat_map(|class| {
+                    let demand = if cpu_first && class == ReqClass::Cpu {
+                        Priority::Urgent
+                    } else {
+                        Priority::Demand
+                    };
+                    [
+                        ("metadata probe", demand),
+                        ("demand", demand),
+                        ("refill", Priority::Background),
+                        ("victim write-back", Priority::Background),
+                        ("metadata write-back", Priority::Background),
+                    ]
+                    .map(|(kind, priority)| (kind, class.idx(), priority))
+                })
+                .collect();
+            assert_eq!(seen, expected, "cpu_first = {cpu_first}");
+        }
     }
 
     #[test]

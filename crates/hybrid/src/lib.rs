@@ -20,7 +20,7 @@ pub mod policy;
 pub mod remap;
 pub mod types;
 
-pub use hmc::{Hmc, HmcEvent, HmcOutput, HmcStats};
+pub use hmc::{Hmc, HmcOutput, HmcStats};
 pub use policy::{EpochSample, PartitionPolicy, PolicyParams, TokenFlows};
 pub use remap::{RemapTable, WayMeta};
 pub use types::{HybridConfig, Mode, ReqClass, Tier};

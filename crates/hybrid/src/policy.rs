@@ -5,8 +5,8 @@
 //! [`PartitionPolicy`]. The hybrid memory controller consults the policy at
 //! each decision point: where a block may be placed (`alloc_mask`), which
 //! channel serves a way (`way_channel`), whether a miss may migrate
-//! (`migration_allowed`), request priorities, fast-memory swaps, and the
-//! per-epoch adaptation hook.
+//! (`migration_allowed`), which class's demand is urgent, fast-memory
+//! swaps, and the per-epoch adaptation hook.
 
 use crate::remap::WayMeta;
 use crate::types::ReqClass;
@@ -101,11 +101,11 @@ pub trait PartitionPolicy {
         rng: &mut SeededRng,
     ) -> bool;
 
-    /// Memory-controller priority for demand requests of `class`
-    /// (higher wins; HAShCache prioritises the CPU).
-    fn priority(&self, class: ReqClass) -> u8 {
+    /// Whether the memory controller schedules `class`'s demand commands
+    /// above other demand (HAShCache prioritises the CPU).
+    fn urgent_demand(&self, class: ReqClass) -> bool {
         let _ = class;
-        0
+        false
     }
 
     /// On a fast hit by `class` in `way`, return a way to swap the block
@@ -246,7 +246,7 @@ mod tests {
         assert_eq!(p.alloc_mask(0, ReqClass::Cpu), 0b1111);
         assert_eq!(p.alloc_mask(7, ReqClass::Gpu), 0b1111);
         assert!(p.migration_allowed(ReqClass::Gpu, 2, false, 0, &mut rng));
-        assert_eq!(p.priority(ReqClass::Cpu), 0);
+        assert!(!p.urgent_demand(ReqClass::Cpu));
     }
 
     #[test]

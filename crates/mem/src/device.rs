@@ -31,11 +31,11 @@
 //! slot, so queueing, dequeueing and starting a command each read one host
 //! cache line of it. The tracing context of the few tagged commands sits
 //! in a per-channel list keyed by arrival position. Slot bitmaps record
-//! occupancy, the current row-hit status and membership of each distinct
-//! priority level (found through a priority-indexed table). The row-hit
-//! bits are refreshed through flat, bank-major per-bank slot bitmaps, and
-//! only when a start changes a bank's open row while that bank still has
-//! queued commands: a row hit leaves every bit as it was.
+//! occupancy, the current row-hit status and membership of each of the
+//! three [`Priority`] levels (an array indexed by the priority). The
+//! row-hit bits are refreshed through flat, bank-major per-bank slot
+//! bitmaps, and only when a start changes a bank's open row while that
+//! bank still has queued commands: a row hit leaves every bit as it was.
 //!
 //! Enqueue times never decrease along a channel, so the commands older
 //! than [`AGE_CAP`] form a prefix of the ring; its end is cached as a
@@ -43,8 +43,8 @@
 //! FR-FCFS asks then becomes a first-set-bit search over 64-slot words
 //! that stops at the first hit, not a compare per queued command. The
 //! winner is exactly the maximal `(priority, row_hit, oldest first)` key,
-//! with aged commands escalated to `u8::MAX`; debug builds check every
-//! pick against a linear scan of that key. The ring doubles (laying
+//! with aged commands escalated above every priority; debug builds check
+//! every pick against a linear scan of that key. The ring doubles (laying
 //! `[head, tail)` out again, holes included) only when the span from the
 //! oldest to the newest queued command fills it, so steady state never
 //! allocates and never moves a pending command.
@@ -63,6 +63,20 @@ pub const AGE_CAP: Cycles = 250;
 /// overlaps earlier bursts.
 pub const PIPELINE_DEPTH: usize = 48;
 
+/// The scheduling priority of a command; a later variant wins. A
+/// demand-first device honours it, a bandwidth-optimised one schedules
+/// everything as `Background`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Priority {
+    /// Migration refill, victim and metadata write-back, and swap traffic.
+    #[default]
+    Background,
+    /// Demand accesses and the metadata probes that gate them.
+    Demand,
+    /// Demand of a class the policy prioritises (HAShCache's CPU).
+    Urgent,
+}
+
 /// A command presented to the device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemCmd {
@@ -72,8 +86,8 @@ pub struct MemCmd {
     pub bytes: u32,
     /// Write (true) or read (false).
     pub is_write: bool,
-    /// Scheduling priority; higher wins (HAShCache prioritises CPU = 1).
-    pub priority: u8,
+    /// Scheduling priority.
+    pub priority: Priority,
     /// Opaque caller token, returned on completion.
     pub token: u64,
 }
@@ -87,46 +101,33 @@ pub struct StartedCmd {
     pub token: u64,
 }
 
-/// Address → (bank, row) decomposition, strength-reduced to shifts and
-/// masks when the geometry is a power of two (both Table I presets are).
+/// Address → (bank, row) decomposition by shifts and masks, for a
+/// power-of-two geometry (which [`MemDevice::new`] asserts).
 #[derive(Debug, Clone, Copy)]
 struct AddrMap {
-    row_bytes: u64,
-    banks: u64,
-    /// `log2(row_bytes)`, valid when `pow2`.
+    /// `log2(row_bytes)`.
     row_shift: u32,
-    /// `banks - 1`, valid when `pow2`.
+    /// `banks - 1`.
     bank_mask: u64,
-    /// `log2(banks)`, valid when `pow2`.
+    /// `log2(banks)`.
     bank_shift: u32,
-    pow2: bool,
 }
 
 impl AddrMap {
     fn new(row_bytes: u64, banks: u64) -> Self {
-        let pow2 = row_bytes.is_power_of_two() && banks.is_power_of_two();
         Self {
-            row_bytes,
-            banks,
             row_shift: row_bytes.trailing_zeros(),
-            bank_mask: banks.wrapping_sub(1),
+            bank_mask: banks - 1,
             bank_shift: banks.trailing_zeros(),
-            pow2,
         }
     }
 
-    /// Map a device address to (bank index, row id). Value-identical to
-    /// `row_global = addr / row_bytes; (row_global % banks, row_global /
-    /// banks)` — the shift path is exact for power-of-two geometry.
+    /// Map a device address to (bank index, row id): `row_global = addr /
+    /// row_bytes; (row_global % banks, row_global / banks)`.
     #[inline]
     fn map(&self, addr: u64) -> (u32, u64) {
-        if self.pow2 {
-            let row_global = addr >> self.row_shift;
-            ((row_global & self.bank_mask) as u32, row_global >> self.bank_shift)
-        } else {
-            let row_global = addr / self.row_bytes;
-            ((row_global % self.banks) as u32, row_global / self.banks)
-        }
+        let row_global = addr >> self.row_shift;
+        ((row_global & self.bank_mask) as u32, row_global >> self.bank_shift)
     }
 }
 
@@ -161,7 +162,7 @@ struct CmdRec {
     token: u64,
     bank: u32,
     bytes: u32,
-    prio: u8,
+    prio: Priority,
     write: bool,
     class: BlameClass,
 }
@@ -170,7 +171,6 @@ struct CmdRec {
 /// and its population count.
 #[derive(Debug)]
 struct PrioLevel {
-    prio: u8,
     bits: Vec<u64>,
     len: usize,
 }
@@ -185,7 +185,7 @@ struct PrioLevel {
 /// set; `hit` mirrors `occ` with the slot's current row-hit status,
 /// `bank_bits` holds one slot bitmap per bank so `hit` can be refreshed
 /// incrementally whenever a bank's open row changes, and `levels` holds
-/// one slot bitmap per priority present, highest priority first.
+/// one slot bitmap per [`Priority`], indexed by it.
 #[derive(Debug)]
 struct CmdRing {
     /// Arrival cycle per slot: the only per-slot field the pick reads.
@@ -203,12 +203,9 @@ struct CmdRing {
     bank_bits: Vec<u64>,
     /// Queued commands per bank (population count of its bitmap).
     bank_len: Vec<u32>,
-    /// Per-priority slot bitmaps, in descending priority; they partition
+    /// Per-priority slot bitmaps, indexed by [`Priority`]; they partition
     /// `occ`.
-    levels: Vec<PrioLevel>,
-    /// `level_at[p]` is the index into `levels` of priority `p` whenever
-    /// that priority has a level; other entries are stale.
-    level_at: [u8; 256],
+    levels: [PrioLevel; 3],
     /// Oldest queued position (`== tail` when empty).
     head: u64,
     /// Next position to assign.
@@ -232,8 +229,10 @@ impl CmdRing {
             hit: vec![0; words],
             bank_bits: vec![0; banks * words],
             bank_len: vec![0; banks],
-            levels: Vec::new(),
-            level_at: [0; 256],
+            levels: std::array::from_fn(|_| PrioLevel {
+                bits: vec![0; words],
+                len: 0,
+            }),
             head: 0,
             tail: 0,
             frontier: 0,
@@ -307,37 +306,6 @@ impl CmdRing {
         self.slot(pos)
     }
 
-    /// Index into `levels` of priority `prio`, adding an empty level in
-    /// descending order when it is new.
-    #[inline]
-    fn level_of(&mut self, prio: u8) -> usize {
-        let i = self.level_at[prio as usize] as usize;
-        if self.levels.get(i).is_some_and(|l| l.prio == prio) {
-            i
-        } else {
-            self.add_level(prio)
-        }
-    }
-
-    /// [`Self::level_of`] for a priority without a level yet.
-    #[cold]
-    fn add_level(&mut self, prio: u8) -> usize {
-        let i = self.levels.partition_point(|l| l.prio > prio);
-        let words = self.occ.len();
-        self.levels.insert(
-            i,
-            PrioLevel {
-                prio,
-                bits: vec![0; words],
-                len: 0,
-            },
-        );
-        for (j, l) in self.levels.iter().enumerate() {
-            self.level_at[l.prio as usize] = j as u8;
-        }
-        i
-    }
-
     #[inline]
     fn set_occupied(&mut self, slot: usize, hit: bool) {
         let (w, b) = (slot / 64, slot % 64);
@@ -346,9 +314,9 @@ impl CmdRing {
         self.hit[w] = (self.hit[w] & !(1 << b)) | ((hit as u64) << b);
         self.bank_bits[bank as usize * self.occ.len() + w] |= 1 << b;
         self.bank_len[bank as usize] += 1;
-        let l = self.level_of(prio);
-        self.levels[l].bits[w] |= 1 << b;
-        self.levels[l].len += 1;
+        let l = &mut self.levels[prio as usize];
+        l.bits[w] |= 1 << b;
+        l.len += 1;
         self.len += 1;
     }
 
@@ -363,9 +331,9 @@ impl CmdRing {
         self.hit[w] &= !(1 << b);
         self.bank_bits[bank as usize * self.occ.len() + w] &= !(1 << b);
         self.bank_len[bank as usize] -= 1;
-        let l = self.level_of(prio);
-        self.levels[l].bits[w] &= !(1 << b);
-        self.levels[l].len -= 1;
+        let l = &mut self.levels[prio as usize];
+        l.bits[w] &= !(1 << b);
+        l.len -= 1;
         self.len -= 1;
         if pos == self.head {
             self.head = self
@@ -423,8 +391,9 @@ impl CmdRing {
 
     /// FR-FCFS-lite pick: the queued position with the maximal
     /// `(priority, row_hit, oldest first)` key, commands older than
-    /// [`AGE_CAP`] escalated to `u8::MAX`. Each step is a first-set-bit
-    /// search in age order, so the first hit found is the oldest one.
+    /// [`AGE_CAP`] escalated above every priority. Each step is a
+    /// first-set-bit search in age order, so the first hit found is the
+    /// oldest one.
     #[inline]
     fn pick(&mut self, now: Cycles) -> Option<u64> {
         if self.len == 0 {
@@ -432,30 +401,21 @@ impl CmdRing {
         }
         let aged_end = self.aged_frontier(now);
         if aged_end > self.head {
-            // Aged commands tie at `u8::MAX` with the native `u8::MAX`
-            // commands after the prefix, which are all younger: an aged hit
-            // wins, then such a native hit, then the oldest command.
-            let p = self
-                .first_set(self.head, aged_end, |w| self.hit[w])
-                .or_else(|| {
-                    let top = self
-                        .levels
-                        .first()
-                        .filter(|l| l.prio == u8::MAX && l.len > 0)?;
-                    self.first_set(aged_end, self.tail, |w| top.bits[w] & self.hit[w])
-                });
+            // The aged prefix outranks the rest: its first hit, else its
+            // oldest command.
+            let p = self.first_set(self.head, aged_end, |w| self.hit[w]);
             return Some(p.unwrap_or(self.head));
         }
-        let l = self.levels.iter().find(|l| l.len > 0)?;
+        let l = self.levels.iter().rev().find(|l| l.len > 0)?;
         self.first_set(self.head, self.tail, |w| l.bits[w] & self.hit[w])
             .or_else(|| self.first_set(self.head, self.tail, |w| l.bits[w]))
     }
 
     /// The definition [`Self::pick`] must reproduce: a linear scan over
     /// every queued slot for the maximal packed `(priority, row_hit,
-    /// u64::MAX - position)` key, aged commands escalated to `u8::MAX`.
-    /// Debug builds check every pick against it; the unit tests use it as
-    /// their oracle.
+    /// u64::MAX - position)` key, aged commands escalated one level above
+    /// [`Priority::Urgent`]. Debug builds check every pick against it; the
+    /// unit tests use it as their oracle.
     #[cfg(any(test, debug_assertions))]
     fn pick_reference(&self, now: Cycles) -> Option<u64> {
         let mask = self.capacity() - 1;
@@ -469,8 +429,12 @@ impl CmdRing {
                 let slot = w * 64 + b;
                 let pos = self.head + ((slot as u64).wrapping_sub(self.head) & mask);
                 let aged = now.saturating_sub(self.arrival_time[slot]) > AGE_CAP;
-                let prio = if aged { u8::MAX } else { self.cmds[slot].prio };
-                let key = (((prio as u128) << 65)
+                let level = if aged {
+                    Priority::Urgent as u128 + 1
+                } else {
+                    self.cmds[slot].prio as u128
+                };
+                let key = ((level << 65)
                     | (((self.hit[w] >> b) & 1) as u128) << 64
                     | (u64::MAX - pos) as u128)
                     + 1;
@@ -487,9 +451,8 @@ impl CmdRing {
     /// other and with `len`, and each bank's count with its bitmap;
     /// `[head, tail)` fits the capacity, starts at a queued command and
     /// holds every queued command; the priority levels partition the queue
-    /// in descending order with exact counts, each found where the level
-    /// table says; and arrival times never decrease in ring order (the
-    /// aged prefix relies on it).
+    /// with exact counts; and arrival times never decrease in ring order
+    /// (the aged prefix relies on it).
     fn check(&self) -> Result<(), String> {
         let pop: usize = self.occ.iter().map(|w| w.count_ones() as usize).sum();
         if pop != self.len {
@@ -544,9 +507,6 @@ impl CmdRing {
                 }
             }
         }
-        if self.levels.windows(2).any(|p| p[0].prio <= p[1].prio) {
-            return Err("priority levels are not in descending order".to_string());
-        }
         for (w, &word) in self.occ.iter().enumerate() {
             let mut union = 0u64;
             for l in &self.levels {
@@ -561,21 +521,12 @@ impl CmdRing {
                 ));
             }
         }
-        for l in &self.levels {
+        for (i, l) in self.levels.iter().enumerate() {
             let pop: usize = l.bits.iter().map(|w| w.count_ones() as usize).sum();
             if pop != l.len {
                 return Err(format!(
-                    "priority {} counts {} commands but holds {pop}",
-                    l.prio, l.len
-                ));
-            }
-        }
-        for (i, l) in self.levels.iter().enumerate() {
-            let at = self.level_at[l.prio as usize];
-            if at as usize != i {
-                return Err(format!(
-                    "level table sends priority {} to level {at}, not {i}",
-                    l.prio
+                    "priority level {i} counts {} commands but holds {pop}",
+                    l.len
                 ));
             }
         }
@@ -718,7 +669,7 @@ impl Channel {
             token: cmd.token,
             bank,
             bytes: cmd.bytes,
-            prio: if demand_first { cmd.priority } else { 0 },
+            prio: if demand_first { cmd.priority } else { Priority::Background },
             write: cmd.is_write,
             class,
         };
@@ -943,10 +894,17 @@ pub struct MemDevice {
 
 impl MemDevice {
     /// Create a device: latency-optimised (`demand_first`, honouring
-    /// command priorities) or bandwidth-optimised (plain FR-FCFS).
+    /// command priorities) or bandwidth-optimised (plain FR-FCFS). The
+    /// timing's banks per channel and row bytes must be powers of two.
     pub fn new(timing: DramTiming, channels: usize, demand_first: bool) -> Self {
         assert!(channels > 0, "device needs at least one channel");
         let banks = timing.banks_per_channel;
+        assert!(
+            banks.is_power_of_two() && timing.row_bytes.is_power_of_two(),
+            "{}: {banks} banks per channel and {}-byte rows must both be powers of two",
+            timing.name,
+            timing.row_bytes
+        );
         let amap = AddrMap::new(timing.row_bytes, banks as u64);
         Self {
             timing,
@@ -1111,10 +1069,13 @@ mod tests {
             addr,
             bytes,
             is_write: false,
-            priority: 0,
+            priority: Priority::Background,
             token: 0,
         }
     }
+
+    /// The priorities, lowest first, for the randomised tests to index.
+    const PRIOS: [Priority; 3] = [Priority::Background, Priority::Demand, Priority::Urgent];
 
     #[test]
     fn closed_bank_read_latency() {
@@ -1174,29 +1135,20 @@ mod tests {
         d.pump_bg(0, 0, &mut out);
         assert_eq!(out.len(), PIPELINE_DEPTH);
         out.clear();
-        // Now queue a low-priority old command and a high-priority young one.
-        d.enqueue_bg(
-            0,
-            MemCmd {
-                token: 100,
-                priority: 0,
-                ..rd(0, 64)
-            },
-            50,
-        );
-        d.enqueue_bg(
-            0,
-            MemCmd {
-                token: 200,
-                priority: 3,
-                ..rd(64, 64)
-            },
-            50,
-        );
-        d.complete_bg(0);
-        d.pump_bg(0, 50, &mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].token, 200, "high priority must be served first");
+        // Now queue one command per priority, the lowest oldest, all in
+        // one row: whichever starts first opens it for the other two.
+        for (i, priority) in PRIOS.into_iter().enumerate() {
+            let token = 100 + i as u64;
+            d.enqueue_bg(0, MemCmd { token, priority, ..rd(token * 64, 64) }, 50 + i as u64);
+        }
+        let mut order = Vec::new();
+        for _ in 0..PRIOS.len() {
+            d.complete_bg(0);
+            d.pump_bg(0, 60, &mut out);
+            assert_eq!(out.len(), 1);
+            order.extend(out.drain(..).map(|s| s.token));
+        }
+        assert_eq!(order, [102, 101, 100], "higher priority must be served first");
     }
 
     #[test]
@@ -1251,7 +1203,7 @@ mod tests {
             done_times.push(t0);
         }
         let elapsed = *done_times.last().unwrap();
-        let gbs = h2_sim_core::units::bandwidth_gbs(d.stats().bytes, elapsed);
+        let gbs = d.stats().bytes as f64 / h2_sim_core::units::cycles_to_ns(elapsed);
         assert!(
             gbs > 0.8 * t.peak_gbs(),
             "streaming should near-saturate: {gbs:.1} vs peak {:.1}",
@@ -1347,19 +1299,34 @@ mod tests {
 
     #[test]
     fn addr_map_shift_path_matches_division() {
-        for (row_bytes, banks) in [(4096u64, 64u64), (8192, 32), (4096, 16)] {
+        let presets = [TimingPreset::Hbm2eSuper, TimingPreset::Hbm3Super, TimingPreset::Ddr4];
+        let geometries = presets.map(|p| {
+            let t = p.timing();
+            (t.row_bytes, t.banks_per_channel as u64)
+        });
+        for (row_bytes, banks) in geometries.into_iter().chain([(4096, 16), (64, 1)]) {
             let m = AddrMap::new(row_bytes, banks);
-            assert!(m.pow2);
-            for addr in [0u64, 63, 64, 4095, 4096, 1 << 20, 0xDEAD_BEEF, u64::MAX / 2] {
+            for addr in [0u64, 63, 64, 4095, 4096, 1 << 20, 0xDEAD_BEEF, u64::MAX / 2, u64::MAX] {
                 let rg = addr / row_bytes;
                 assert_eq!(m.map(addr), ((rg % banks) as u32, rg / banks), "addr {addr:#x}");
             }
         }
-        // Non-power-of-two fallback stays exact too.
-        let m = AddrMap::new(3000, 12);
-        assert!(!m.pow2);
-        let rg = 123_456_789u64 / 3000;
-        assert_eq!(m.map(123_456_789), ((rg % 12) as u32, rg / 12));
+    }
+
+    /// The address map has only a shift path, so a geometry it cannot
+    /// shift is rejected when the device is built, not mapped wrongly.
+    #[test]
+    #[should_panic(expected = "12 banks per channel and 8192-byte rows must both be powers of two")]
+    fn device_rejects_banks_that_are_not_a_power_of_two() {
+        let timing = DramTiming { banks_per_channel: 12, ..TimingPreset::Ddr4.timing() };
+        MemDevice::new(timing, 1, true);
+    }
+
+    #[test]
+    #[should_panic(expected = "32 banks per channel and 3000-byte rows must both be powers of two")]
+    fn device_rejects_rows_that_are_not_a_power_of_two() {
+        let timing = DramTiming { row_bytes: 3000, ..TimingPreset::Ddr4.timing() };
+        MemDevice::new(timing, 1, true);
     }
 
     /// Ring slots are reused as the arrival position wraps and never move
@@ -1417,7 +1384,7 @@ mod tests {
                     addr: (r % 4096) * t.row_bytes / 4,
                     bytes: 64,
                     is_write: r & 1 == 0,
-                    priority: (r % 3) as u8,
+                    priority: PRIOS[(r % 3) as usize],
                     token: 1000 + i,
                 },
                 i / 4,
@@ -1426,8 +1393,9 @@ mod tests {
         for now in [0u64, 50, 100, 260, 400, 120] {
             let c = &mut d.channels[0];
             let s = &c.ring;
-            // Reference: linear scan over queued positions with tuple keys.
-            let mut best: Option<((u8, bool, u64), u64)> = None;
+            // Reference: linear scan over queued positions with tuple keys,
+            // aged commands escalated above every priority.
+            let mut best: Option<((bool, Priority, bool, u64), u64)> = None;
             for pos in s.head..s.tail {
                 let slot = s.slot(pos);
                 if s.occ[slot / 64] >> (slot % 64) & 1 == 0 {
@@ -1435,12 +1403,9 @@ mod tests {
                 }
                 let CmdRec { bank, row, prio, .. } = s.cmds[slot];
                 let hit = c.banks[bank as usize].open_row == Some(row);
-                let prio = if now.saturating_sub(s.arrival_time[slot]) > AGE_CAP {
-                    u8::MAX
-                } else {
-                    prio
-                };
-                let key = (prio, hit, u64::MAX - pos);
+                let aged = now.saturating_sub(s.arrival_time[slot]) > AGE_CAP;
+                let prio = if aged { Priority::Background } else { prio };
+                let key = (aged, prio, hit, u64::MAX - pos);
                 if best.is_none_or(|(b, _)| key > b) {
                     best = Some((key, pos));
                 }
@@ -1451,8 +1416,8 @@ mod tests {
     }
 
     /// Seeded differential churn: bursts that push the queue past 200
-    /// commands, random completions, priorities {0, 1, 2, 255}, frequent
-    /// row hits and a clock that outruns [`AGE_CAP`]. Every pick must equal
+    /// commands, random completions, all three priorities, frequent row
+    /// hits and a clock that outruns [`AGE_CAP`]. Every pick must equal
     /// the reference scan across ring wrap-around and growth, under both
     /// scheduling flavours.
     #[test]
@@ -1479,7 +1444,7 @@ mod tests {
                             addr: (row * banks + bank) * t.row_bytes + col * 64,
                             bytes: 64,
                             is_write: r >> 11 & 1 == 1,
-                            priority: [0, 1, 2, u8::MAX][(r % 4) as usize],
+                            priority: PRIOS[(r % 3) as usize],
                             token,
                         };
                         d.enqueue_bg(0, cmd, now);
@@ -1545,7 +1510,7 @@ mod tests {
                     addr: (i * 37) % (t.row_bytes * 256),
                     bytes: 64,
                     is_write: i % 3 == 0,
-                    priority: (i % 2) as u8,
+                    priority: PRIOS[(i % 2) as usize],
                     token: i,
                 },
                 i,
@@ -1567,7 +1532,7 @@ mod tests {
     /// `check_invariants` after `corrupt` mutates the ring of a channel
     /// whose pipeline holds 48 started commands (positions 0..48, now
     /// holes) and whose queue holds four: positions 48..52, priorities
-    /// 0, 1, 2, 0, enqueued at cycles 10..14.
+    /// background, demand, urgent, background, enqueued at cycles 10..14.
     fn corrupted(corrupt: impl FnOnce(&mut CmdRing)) -> String {
         let mut d = dev(TimingPreset::Ddr4, 1);
         for i in 0..PIPELINE_DEPTH as u64 {
@@ -1576,7 +1541,7 @@ mod tests {
         d.pump_bg(0, 0, &mut Vec::new());
         for i in 0..4u64 {
             let cmd = MemCmd {
-                priority: (i % 3) as u8,
+                priority: PRIOS[(i % 3) as usize],
                 token: 100 + i,
                 ..rd(i * 64, 64)
             };
@@ -1613,30 +1578,19 @@ mod tests {
 
     #[test]
     fn check_flags_priority_levels() {
-        // Levels in descending order: 2 = {50}, 1 = {49}, 0 = {48, 51}.
+        // Levels by priority: background = {48, 51}, demand = {49},
+        // urgent = {50}.
         assert_eq!(
-            corrupted(|r| r.levels[0].bits[0] |= 1 << 49),
+            corrupted(|r| r.levels[Priority::Urgent as usize].bits[0] |= 1 << 49),
             "channel 0: priority levels overlap (word 0)"
         );
         assert_eq!(
-            corrupted(|r| r.levels[2].bits[0] &= !(1 << 51)),
+            corrupted(|r| r.levels[Priority::Background as usize].bits[0] &= !(1 << 51)),
             "channel 0: priority levels disagree with occupancy (word 0)"
         );
         assert_eq!(
-            corrupted(|r| r.levels[1].len += 1),
-            "channel 0: priority 1 counts 2 commands but holds 1"
-        );
-        assert_eq!(
-            corrupted(|r| r.levels.swap(0, 1)),
-            "channel 0: priority levels are not in descending order"
-        );
-    }
-
-    #[test]
-    fn check_flags_level_table() {
-        assert_eq!(
-            corrupted(|r| r.level_at[1] = 0),
-            "channel 0: level table sends priority 1 to level 0, not 1"
+            corrupted(|r| r.levels[Priority::Demand as usize].len += 1),
+            "channel 0: priority level 1 counts 2 commands but holds 1"
         );
     }
 

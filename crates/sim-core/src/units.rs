@@ -15,13 +15,6 @@ pub const CPU_FREQ_GHZ: f64 = 3.2;
 pub const KIB: u64 = 1024;
 /// One mebibyte.
 pub const MIB: u64 = 1024 * 1024;
-/// One gibibyte.
-pub const GIB: u64 = 1024 * 1024 * 1024;
-
-/// Convert a duration in nanoseconds to CPU cycles (rounded up, min 1).
-pub fn ns_to_cycles(ns: f64) -> Cycles {
-    ((ns * CPU_FREQ_GHZ).ceil() as u64).max(1)
-}
 
 /// Convert CPU cycles to nanoseconds.
 pub fn cycles_to_ns(c: Cycles) -> f64 {
@@ -34,25 +27,13 @@ pub fn mem_cycles_to_cpu(mem_cycles: u64, mem_freq_mhz: f64) -> Cycles {
     ((mem_cycles as f64 * ratio).ceil() as u64).max(1)
 }
 
-/// Bandwidth in GB/s of a bus moving `bytes` every `cycles` CPU cycles.
-pub fn bandwidth_gbs(bytes: u64, cycles: Cycles) -> f64 {
-    bytes as f64 / cycles_to_ns(cycles)
-}
-
-/// Time in CPU cycles for `bytes` on a bus of `gbs` GB/s (rounded up, min 1).
-pub fn burst_cycles(bytes: u64, gbs: f64) -> Cycles {
-    ns_to_cycles(bytes as f64 / gbs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn ns_roundtrip() {
-        let c = ns_to_cycles(10.0);
-        assert_eq!(c, 32);
-        assert!((cycles_to_ns(c) - 10.0).abs() < 1e-9);
+    fn cycles_convert_to_ns_at_the_cpu_clock() {
+        assert!((cycles_to_ns(32) - 10.0).abs() < 1e-9);
     }
 
     #[test]
@@ -61,19 +42,7 @@ mod tests {
         assert_eq!(mem_cycles_to_cpu(23, 1600.0), 46);
         // 22 cycles at 1600 MHz = 13.75 ns = 44 CPU cycles.
         assert_eq!(mem_cycles_to_cpu(22, 1600.0), 44);
-    }
-
-    #[test]
-    fn burst_matches_bandwidth() {
-        // 64 B at 25.6 GB/s = 2.5 ns = 8 cycles.
-        assert_eq!(burst_cycles(64, 25.6), 8);
-        // 64 B at 102.4 GB/s = 0.625 ns = 2 cycles.
-        assert_eq!(burst_cycles(64, 102.4), 2);
-    }
-
-    #[test]
-    fn min_one_cycle() {
-        assert_eq!(ns_to_cycles(0.0), 1);
-        assert_eq!(burst_cycles(1, 1000.0), 1);
+        // Rounded up to at least one cycle.
+        assert_eq!(mem_cycles_to_cpu(0, 1600.0), 1);
     }
 }

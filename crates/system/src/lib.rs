@@ -25,7 +25,4 @@ pub use runner::{
     plan_from_workloads, run_plan_monitored, run_plan_on_heap, run_sim, run_sim_parts,
     run_workloads, run_workloads_monitored, FrontendPlan, SimProbe,
 };
-pub use scenario::{
-    replay_config, replay_plan, run_scenario, run_scenario_monitored, scenario_config,
-    scenario_plan,
-};
+pub use scenario::{replay_config, replay_plan, run_scenario, scenario_config, scenario_plan};

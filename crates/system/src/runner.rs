@@ -16,7 +16,7 @@ use crate::frontend::{CoreBlock, CpuCore, GpuCtx};
 use crate::policies::PolicyKind;
 use crate::report::{EpochFrame, EpochRecord, RunReport, RunTelemetry, RunTrace, TenantSlo};
 use h2_cache::sram::{AccessOutcome, SetAssocCache};
-use h2_hybrid::hmc::{Hmc, HmcEvent, HmcOutput};
+use h2_hybrid::hmc::{Hmc, HmcOutput};
 use h2_hybrid::types::{HybridConfig, ReqClass, Tier};
 use h2_hybrid::HmcStats;
 use h2_mem::device::{MemStats, StartedCmd};
@@ -800,7 +800,7 @@ impl<Q: Queue<Ev>> Sim<Q> {
                 }
                 Ev::HmcSram(token) => {
                     let mut out = std::mem::take(&mut self.out_buf);
-                    self.hmc.handle(HmcEvent::SramDone(token), &mut out);
+                    self.hmc.handle(token, &mut out);
                     self.process_outputs(&mut out);
                     self.out_buf = out;
                 }
@@ -815,7 +815,7 @@ impl<Q: Queue<Ev>> Sim<Q> {
                     let (class, tag) = self.trace_ctx(token);
                     self.dev(tier).on_complete(channel, class);
                     let mut out = std::mem::take(&mut self.out_buf);
-                    self.hmc.handle(HmcEvent::MemDone(token), &mut out);
+                    self.hmc.handle(token, &mut out);
                     self.process_outputs(&mut out);
                     self.out_buf = out;
                     // Start queued successors.

@@ -9,10 +9,9 @@
 use crate::config::SystemConfig;
 use crate::policies::PolicyKind;
 use crate::report::RunReport;
-use crate::runner::{run_plan_monitored, FrontendPlan, SimProbe};
+use crate::runner::{run_plan_monitored, FrontendPlan};
 use h2_sim_core::units::MIB;
-use h2_sim_core::MonitorSet;
-use h2_trace::{TenantInfo, TenantScenario, TraceCapture, TraceFile, UnitClass};
+use h2_trace::{TenantInfo, TenantScenario, TraceFile, UnitClass};
 
 /// A copy of `cfg` resized to the scenario's unit counts. Scenarios own
 /// their core/ctx topology (it is part of the spec), so the base config
@@ -43,23 +42,12 @@ pub fn scenario_plan(cfg: &SystemConfig, sc: &TenantScenario) -> (FrontendPlan, 
     (plan, fast_capacity)
 }
 
-/// Run a multi-tenant scenario (resizing the config via
-/// [`scenario_config`]), optionally capturing the pulled reference stream.
-pub fn run_scenario_monitored(
-    cfg: &SystemConfig,
-    sc: &TenantScenario,
-    kind: PolicyKind,
-    capture: Option<&mut Option<TraceCapture>>,
-    monitors: Option<&mut MonitorSet<SimProbe>>,
-) -> RunReport {
+/// Run a multi-tenant scenario, resizing the config via
+/// [`scenario_config`].
+pub fn run_scenario(cfg: &SystemConfig, sc: &TenantScenario, kind: PolicyKind) -> RunReport {
     let cfg = scenario_config(cfg, sc);
     let (plan, fast_capacity) = scenario_plan(&cfg, sc);
-    run_plan_monitored(&cfg, &sc.name, kind, fast_capacity, plan, capture, monitors)
-}
-
-/// [`run_scenario_monitored`] without capture or monitors.
-pub fn run_scenario(cfg: &SystemConfig, sc: &TenantScenario, kind: PolicyKind) -> RunReport {
-    run_scenario_monitored(cfg, sc, kind, None, None)
+    run_plan_monitored(&cfg, &sc.name, kind, fast_capacity, plan, None, None)
 }
 
 /// True when the trace's tenant table is the placeholder a plain
@@ -186,17 +174,28 @@ mod tests {
     fn scenario_capture_replays_with_tags() {
         let cfg = SystemConfig::tiny();
         let sc = tiny_scenario();
-        let mut cap = None;
-        let orig = run_scenario_monitored(&cfg, &sc, PolicyKind::NoPart, Some(&mut cap), None);
         let scfg = scenario_config(&cfg, &sc);
         let (plan, fast) = scenario_plan(&scfg, &sc);
+        let gpu_base = plan.gpu_base;
+        let cpu_tenant = plan.cpu_tenant.clone();
+        let gpu_tenant = plan.gpu_tenant.clone();
+        let mut cap = None;
+        let orig = run_plan_monitored(
+            &scfg,
+            &sc.name,
+            PolicyKind::NoPart,
+            fast,
+            plan,
+            Some(&mut cap),
+            None,
+        );
         let file = cap.unwrap().into_file(
             &sc.name,
-            plan.gpu_base,
+            gpu_base,
             Json::obj(),
             sc.tenant_infos(),
-            &plan.cpu_tenant,
-            &plan.gpu_tenant,
+            &cpu_tenant,
+            &gpu_tenant,
         );
         let rcfg = replay_config(&cfg, &file);
         let rep = run_plan_monitored(

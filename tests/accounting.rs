@@ -128,7 +128,7 @@ fn remap_cache_hit_rate_is_sane() {
 #[test]
 fn transactions_conserve_through_registry() {
     use hydrogen_repro::hybrid::types::HybridConfig;
-    use hydrogen_repro::hybrid::{Hmc, HmcEvent, HmcOutput};
+    use hydrogen_repro::hybrid::{Hmc, HmcOutput};
     use hydrogen_repro::hydrogen::{HydrogenConfig, HydrogenPolicy};
     use hydrogen_repro::sim::{MetricsRegistry, SeededRng};
 
@@ -158,12 +158,12 @@ fn transactions_conserve_through_registry() {
             match o {
                 HmcOutput::Mem { cmd, .. } => {
                     let mut nxt = Vec::new();
-                    hmc.handle(HmcEvent::MemDone(cmd.token), &mut nxt);
+                    hmc.handle(cmd.token, &mut nxt);
                     queue.extend(nxt);
                 }
                 HmcOutput::After { token, .. } => {
                     let mut nxt = Vec::new();
-                    hmc.handle(HmcEvent::SramDone(token), &mut nxt);
+                    hmc.handle(token, &mut nxt);
                     queue.extend(nxt);
                 }
                 HmcOutput::DemandReady { .. } => {}

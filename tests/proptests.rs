@@ -212,7 +212,7 @@ fn traces_stay_in_window() {
 /// table also never accumulates duplicate tags across reconfigurations.
 #[test]
 fn remap_never_serves_stale_ways_after_reconfig() {
-    use hydrogen_repro::hybrid::hmc::{HmcEvent, HmcOutput};
+    use hydrogen_repro::hybrid::hmc::HmcOutput;
     use hydrogen_repro::hybrid::{Hmc, PartitionPolicy, PolicyParams, WayMeta};
     use hydrogen_repro::hydrogen::{HydrogenConfig, HydrogenPolicy};
     use std::cell::RefCell;
@@ -288,10 +288,8 @@ fn remap_never_serves_stale_ways_after_reconfig() {
             while let Some(o) = queue.pop() {
                 let mut nxt = Vec::new();
                 match o {
-                    HmcOutput::Mem { cmd, .. } => hmc.handle(HmcEvent::MemDone(cmd.token), &mut nxt),
-                    HmcOutput::After { token, .. } => {
-                        hmc.handle(HmcEvent::SramDone(token), &mut nxt)
-                    }
+                    HmcOutput::Mem { cmd, .. } => hmc.handle(cmd.token, &mut nxt),
+                    HmcOutput::After { token, .. } => hmc.handle(token, &mut nxt),
                     HmcOutput::DemandReady { .. } => {}
                 }
                 queue.extend(nxt);
